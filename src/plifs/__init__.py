@@ -17,6 +17,7 @@ from .core import (
     image_interval,
     invariant_interval,
     is_injective,
+    level_sweep,
     regularity_diagnostic,
     verify_breaking_code,
 )

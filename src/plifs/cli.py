@@ -20,9 +20,11 @@ from .core import (
     DEFAULT_BUDGET,
     check_iosc,
     check_small,
-    cylinders,
+    cylinder_arrays,
     generated_ifs,
     invariant_interval,
+    level_sweep,
+    level_words,
     regularity_diagnostic,
     word_str,
 )
@@ -167,10 +169,8 @@ def cmd_dim(args) -> int:
         print(f"determinant root = {_fmt(value)}")
         rows.append(("determinant", str(det.m), _fmt(value)))
     elif args.method == "box":
-        cloud = oracle.chaos_game(F, 200_000, seed=args.seed)
-        lo, hi = invariant_interval(F)
-        scales = tuple((hi - lo) * 3.0**-j for j in range(2, 10))
-        fit = oracle.box_dimension(cloud, scales)
+        cloud = oracle.chaos_game(F, gd.DimConfig().box_samples, seed=args.seed)
+        fit = oracle.box_dimension(cloud, oracle.default_box_scales(F))
         print(f"box estimate = {_fmt(fit.slope)} (raw {_fmt(fit.raw_slope)}, rss {_fmt(fit.residual)})")
         rows.append(("box", str(len(cloud)), _fmt(fit.slope)))
     else:  # all
@@ -209,14 +209,9 @@ def cmd_measure(args) -> int:
 
 def _render_csv(F: Cplifs, depth: int, budget: int) -> str:
     lines = ["word,left,right"]
-    if depth == 0:
-        lo, hi = invariant_interval(F)
-        lines.append(f",{_fmt(lo)},{_fmt(hi)}")
-    else:
-        cyl = cylinders(F, depth, budget)
-        for w in sorted(cyl.words()):
-            lo, hi = cyl[w]
-            lines.append(f"{word_str(w)},{_fmt(lo)},{_fmt(hi)}")
+    lo, hi = cylinder_arrays(F, depth, budget)
+    for w, a, b in zip(level_words(F.m, depth), lo.tolist(), hi.tolist()):
+        lines.append(f"{word_str(w)},{_fmt(a)},{_fmt(b)}")
     return "\n".join(lines) + "\n"
 
 
@@ -230,10 +225,9 @@ def _render_svg(F: Cplifs, depth: int, budget: int) -> str:
         return margin + (width - 2 * margin) * (v - lo0) / span
 
     rects = []
-    for level in range(depth + 1):
-        rows = [(lo0, hi0)] if level == 0 else list(cylinders(F, level, budget).entries.values())
+    for level, (lo, hi) in enumerate(level_sweep(F, depth, budget)):
         y = margin + level * row_h
-        for a, b in rows:
+        for a, b in zip(lo.tolist(), hi.tolist()):
             rects.append(
                 f'<rect x="{_fmt(x(a))}" y="{_fmt(y)}" '
                 f'width="{_fmt(max(0.0, x(b) - x(a)))}" height="{_fmt(bar_h)}" '

@@ -271,24 +271,50 @@ def invariant_interval(F: Cplifs) -> Interval:
 # cylinder intervals
 
 
-@dataclass(frozen=True)
+def level_words(m: int, n: int) -> Iterator[Word]:
+    """All words of length n in lexicographic order."""
+    return itertools.product(range(1, m + 1), repeat=n)
+
+
+def word_index(w: Word, m: int) -> int:
+    """Base-m index of a word over {1..m}, first symbol most significant;
+    indices run in the lexicographic order of ``level_words``."""
+    i = 0
+    for k in w:
+        i = i * m + k - 1
+    return i
+
+
+def index_word(i: int, m: int, n: int) -> Word:
+    """The length-n word whose ``word_index`` is i."""
+    w = [0] * n
+    for j in range(n - 1, -1, -1):
+        i, r = divmod(i, m)
+        w[j] = r + 1
+    return tuple(w)
+
+
+@dataclass(frozen=True, eq=False)
 class CylinderSet:
-    """All level-n cylinder intervals, keyed by words over {1..m}."""
+    """All level-n cylinder intervals as endpoint arrays in lexicographic
+    word order; ``cyl[w]`` reads the entry at ``word_index(w, m)``."""
 
     level: int
-    entries: dict[Word, Interval]
+    m: int
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.lo)
 
     def __getitem__(self, w: Word) -> Interval:
-        return self.entries[w]
+        if len(w) != self.level or not all(1 <= k <= self.m for k in w):
+            raise KeyError(w)
+        i = word_index(w, self.m)
+        return (float(self.lo[i]), float(self.hi[i]))
 
-    def words(self) -> Iterator[Word]:
-        return iter(self.entries)
-
-    def items(self):
-        return self.entries.items()
+    def items(self) -> Iterator[tuple[Word, Interval]]:
+        return zip(level_words(self.m, self.level), zip(self.lo.tolist(), self.hi.tolist()))
 
 
 def _check_budget(m: int, n: int, budget: int) -> int:
@@ -315,27 +341,36 @@ def _image_arrays(f: PLMap, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray,
     return out_lo, out_hi
 
 
+def level_sweep(
+    F: Cplifs, n_max: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endpoint arrays of the level-n cylinder intervals for n = 0..n_max,
+    each in lexicographic word order and built from the level before it;
+    level 0 is the invariant interval.  The budget is checked once, for
+    level n_max, before the first level is built."""
+    if n_max < 0:
+        raise ValueError("level must be >= 0")
+    _check_budget(F.m, n_max, budget)
+    a, b = invariant_interval(F)
+    lo = np.array([a])
+    hi = np.array([b])
+    yield lo, hi
+    for _ in range(n_max):
+        parts = [_image_arrays(f, lo, hi) for f in F.maps]
+        lo = np.concatenate([p[0] for p in parts])
+        hi = np.concatenate([p[1] for p in parts])
+        del parts  # free the per-map pieces before the consumer works on the level
+        yield lo, hi
+
+
 def cylinder_arrays(
     F: Cplifs, n: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of all level-n cylinder intervals in lexicographic
     word order (first symbol most significant)."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    _check_budget(F.m, n, budget)
-    a, b = invariant_interval(F)
-    lo = np.array([a])
-    hi = np.array([b])
-    for _ in range(n):
-        parts = [_image_arrays(f, lo, hi) for f in F.maps]
-        lo = np.concatenate([p[0] for p in parts])
-        hi = np.concatenate([p[1] for p in parts])
+    for lo, hi in level_sweep(F, n, budget):
+        pass
     return lo, hi
-
-
-def level_words(m: int, n: int) -> Iterator[Word]:
-    """All words of length n in lexicographic order."""
-    return itertools.product(range(1, m + 1), repeat=n)
 
 
 def cylinders(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> CylinderSet:
@@ -343,10 +378,7 @@ def cylinders(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> CylinderSet:
     if n < 1:
         raise ValueError("level must be >= 1")
     lo, hi = cylinder_arrays(F, n, budget)
-    entries = {
-        w: (float(lo[i]), float(hi[i])) for i, w in enumerate(level_words(F.m, n))
-    }
-    return CylinderSet(level=n, entries=entries)
+    return CylinderSet(level=n, m=F.m, lo=lo, hi=hi)
 
 
 def cylinder_interval(F: Cplifs, w: Word) -> Interval:
@@ -474,28 +506,28 @@ class BreakStatus:
 
 
 def _containing_words(
-    F: Cplifs, x: float, depth: int, budget: int, tol: float
+    F: Cplifs, x: float, depth: int, budget: int, tol: float, prefix: Word = ()
 ) -> list[Word]:
-    """Level-`depth` words whose cylinder contains x, found by descending
-    only through containing prefixes (I_{w k} lies inside I_w)."""
-    iv = invariant_interval(F)
-    frontier: list[tuple[Word, Interval]] = []
-    if iv[0] - tol <= x <= iv[1] + tol:
-        frontier = [((), iv)]
+    """Words extending ``prefix`` by `depth` symbols whose cylinder contains
+    x, found by descending only through containing prefixes (I_{w k} lies
+    inside I_w).  An empty result certifies that x avoids the attractor
+    piece of ``prefix``."""
+    a, b = cylinder_interval(F, prefix)
+    frontier = [prefix] if a - tol <= x <= b + tol else []
     for _ in range(depth):
         nxt = []
-        for w, _unused in frontier:
+        for w in frontier:
             for k in range(1, F.m + 1):
                 ww = w + (k,)
                 a, b = cylinder_interval(F, ww)
                 if a - tol <= x <= b + tol:
-                    nxt.append((ww, (a, b)))
+                    nxt.append(ww)
         if len(nxt) * F.m > budget:
             raise BudgetExceeded(len(nxt) * F.m, budget, "containment frontier")
         frontier = nxt
         if not frontier:
             break
-    return [w for w, _ in frontier]
+    return frontier
 
 
 def regularity_diagnostic(

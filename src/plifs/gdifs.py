@@ -25,14 +25,17 @@ from .core import (
     Interval,
     PLMap,
     Word,
+    _containing_words,
     affine_restriction,
     check_iosc,
+    cylinder_arrays,
     cylinder_interval,
-    cylinders,
     image_interval,
-    invariant_interval,
+    index_word,
+    level_words,
     periodic_point,
     verify_breaking_code,
+    word_index,
     word_str,
 )
 from .pressure import natural_dimension
@@ -407,8 +410,6 @@ def build_fixed_point_family(
     number 2k-2 and 2k-1 (1-based).  First cylinders must be
     pairwise disjoint.
     """
-    from .core import PLMap  # local to avoid a wide import list above
-
     det = DetRecursion(tuple(slopes))
     m = det.m
     phis = tuple(float(p) for p in fixed_points)
@@ -505,28 +506,6 @@ def _lcm(values: Sequence[int]) -> int:
     return out
 
 
-def _refine_contains(
-    F: Cplifs, w: Word, x: float, depth: int, tol: float, budget: int
-) -> bool:
-    """Whether x can still lie in the attractor piece of w after `depth`
-    levels of cylinder refinement (False certifies it does not)."""
-    frontier = [w]
-    for _ in range(depth):
-        nxt = []
-        for word in frontier:
-            for k in range(1, F.m + 1):
-                ww = word + (k,)
-                a, b = cylinder_interval(F, ww)
-                if a - tol <= x <= b + tol:
-                    nxt.append(ww)
-        if len(nxt) * F.m > budget:
-            raise BudgetExceeded(len(nxt) * F.m, budget, "refinement frontier")
-        frontier = nxt
-        if not frontier:
-            return False
-    return True
-
-
 def associate_from_periodic(
     F: Cplifs,
     codes: Sequence[BreakCode] = (),
@@ -557,14 +536,15 @@ def associate_from_periodic(
         verified.append(c)
 
     P = _lcm([len(c.period) for c in verified]) if verified else 1
-    cyl = cylinders(F, P, budget)
+    lo, hi = cylinder_arrays(F, P, budget)
+    los, his = lo.tolist(), hi.tolist()
 
     # Cut words: level-P prefixes of purely periodic codes, when the coded
     # point is interior to the cylinder interval.  Every rotation of a code
     # is cut as well: the shift orbit of a coded breaking point consists of
     # periodic points whose cylinders would otherwise hide a slope change
     # of a composed edge map in their interior.
-    cuts: dict[Word, float] = {}
+    cuts: dict[int, float] = {}  # keyed by word index
     for c in verified:
         if not c.purely_periodic:
             continue
@@ -573,30 +553,29 @@ def associate_from_periodic(
             rot = c.period[r:] + c.period[:r]
             phi = c.point if r == 0 else periodic_point(F, rot)
             w = rot * (P // p)
-            lo, hi = cyl[w]
-            if lo + tol < phi < hi - tol:
-                prev = cuts.get(w)
+            i = word_index(w, F.m)
+            if los[i] + tol < phi < his[i] - tol:
+                prev = cuts.get(i)
                 if prev is not None and abs(prev - phi) > tol:
                     raise AmbiguousContainment(
                         f"two distinct cut points for cylinder {word_str(w)}"
                     )
-                cuts.setdefault(w, phi)
+                cuts.setdefault(i, phi)
 
     # every other interval containment of a breaking point must either be
     # certified spurious or the construction does not apply
     for _, b in F.breaking_points():
         bcodes = [c for c in verified if abs(c.point - b) <= tol]
-        for w, (lo, hi) in cyl.items():
-            if not (lo + tol < b < hi - tol):
+        for i in np.flatnonzero((lo + tol < b) & (b < hi - tol)).tolist():
+            if i in cuts and abs(cuts[i] - b) <= tol:
                 continue
-            if w in cuts and abs(cuts[w] - b) <= tol:
-                continue
+            w = index_word(i, F.m, P)
             if any(
                 c.purely_periodic and c.period * (P // len(c.period)) == w
                 for c in bcodes
             ):
                 continue
-            if _refine_contains(F, w, b, refine_depth, tol, budget):
+            if _containing_words(F, b, refine_depth, budget, tol, w):
                 if bcodes and all(not c.purely_periodic for c in bcodes):
                     raise NonPeriodicCode(
                         f"breaking point {b} sits inside cylinder {word_str(w)} and "
@@ -613,21 +592,19 @@ def associate_from_periodic(
                 )
 
     nodes: list[GdifsNode] = []
-    for w in sorted(cyl.words()):
-        lo, hi = cyl[w]
-        if w in cuts:
-            phi = cuts[w]
-            nodes.append(GdifsNode(word=w, side="left", hull=(lo, phi)))
-            nodes.append(GdifsNode(word=w, side="right", hull=(phi, hi)))
+    for i, w in enumerate(level_words(F.m, P)):
+        if i in cuts:
+            nodes.append(GdifsNode(word=w, side="left", hull=(los[i], cuts[i])))
+            nodes.append(GdifsNode(word=w, side="right", hull=(cuts[i], his[i])))
         else:
-            nodes.append(GdifsNode(word=w, side=None, hull=(lo, hi)))
+            nodes.append(GdifsNode(word=w, side=None, hull=(los[i], his[i])))
 
     injective = all(f.is_injective() for f in F.maps)
     signs = {k: (1.0 if F.map(k).slopes[0] > 0 else -1.0) for k in range(1, F.m + 1)}
 
     edges: list[GdifsEdge] = []
     for i, node in enumerate(nodes):
-        phi = cuts.get(node.word)
+        phi = cuts.get(word_index(node.word, F.m))
         increasing = math.prod(signs[k] for k in node.word) > 0
         for j, tgt in enumerate(nodes):
             if node.side is not None:
@@ -743,33 +720,30 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
     if not iosc.ok:
         raise IoscViolated("punctured approximation requires disjoint first cylinders")
     tol = F.geom_tol()
-    cyl = cylinders(F, k, budget)
-    points = sorted({b for _, b in F.breaking_points()})
-    kept: list[Word] = []
-    dropped: list[Word] = []
-    for w, (lo, hi) in cyl.items():
-        if any(lo - tol <= b <= hi + tol for b in points):
-            dropped.append(w)
-        else:
-            kept.append(w)
+    lo, hi = cylinder_arrays(F, k, budget)
+    points = np.array(sorted({b for _, b in F.breaking_points()}))
+    drop = ((lo[:, None] - tol <= points) & (points <= hi[:, None] + tol)).any(axis=1)
+    kept = np.flatnonzero(~drop).tolist()  # word indices, in lexicographic order
     if not kept:
         raise EmptyGraph(f"all level-{k} cylinders contain breaking points")
 
-    index = {w: i for i, w in enumerate(kept)}
+    node_of = {w: i for i, w in enumerate(kept)}
+    los, his = lo.tolist(), hi.tolist()
+    m, tail = F.m, F.m ** (k - 1)
     adj: list[list[int]] = [[] for _ in kept]
     sims: dict[tuple[int, int], AffineMap] = {}
-    for w in kept:
-        i = index[w]
-        f = F.map(w[0])
-        for b in range(1, F.m + 1):
-            w2 = w[1:] + (b,)
-            j = index.get(w2)
+    for i, w in enumerate(kept):
+        f = F.maps[w // tail]
+        # shift successors of w: drop its first symbol, append each symbol
+        for w2 in range((w % tail) * m, (w % tail + 1) * m):
+            j = node_of.get(w2)
             if j is None:
                 continue
-            piece = f.piece_over(cyl[w2], tol)
+            piece = f.piece_over((los[w2], his[w2]), tol)
             if piece is None:
                 raise AmbiguousContainment(
-                    f"map {w[0]} breaks inside kept cylinder {word_str(w2)}"
+                    f"map {w // tail + 1} breaks inside kept cylinder "
+                    f"{word_str(index_word(w2, m, k))}"
                 )
             adj[i].append(j)
             sims[(i, j)] = f.piece_affine(piece)
@@ -789,7 +763,8 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
 
     remap = {u: i for i, u in enumerate(best)}
     nodes = tuple(
-        GdifsNode(word=kept[u], side=None, hull=cyl[kept[u]]) for u in best
+        GdifsNode(word=index_word(kept[u], m, k), side=None, hull=(los[kept[u]], his[kept[u]]))
+        for u in best
     )
     edges = tuple(
         GdifsEdge(src=remap[i], dst=remap[j], ratio=sims[(i, j)].ratio,
@@ -802,7 +777,7 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
         level=k,
         value=alpha(graph),
         kept=len(kept),
-        dropped=tuple(sorted(dropped)),
+        dropped=tuple(index_word(w, m, k) for w in np.flatnonzero(drop).tolist()),
         scc_size=len(best),
         whole_graph_strongly_connected=whole,
         graph=graph,
@@ -1017,9 +992,7 @@ def dim_report(F: Cplifs, config: DimConfig = DimConfig()) -> DimReport:
         cloud = oracle.chaos_game(F, config.box_samples, seed=config.seed)
         scales = config.box_scales
         if scales is None:
-            lo, hi = invariant_interval(F)
-            width = max(hi - lo, 1e-9)
-            scales = tuple(width * (3.0**-j) for j in range(2, 10))
+            scales = oracle.default_box_scales(F)
         fit = oracle.box_dimension(cloud, scales)
         box_value = fit.slope
         estimates.append(

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Cplifs, DEFAULT_BUDGET, cylinder_arrays, invariant_interval
+from .core import Cplifs, DEFAULT_BUDGET, invariant_interval, level_sweep
 from .errors import InsufficientScales
 
 _MASK64 = (1 << 64) - 1
@@ -117,6 +117,13 @@ class BoxCountFit:
     ci95: tuple[float, float]
 
 
+def default_box_scales(F: Cplifs) -> tuple[float, ...]:
+    """Box sizes |J| 3^-j for j = 2..9 over the invariant interval J."""
+    lo, hi = invariant_interval(F)
+    width = max(hi - lo, 1e-9)
+    return tuple(width * 3.0**-j for j in range(2, 10))
+
+
 def box_dimension(cloud: PointCloud | np.ndarray, scales: Sequence[float]) -> BoxCountFit:
     """Box-count regression over the given scales; needs at least four of
     them spanning two decades."""
@@ -153,9 +160,7 @@ def _union_length(lo: np.ndarray, hi: np.ndarray) -> float:
     lo, hi = lo[order], hi[order]
     cmax = np.maximum.accumulate(hi)
     prev = np.concatenate(([-np.inf], cmax[:-1]))
-    starts = np.flatnonzero(lo > prev)
-    if starts.size == 0:  # all intervals chained from the first
-        starts = np.array([0])
+    starts = np.flatnonzero(lo > prev)  # index 0 always starts a run
     ends = np.concatenate((starts[1:] - 1, [len(lo) - 1]))
     return float(np.sum(cmax[ends] - lo[starts]))
 
@@ -167,11 +172,9 @@ def lebesgue_upper_bound(
     an upper bound for the attractor's measure, nonincreasing in n."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        lo, hi = cylinder_arrays(F, n, budget)
-        out.append(_union_length(lo, hi))
-    return tuple(out)
+    sweep = level_sweep(F, n_max, budget)
+    next(sweep)  # level 0, the invariant interval itself
+    return tuple(_union_length(lo, hi) for lo, hi in sweep)
 
 
 CONSISTENT_POSITIVE = "CONSISTENT_POSITIVE"

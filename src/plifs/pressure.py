@@ -9,14 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Cplifs,
-    DEFAULT_BUDGET,
-    _check_budget,
-    _image_arrays,
-    cylinder_arrays,
-    invariant_interval,
-)
+from .core import Cplifs, DEFAULT_BUDGET, cylinder_arrays, level_sweep
 from .errors import ConvergenceFailure, DegenerateAttractor
 
 
@@ -138,15 +131,8 @@ def natural_dimension(
         raise ValueError("need 1 <= n_min <= n_max")
     if window < 1:
         raise ValueError("window must be >= 1")
-    a, b = invariant_interval(F)
-    lo = np.array([a])
-    hi = np.array([b])
     roots: list[float] = []
-    _check_budget(F.m, n_max, budget)
-    for n in range(1, n_max + 1):
-        parts = [_image_arrays(f, lo, hi) for f in F.maps]
-        lo = np.concatenate([p[0] for p in parts])
-        hi = np.concatenate([p[1] for p in parts])
+    for n, (lo, hi) in enumerate(level_sweep(F, n_max, budget)):
         if n >= n_min:
             logu, logc, _, _ = _aggregate_lengths(hi - lo)
             roots.append(0.0 if logu.size == 0 else _root_from_logs(logu, logc))

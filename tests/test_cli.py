@@ -160,6 +160,19 @@ def test_exit_code_4_on_budget(paper_file, capsys):
     assert main(["dim", paper_file, "natural", "--n", "1..11", "--budget", "100"]) == 4
 
 
+def test_measure_exit_code_4_on_budget(paper_file, capsys):
+    assert main(["measure", paper_file, "--budget", "100"]) == 4
+    assert "budget is 100" in capsys.readouterr().err
+
+
+def test_dim_box_matches_box_line_of_all(paper_file, capsys):
+    assert main(["dim", paper_file, "box", "--seed", "3"]) == 0
+    value = capsys.readouterr().out.split("box estimate = ")[1].split()[0]
+    assert main(["dim", paper_file, "all", "--seed", "3"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("box:"))
+    assert line.split()[1] == value
+
+
 def test_budget_env_override(paper_file, capsys, monkeypatch):
     monkeypatch.setenv("PLIFS_BUDGET", "100")
     assert main(["dim", paper_file, "natural", "--n", "1..11"]) == 4

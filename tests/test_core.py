@@ -15,14 +15,23 @@ from plifs import (
     image_interval,
     invariant_interval,
     is_injective,
+    lebesgue_upper_bound,
+    natural_dimension,
+    punctured_level,
     regularity_diagnostic,
     verify_breaking_code,
 )
 from plifs.core import (
     CERTIFIED_OFF_ATTRACTOR,
     UNDECIDED_AT_DEPTH,
+    _containing_words,
     affine_restriction,
     cylinder_arrays,
+    cylinder_interval,
+    index_word,
+    level_sweep,
+    level_words,
+    word_index,
     word_str,
 )
 from plifs.errors import AmbiguousContainment, BudgetExceeded, NonContractive
@@ -228,6 +237,64 @@ def test_cylinder_arrays_match_dict():
     for i, (w, (a, b)) in enumerate(cyl.items()):
         assert lo[i] == pytest.approx(a, abs=0.0)
         assert hi[i] == pytest.approx(b, abs=0.0)
+
+
+def test_cylinder_set_is_a_view_over_the_arrays():
+    F = paper_example()
+    cyl = cylinders(F, 3)
+    lo, hi = cylinder_arrays(F, 3)
+    assert len(cyl) == 8
+    assert [w for w, _ in cyl.items()] == list(level_words(2, 3))
+    assert cyl[(2, 1, 2)] == (lo[5], hi[5])  # 212 -> index 0b101
+    for bad in [(1, 2), (1, 2, 1, 1), (1, 2, 3), (0, 1, 1)]:
+        with pytest.raises(KeyError):
+            cyl[bad]
+
+
+# --- level sweep and word indices --------------------------------------------
+
+def test_level_sweep_matches_cylinder_arrays():
+    rng = random.Random(47)
+    for _ in range(6):
+        F = random_increasing_system(rng, span=False)
+        levels = list(level_sweep(F, 8))
+        assert len(levels) == 9
+        for n, (lo, hi) in enumerate(levels):
+            ref_lo, ref_hi = cylinder_arrays(F, n)
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        # array position = word index, checked against the scalar fold
+        for n in range(4):
+            lo, hi = levels[n]
+            for w in level_words(F.m, n):
+                assert (lo[word_index(w, F.m)], hi[word_index(w, F.m)]) == cylinder_interval(F, w)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_word_index_round_trip_in_lexicographic_order(m):
+    for n in range(5):
+        for i, w in enumerate(level_words(m, n)):
+            assert word_index(w, m) == i
+            assert index_word(i, m, n) == w
+
+
+def test_containing_words_from_prefix():
+    F = paper_example()
+    tol = F.geom_tol()
+    full = _containing_words(F, 0.5, 7, 10**6, tol)
+    assert full
+    for prefix in [(1,), (1, 2), (2,)]:
+        sub = _containing_words(F, 0.5, 7 - len(prefix), 10**6, tol, prefix)
+        assert sub == [w for w in full if w[: len(prefix)] == prefix]
+
+
+@pytest.mark.parametrize("run", [
+    lambda F: natural_dimension(F, 1, 10, budget=100),
+    lambda F: lebesgue_upper_bound(F, 10, budget=100),
+    lambda F: punctured_level(F, 10, budget=100),
+], ids=["natural_dimension", "lebesgue_upper_bound", "punctured_level"])
+def test_sweep_consumers_raise_budget_exceeded(run):
+    with pytest.raises(BudgetExceeded):
+        run(paper_example())
 
 
 # --- IOSC --------------------------------------------------------------------

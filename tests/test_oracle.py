@@ -12,6 +12,7 @@ from plifs.oracle import (
     CONSISTENT_POSITIVE,
     INCONCLUSIVE,
     PointCloud,
+    _union_length,
     SplitMix64,
     box_dimension,
     chaos_game,
@@ -178,6 +179,17 @@ def test_lebesgue_nonincreasing():
         bounds = lebesgue_upper_bound(F, 8)
         for a, b in zip(bounds, bounds[1:]):
             assert b <= a + 1e-12
+
+
+def test_lebesgue_bounds_are_the_union_of_each_level():
+    rng = random.Random(29)
+    systems = [paper_example(), cantor_pair(), unit_cover()]
+    systems += [random_increasing_system(rng, span=False) for _ in range(3)]
+    for F in systems:
+        bounds = lebesgue_upper_bound(F, 8)
+        assert len(bounds) == 8
+        for n in range(1, 9):
+            assert bounds[n - 1] == _union_length(*cylinder_arrays(F, n))
 
 
 def test_lebesgue_iosc_equals_plain_sum():

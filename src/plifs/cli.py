@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: check, dim {natural|gdifs|punctured|determinant|box|all},
-measure, render, esc.  Exit codes: 0 success, 2 malformed input, 3
-computation error, 4 budget exceeded.  The enumeration budget defaults to
-2^26 intervals; the PLIFS_BUDGET environment variable overrides it and
---budget overrides both.
+measure, render, esc.  Exit codes: 0 success, 2 malformed input or
+arguments (a bad system file or level range, or a value that a method
+rejects), 3 computation error, 4 budget exceeded.  The enumeration
+budget defaults to 2^26 intervals; the PLIFS_BUDGET environment variable
+overrides it and --budget overrides both.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ def _fmt(x: float) -> str:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return int(a), int(b)
-    n = int(text)
-    return n, n
+    a, sep, b = text.partition("..")
+    try:
+        return int(a), int(b if sep else a)
+    except ValueError:
+        raise ParseError(0, f"level range {text!r} is not N or A..B") from None
 
 
 def _budget(args) -> int:
@@ -140,45 +141,13 @@ def _write_csv(path: str | None, rows: list[tuple[str, str, str]]) -> None:
 def cmd_dim(args) -> int:
     F = parse_spec_file(args.file)
     budget = _budget(args)
+    n_min, n_max = _parse_range(args.n)
+    cfg = gd.DimConfig(
+        n_min=n_min, n_max=n_max, punctured_k=args.level, seed=args.seed,
+        budget=budget, agreement_tol=args.tol,
+    )
     rows: list[tuple[str, str, str]] = []
-    if args.method == "natural":
-        n_min, n_max = _parse_range(args.n)
-        est = natural_dimension(F, n_min, n_max, budget=budget)
-        for n, s in zip(est.levels, est.roots):
-            print(f"s_{n} = {_fmt(s)}")
-            rows.append(("natural", str(n), _fmt(s)))
-        print(f"estimate (max over last {est.window}): {_fmt(est.estimate)}")
-    elif args.method == "gdifs":
-        codes = gd.auto_codes(F)
-        g = gd.associate_from_periodic(F, codes, budget=budget)
-        value = gd.alpha(g)
-        print(f"nodes: {g.q}, edges: {len(g.edges)}, codes: {len(codes)}")
-        print(f"alpha = {_fmt(value)}")
-        rows.append(("gdifs", str(g.q), _fmt(value)))
-    elif args.method == "punctured":
-        pl = gd.punctured_level(F, args.level, budget)
-        note = "" if pl.whole_graph_strongly_connected else f" (largest scc of {pl.scc_size} used)"
-        print(f"kept {pl.kept}, dropped {len(pl.dropped)}{note}")
-        print(f"t_{pl.level} = {_fmt(pl.value)}")
-        rows.append(("punctured", str(pl.level), _fmt(pl.value)))
-    elif args.method == "determinant":
-        det = gd.detect_fixed_point_family(F)
-        if det is None:
-            raise PlifsError("not a fixed-point-breaking family; determinant method not applicable")
-        value = gd.q_root(det)
-        print(f"determinant root = {_fmt(value)}")
-        rows.append(("determinant", str(det.m), _fmt(value)))
-    elif args.method == "box":
-        cloud = oracle.chaos_game(F, gd.DimConfig().box_samples, seed=args.seed)
-        fit = oracle.box_dimension(cloud, oracle.default_box_scales(F))
-        print(f"box estimate = {_fmt(fit.slope)} (raw {_fmt(fit.raw_slope)}, rss {_fmt(fit.residual)})")
-        rows.append(("box", str(len(cloud)), _fmt(fit.slope)))
-    else:  # all
-        n_min, n_max = _parse_range(args.n)
-        cfg = gd.DimConfig(
-            n_min=n_min, n_max=n_max, punctured_k=args.level, seed=args.seed,
-            budget=budget, agreement_tol=args.tol,
-        )
+    if args.method == "all":
         report = gd.dim_report(F, cfg)
         for e in report.estimates:
             if e.value is None:
@@ -189,6 +158,31 @@ def cmd_dim(args) -> int:
         for flag in report.flags:
             print(f"  {flag}")
         print(f"consistent: {'yes' if report.consistent else 'NO'}")
+        _write_csv(args.csv, rows)
+        return 0
+    # one method: the same table entry that dim_report runs, printed in full
+    value, _, solved = gd.METHODS[args.method](F, cfg)
+    if args.method == "natural":
+        for n, s in zip(solved.levels, solved.roots):
+            print(f"s_{n} = {_fmt(s)}")
+            rows.append(("natural", str(n), _fmt(s)))
+        print(f"estimate (max over last {solved.window}): {_fmt(value)}")
+    elif args.method == "gdifs":
+        g, codes = solved
+        print(f"nodes: {g.q}, edges: {len(g.edges)}, codes: {len(codes)}")
+        print(f"alpha = {_fmt(value)}")
+        rows.append(("gdifs", str(g.q), _fmt(value)))
+    elif args.method == "punctured":
+        note = "" if solved.whole_graph_strongly_connected else f" (largest scc of {solved.scc_size} used)"
+        print(f"kept {solved.kept}, dropped {len(solved.dropped)}{note}")
+        print(f"t_{solved.level} = {_fmt(value)}")
+        rows.append(("punctured", str(solved.level), _fmt(value)))
+    elif args.method == "determinant":
+        print(f"determinant root = {_fmt(value)}")
+        rows.append(("determinant", str(solved.m), _fmt(value)))
+    else:  # box
+        print(f"box estimate = {_fmt(value)} (raw {_fmt(solved.raw_slope)}, rss {_fmt(solved.residual)})")
+        rows.append(("box", str(cfg.box_samples), _fmt(value)))
     _write_csv(args.csv, rows)
     return 0
 
@@ -289,10 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError, ValueError) as exc:
+        # ValueError: an argument the library rejects, such as a level range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

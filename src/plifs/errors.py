@@ -72,6 +72,14 @@ class InsufficientScales(PlifsError):
     """Box counting needs at least 4 scales spanning two decades."""
 
 
+class NotApplicable(PlifsError):
+    """A dimension method does not apply to the given system."""
+
+    def __init__(self, reason: str, method: str):
+        super().__init__(f"{reason}; {method} method not applicable")
+        self.reason = reason
+
+
 class ParseError(PlifsError):
     """A system description file is malformed."""
 

@@ -10,9 +10,10 @@ cylinders containing breaking points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .core import (
     word_index,
     word_str,
 )
-from .pressure import natural_dimension
+from .pressure import bisect_decreasing, natural_dimension
 from . import oracle
 from .errors import (
     AmbiguousContainment,
@@ -48,6 +49,7 @@ from .errors import (
     IoscViolated,
     BadFixedPointOrder,
     NonPeriodicCode,
+    NotApplicable,
     NotStronglyConnected,
     RootMismatch,
     UnverifiedCode,
@@ -227,30 +229,13 @@ def perron_root(M: np.ndarray, tol: float = 1e-13, cap: int | None = None) -> fl
     return float(np.max(np.abs(eig)))
 
 
-def _alpha_from_spectral(sm: SpectralMatrix, tol: float) -> float:
-    def rho(s: float) -> float:
-        return perron_root(sm.at(s))
-
-    r0 = rho(0.0)
+def _alpha_from_spectral(at: Callable[[float], np.ndarray], tol: float) -> float:
+    r0 = perron_root(at(0.0))
     if r0 < 1.0 - 1e-12:
         raise ConvergenceFailure("spectral radius below 1 at s = 0")
     if r0 <= 1.0 + 1e-12:
         return 0.0
-    hi = 1.0
-    doublings = 0
-    while rho(hi) >= 1.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 64:
-            raise ConvergenceFailure("no upper bracket for the spectral root")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_decreasing(lambda s: perron_root(at(s)) >= 1.0, tol, "spectral root")
 
 
 def alpha(g: Gdifs, tol: float = 1e-12) -> float:
@@ -258,7 +243,7 @@ def alpha(g: Gdifs, tol: float = 1e-12) -> float:
     radius is strictly decreasing in s."""
     if not g.strongly_connected():
         raise NotStronglyConnected(f"{g.q} nodes, graph not strongly connected")
-    return _alpha_from_spectral(g.spectral_matrix(), tol)
+    return _alpha_from_spectral(g.spectral_matrix().at, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +328,13 @@ def q_root(d: DetRecursion, tol: float = 1e-12) -> float:
     The determinant vanishes at s = 0 as well, so the root is seeded from
     the spectral bisection and polished locally on the determinant.
     """
-    sm_alpha = _alpha_from_spectral(_det_spectral_matrix(d), tol)
+    sm_alpha = _alpha_from_spectral(d.spectral, tol)
     root = _polish_on_q(d, sm_alpha)
     if abs(perron_root(d.spectral(root)) - 1.0) > 1e-10:
         raise RootMismatch(
             f"determinant root {root} does not restore spectral radius 1"
         )
     return root
-
-
-def _det_spectral_matrix(d: DetRecursion) -> SpectralMatrix:
-    A = d.incidence()
-    src, dst = np.nonzero(A)
-    ratios = np.array([d.slopes[i] for i in src])
-    return SpectralMatrix(q=len(d.slopes), src=src, dst=dst, ratios=ratios)
 
 
 def _polish_on_q(d: DetRecursion, seed: float) -> float:
@@ -855,15 +833,27 @@ def esc_diagnostic(
 
 @dataclass(frozen=True)
 class DimConfig:
+    """Settings of the dimension methods in METHODS:
+
+    n_min: lowest level n of the partition-sum roots s_n (natural).
+    n_max: highest level n of the partition-sum roots s_n.
+    window: trailing levels whose maximum is the natural estimate.
+    punctured_k: cylinder level k of the punctured approximation t_k.
+    box_samples: chaos-game samples fed to the box count.
+    seed: chaos-game sampling seed.
+    codes: breaking-point codes for the gdifs route; None detects short ones.
+    budget: cap on enumerated cylinder intervals.
+    box_tolerance: slack allowed above the dimension by the box flag.
+    agreement_tol: largest |diff| accepted between natural, gdifs and determinant.
+    """
+
     n_min: int = 6
     n_max: int = 11
     window: int = 3
     punctured_k: int = 6
     box_samples: int = 200_000
-    box_scales: tuple[float, ...] | None = None
     seed: int = 20240801
     codes: tuple[BreakCode, ...] | None = None
-    reg_depth: int = 10
     budget: int = DEFAULT_BUDGET
     box_tolerance: float = 0.05
     agreement_tol: float = 5e-2
@@ -919,121 +909,86 @@ def auto_codes(F: Cplifs) -> tuple[BreakCode, ...]:
     return tuple(out)
 
 
-def dim_report(F: Cplifs, config: DimConfig = DimConfig()) -> DimReport:
-    """Run every applicable dimension method; per-method failures are
-    recorded rather than raised."""
-    estimates: list[MethodEstimate] = []
+def _natural(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
+    est = natural_dimension(F, c.n_min, c.n_max, c.window, c.budget)
+    return est.estimate, f"s_n over n={c.n_min}..{c.n_max}, tail spread {est.spread:.2e}", est
 
-    natural_value = None
-    try:
-        est = natural_dimension(F, config.n_min, config.n_max, config.window, config.budget)
-        natural_value = est.estimate
-        estimates.append(
-            MethodEstimate(
-                method="natural",
-                value=est.estimate,
-                detail=f"s_n over n={config.n_min}..{config.n_max}, tail spread {est.spread:.2e}",
-            )
-        )
-    except Exception as exc:
-        estimates.append(MethodEstimate("natural", None, error=f"{type(exc).__name__}: {exc}"))
 
-    gdifs_value = None
-    try:
-        codes = config.codes if config.codes is not None else auto_codes(F)
-        g = associate_from_periodic(F, codes, budget=config.budget)
-        gdifs_value = alpha(g)
-        estimates.append(
-            MethodEstimate(
-                method="gdifs",
-                value=gdifs_value,
-                detail=f"{g.q} nodes, {len(g.edges)} edges, {len(codes)} codes",
-            )
-        )
-    except Exception as exc:
-        estimates.append(MethodEstimate("gdifs", None, error=f"{type(exc).__name__}: {exc}"))
+def _gdifs(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
+    codes = c.codes if c.codes is not None else auto_codes(F)
+    g = associate_from_periodic(F, codes, budget=c.budget)
+    return alpha(g), f"{g.q} nodes, {len(g.edges)} edges, {len(codes)} codes", (g, codes)
 
-    punctured_value = None
-    try:
-        pl = punctured_level(F, config.punctured_k, config.budget)
-        punctured_value = pl.value
-        estimates.append(
-            MethodEstimate(
-                method="punctured",
-                value=pl.value,
-                detail=(
-                    f"level {pl.level}, kept {pl.kept}, dropped {len(pl.dropped)}, "
-                    f"scc {pl.scc_size}"
-                ),
-            )
-        )
-    except Exception as exc:
-        estimates.append(MethodEstimate("punctured", None, error=f"{type(exc).__name__}: {exc}"))
 
-    det_value = None
+def _punctured(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
+    pl = punctured_level(F, c.punctured_k, c.budget)
+    detail = f"level {pl.level}, kept {pl.kept}, dropped {len(pl.dropped)}, scc {pl.scc_size}"
+    return pl.value, detail, pl
+
+
+def _determinant(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
     det = detect_fixed_point_family(F)
-    if det is not None:
-        try:
-            det_value = q_root(det)
-            estimates.append(
-                MethodEstimate("determinant", det_value, detail=f"slopes {det.slopes}")
-            )
-        except Exception as exc:
-            estimates.append(
-                MethodEstimate("determinant", None, error=f"{type(exc).__name__}: {exc}")
-            )
-    else:
-        estimates.append(
-            MethodEstimate("determinant", None, error="not a fixed-point-breaking family")
-        )
+    if det is None:
+        raise NotApplicable("not a fixed-point-breaking family", "determinant")
+    return q_root(det), f"slopes {det.slopes}", det
 
-    box_value = None
-    try:
-        cloud = oracle.chaos_game(F, config.box_samples, seed=config.seed)
-        scales = config.box_scales
-        if scales is None:
-            scales = oracle.default_box_scales(F)
-        fit = oracle.box_dimension(cloud, scales)
-        box_value = fit.slope
-        estimates.append(
-            MethodEstimate(
-                method="box",
-                value=fit.slope,
-                detail=f"{config.box_samples} samples, residual {fit.residual:.2e}",
-            )
-        )
-    except Exception as exc:
-        estimates.append(MethodEstimate("box", None, error=f"{type(exc).__name__}: {exc}"))
+
+def _box(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
+    cloud = oracle.chaos_game(F, c.box_samples, seed=c.seed)
+    fit = oracle.box_dimension(cloud, oracle.default_box_scales(F))
+    return fit.slope, f"{c.box_samples} samples, residual {fit.residual:.2e}", fit
+
+
+# Each method maps (F, config) to (value, report detail, solved object).
+# The entries look their solvers up as module globals at call time, so a
+# caller that rebinds them (tracing, say) sees every call.
+METHODS = {
+    "natural": _natural,
+    "gdifs": _gdifs,
+    "punctured": _punctured,
+    "determinant": _determinant,
+    "box": _box,
+}
+
+
+def dim_report(F: Cplifs, config: DimConfig = DimConfig()) -> DimReport:
+    """Run every method of METHODS; per-method failures are recorded
+    rather than raised."""
+    estimates: list[MethodEstimate] = []
+    values: dict[str, float] = {}
+    for method, run in METHODS.items():
+        try:
+            value, detail, _ = run(F, config)
+        except Exception as exc:
+            error = exc.reason if isinstance(exc, NotApplicable) else f"{type(exc).__name__}: {exc}"
+            estimates.append(MethodEstimate(method, None, error=error))
+        else:
+            values[method] = value
+            estimates.append(MethodEstimate(method, value, detail=detail))
 
     flags: list[str] = []
     consistent = True
-    dims = {}
-    if natural_value is not None:
-        dims["natural"] = natural_value
-    if gdifs_value is not None:
-        dims["gdifs"] = min(1.0, gdifs_value)
-    if det_value is not None:
-        dims["determinant"] = min(1.0, det_value)
-    names = sorted(dims)
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            d = abs(dims[names[a]] - dims[names[b]])
-            ok = d <= config.agreement_tol
-            consistent &= ok
-            flags.append(f"{names[a]} vs {names[b]}: |diff| = {d:.3e} ({'ok' if ok else 'DISAGREE'})")
-    if punctured_value is not None and gdifs_value is not None:
-        ok = punctured_value <= min(1.0, gdifs_value) + 1e-6
+    dims = {
+        m: values[m] if m == "natural" else min(1.0, values[m])
+        for m in ("natural", "gdifs", "determinant")
+        if m in values
+    }
+    for a, b in itertools.combinations(sorted(dims), 2):
+        d = abs(dims[a] - dims[b])
+        ok = d <= config.agreement_tol
+        consistent &= ok
+        flags.append(f"{a} vs {b}: |diff| = {d:.3e} ({'ok' if ok else 'DISAGREE'})")
+    if "punctured" in values and "gdifs" in dims:
+        p, g = values["punctured"], dims["gdifs"]
+        ok = p <= g + 1e-6
+        consistent &= ok
+        flags.append(f"punctured <= gdifs: {p:.8f} <= {g:.8f} ({'ok' if ok else 'VIOLATED'})")
+    if "box" in values and dims:
+        box, ref = values["box"], min(1.0, max(dims.values()))
+        ok = box <= ref + config.box_tolerance
         consistent &= ok
         flags.append(
-            f"punctured <= gdifs: {punctured_value:.8f} <= {min(1.0, gdifs_value):.8f} "
-            f"({'ok' if ok else 'VIOLATED'})"
-        )
-    if box_value is not None and dims:
-        ref = min(1.0, max(dims.values()))
-        ok = box_value <= ref + config.box_tolerance
-        consistent &= ok
-        flags.append(
-            f"box <= min(1, dim) + {config.box_tolerance}: {box_value:.4f} vs {ref:.4f} "
+            f"box <= min(1, dim) + {config.box_tolerance}: {box:.4f} vs {ref:.4f} "
             f"({'ok' if ok else 'VIOLATED'})"
         )
     return DimReport(estimates=tuple(estimates), flags=tuple(flags), consistent=consistent)

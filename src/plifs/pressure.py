@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,34 +71,40 @@ def pressure_at(F: Cplifs, s: float, n: int, budget: int = DEFAULT_BUDGET) -> fl
     return _logsumexp(s * logu + logc) / n
 
 
+def bisect_decreasing(above: Callable[[float], bool], tol: float, what: str) -> float:
+    """Root in [0, inf) of a decreasing function, given as the test
+    ``above(s)`` (the root lies above s): bracket by doubling from 1, then
+    bisect down to width tol."""
+    lo, hi = 0.0, 1.0
+    doublings = 0
+    while above(hi):
+        hi *= 2.0
+        doublings += 1
+        if doublings > 64:
+            raise ConvergenceFailure(f"no upper bracket for the {what}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _root_from_logs(logu: np.ndarray, logc: np.ndarray, tol: float = 1e-13) -> float:
     # G(s) = log sum |I_w|^s is strictly decreasing when every length < 1.
+    if logu.size == 0:
+        return 0.0  # every cylinder has zero length: the attractor is a point
     if float(np.max(logu)) >= 0.0:
         raise ConvergenceFailure(
             "a cylinder has length >= 1; the partition-sum root is not unique "
             "(conjugate the system into an interval of length <= 1)"
         )
-
-    def G(s: float) -> float:
-        return _logsumexp(s * logu + logc)
-
     if logu.size == 1 and logc[0] == 0.0:
         return 0.0  # single positive cylinder: the sum is 1 only at s = 0
-    lo = 0.0
-    hi = 1.0
-    doublings = 0
-    while G(hi) > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise ConvergenceFailure("no upper bracket for the partition-sum root")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if G(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_decreasing(
+        lambda s: _logsumexp(s * logu + logc) > 0.0, tol, "partition-sum root"
+    )
 
 
 def solve_level_root(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> PressureProfile:
@@ -110,9 +117,6 @@ def solve_level_root(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Pressur
     t0 = time.perf_counter()
     lo, hi = cylinder_arrays(F, n, budget)
     logu, logc, zero, count = _aggregate_lengths(hi - lo)
-    if logu.size == 0:
-        return PressureProfile(level=n, root=0.0, word_count=count,
-                               zero_count=zero, elapsed=time.perf_counter() - t0)
     root = _root_from_logs(logu, logc)
     return PressureProfile(level=n, root=root, word_count=count, zero_count=zero,
                            elapsed=time.perf_counter() - t0)
@@ -135,7 +139,7 @@ def natural_dimension(
     for n, (lo, hi) in enumerate(level_sweep(F, n_max, budget)):
         if n >= n_min:
             logu, logc, _, _ = _aggregate_lengths(hi - lo)
-            roots.append(0.0 if logu.size == 0 else _root_from_logs(logu, logc))
+            roots.append(_root_from_logs(logu, logc))
     levels = tuple(range(n_min, n_max + 1))
     tail = roots[-window:]
     return NaturalDimEstimate(

@@ -1,7 +1,8 @@
 import pytest
 
 from plifs.cli import main
-from plifs.specfile import parse_spec
+from plifs.gdifs import build_fixed_point_family
+from plifs.specfile import format_spec, parse_spec
 
 PAPER = """\
 map tau=0 slopes=0.8,0.2 breaks=0.5
@@ -11,6 +12,18 @@ map tau=0.9 slopes=0.1
 CANTOR = """\
 map tau=0 slopes=0.3333333333333333
 map tau=0.6666666666666666 slopes=0.3333333333333333
+"""
+
+FOLDED = """\
+map tau=0 slopes=0.3,-0.3 breaks=0.5
+map tau=0.8 slopes=0.2
+"""
+
+# the folded tent system of test_gdifs.test_associate_noninjective_cut_is_ambiguous
+TENT = """\
+map tau=0 slopes=0.4,-0.4 breaks=0.5
+map tau=0.88 slopes=0.2
+map tau=0.45 slopes=0.25,0.35 breaks=0
 """
 
 
@@ -165,12 +178,60 @@ def test_measure_exit_code_4_on_budget(paper_file, capsys):
     assert "budget is 100" in capsys.readouterr().err
 
 
-def test_dim_box_matches_box_line_of_all(paper_file, capsys):
-    assert main(["dim", paper_file, "box", "--seed", "3"]) == 0
-    value = capsys.readouterr().out.split("box estimate = ")[1].split()[0]
-    assert main(["dim", paper_file, "all", "--seed", "3"]) == 0
-    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("box:"))
+# text that precedes the value in the output of `plifs dim FILE <method>`
+VALUE_PREFIX = {
+    "natural": "estimate (max over last 3): ",
+    "gdifs": "alpha = ",
+    "punctured": "t_5 = ",
+    "determinant": "determinant root = ",
+    "box": "box estimate = ",
+}
+
+
+@pytest.mark.parametrize("method", list(VALUE_PREFIX))
+def test_dim_method_matches_line_of_all(tmp_path, capsys, method):
+    family = tmp_path / "family.plifs"
+    family.write_text(format_spec(build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system))
+    opts = ["--n", "4..8", "--level", "5", "--seed", "3"]
+    assert main(["dim", str(family), method, *opts]) == 0
+    value = capsys.readouterr().out.split(VALUE_PREFIX[method])[1].split()[0]
+    assert main(["dim", str(family), "all", *opts]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(f"{method}:"))
     assert line.split()[1] == value
+
+
+def test_dim_all_unavailable_lines_golden(tmp_path, capsys):
+    tent = tmp_path / "tent.plifs"
+    tent.write_text(TENT)
+    assert main(["dim", str(tent), "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for expected in (
+        "gdifs: unavailable (AmbiguousContainment: edge 1:left -> 1:right "
+        "undecidable at refinement depth 12)",
+        "punctured: unavailable (ValueError: punctured approximation requires injective maps)",
+        "determinant: unavailable (not a fixed-point-breaking family)",
+    ):
+        assert expected in lines
+
+
+@pytest.mark.parametrize(
+    "system, argv",
+    [
+        (PAPER, ["dim", "natural", "--n", "abc"]),
+        (PAPER, ["dim", "natural", "--n", "5..3"]),
+        (PAPER, ["dim", "punctured", "--level", "1"]),
+        (PAPER, ["measure", "--n", "0..0"]),
+        (FOLDED, ["dim", "punctured"]),
+    ],
+    ids=["n-not-a-range", "n-reversed", "level-below-2", "measure-n-zero", "folded-punctured"],
+)
+def test_exit_code_2_on_bad_argument(tmp_path, capsys, system, argv):
+    path = tmp_path / "system.plifs"
+    path.write_text(system)
+    command, *rest = argv
+    assert main([command, str(path), *rest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_budget_env_override(paper_file, capsys, monkeypatch):

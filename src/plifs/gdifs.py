@@ -83,6 +83,22 @@ class GdifsEdge:
 
 
 @dataclass(frozen=True, eq=False)
+class EdgeMatrix:
+    """Nonnegative q x q matrix held as its entries: entry e adds w[e] at
+    (src[e], dst[e]), so repeated pairs add."""
+
+    q: int
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        M = np.zeros((self.q, self.q))
+        np.add.at(M, (self.src, self.dst), self.w)
+        return M
+
+
+@dataclass(frozen=True, eq=False)
 class SpectralMatrix:
     """Evaluator of the q x q matrix whose (i, j) entry sums |r_e|^s over
     the edges from i to j."""
@@ -92,10 +108,9 @@ class SpectralMatrix:
     dst: np.ndarray
     ratios: np.ndarray  # absolute values
 
-    def at(self, s: float) -> np.ndarray:
-        M = np.zeros((self.q, self.q))
-        np.add.at(M, (self.src, self.dst), self.ratios**s)
-        return M
+    def at(self, s: float) -> EdgeMatrix:
+        """The matrix at s as an EdgeMatrix with one entry per edge."""
+        return EdgeMatrix(self.q, self.src, self.dst, self.ratios**s)
 
 
 @dataclass(frozen=True)
@@ -200,42 +215,69 @@ def strongly_connected_components(q: int, adj: list[list[int]]) -> list[list[int
 # Perron root and the dimension value
 
 
-def perron_root(M: np.ndarray, tol: float = 1e-13, cap: int | None = None) -> float:
-    """Dominant eigenvalue of a nonnegative irreducible matrix.
+# Above this many nodes perron_root refuses the dense eigensolve fallback.
+_DENSE_FALLBACK_NODES = 4096
+
+
+def _edge_matrix(M: EdgeMatrix | np.ndarray) -> EdgeMatrix:
+    if isinstance(M, EdgeMatrix):
+        return M
+    src, dst = np.nonzero(M)
+    return EdgeMatrix(M.shape[0], src, dst, M[src, dst])
+
+
+def perron_root(
+    M: EdgeMatrix | np.ndarray,
+    tol: float = 1e-13,
+    cap: int | None = None,
+    start: np.ndarray | None = None,
+) -> float:
+    """Dominant eigenvalue of a nonnegative irreducible matrix, given as an
+    EdgeMatrix or a dense square array.
 
     Power iteration on M + Id (primitive whenever M is irreducible) from
-    the all-ones vector, certified by the min/max ratio bounds; falls back
-    to a dense eigensolve if the bounds fail to close within the cap.
+    ``start`` (a positive vector of length q, overwritten in place with the
+    last iterate so the next solve can continue from it) or else from the
+    all-ones vector. Returns only Collatz-Wielandt-certified values (the
+    bounds min and max of (M + Id)v / v closed to ``tol``) or, if they do
+    not close within ``cap`` steps, the dense fallback: the eigensolve of
+    M, refused with ConvergenceFailure above 4096 nodes rather than
+    allocating q x q floats.
     """
-    q = M.shape[0]
+    M = _edge_matrix(M)
+    q = M.q
     if q == 1:
-        return float(M[0, 0])
+        return float(np.bincount(M.src, weights=M.w, minlength=1)[0])
     cap = max(200, 10 * q * q) if cap is None else cap
-    A = M + np.eye(q)
-    v = np.ones(q)
-    last = math.inf
+    v = np.ones(q) if start is None else start
     for _ in range(cap):
-        w = A @ v
+        w = v + np.bincount(M.src, weights=M.w * v[M.dst], minlength=q)
         r = w / v
         lo, hi = float(r.min()), float(r.max())
+        np.divide(w, w.max(), out=v)
         if hi - lo <= tol * max(1.0, hi):
             return 0.5 * (lo + hi) - 1.0
-        ray = float(v @ w) / float(v @ v)
-        if abs(ray - last) < tol and hi - lo <= 1e-9 * max(1.0, hi):
-            return ray - 1.0
-        last = ray
-        v = w / w.max()
-    eig = np.linalg.eigvals(M)
-    return float(np.max(np.abs(eig)))
+    if q > _DENSE_FALLBACK_NODES:
+        raise ConvergenceFailure(
+            f"Perron bounds did not close in {cap} steps on {q} nodes "
+            f"(dense fallback limited to {_DENSE_FALLBACK_NODES} nodes)"
+        )
+    return float(np.max(np.abs(np.linalg.eigvals(M.dense()))))
 
 
-def _alpha_from_spectral(at: Callable[[float], np.ndarray], tol: float) -> float:
-    r0 = perron_root(at(0.0))
+def _alpha_from_spectral(
+    at: Callable[[float], EdgeMatrix | np.ndarray], tol: float
+) -> float:
+    M0 = _edge_matrix(at(0.0))
+    v = np.ones(M0.q)  # warm start: each solve continues from the last eigenvector
+    r0 = perron_root(M0, start=v)
     if r0 < 1.0 - 1e-12:
         raise ConvergenceFailure("spectral radius below 1 at s = 0")
     if r0 <= 1.0 + 1e-12:
         return 0.0
-    return bisect_decreasing(lambda s: perron_root(at(s)) >= 1.0, tol, "spectral root")
+    return bisect_decreasing(
+        lambda s: perron_root(at(s), start=v) >= 1.0, tol, "spectral root"
+    )
 
 
 def alpha(g: Gdifs, tol: float = 1e-12) -> float:
@@ -736,8 +778,6 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
             best = members
     if not best:
         raise EmptyGraph(f"level-{k} punctured graph has no cycles")
-    if len(best) > 4096:
-        raise BudgetExceeded(len(best) ** 2, 4096**2, "dense spectral matrix entries")
 
     remap = {u: i for i, u in enumerate(best)}
     nodes = tuple(

@@ -79,6 +79,18 @@ def test_dim_punctured(paper_file, capsys):
     assert abs(float(line.split("=")[1]) - 0.55122823) < 1e-7
 
 
+def test_dim_punctured_beyond_dense_cap(paper_file, capsys):
+    # level 13 has 8184 graph nodes, past the 4096 a dense matrix was limited to
+    def last_line(*args):
+        assert main(["dim", paper_file, *args]) == 0
+        name, value = capsys.readouterr().out.splitlines()[-1].split(" = ")
+        return name, float(value)
+
+    name, t13 = last_line("punctured", "--level", "13")
+    assert name == "t_13"
+    assert last_line("punctured", "--level", "12")[1] <= t13 <= last_line("gdifs")[1] + 1e-11
+
+
 def test_dim_gdifs(paper_file, capsys):
     assert main(["dim", paper_file, "gdifs"]) == 0
     out = capsys.readouterr().out

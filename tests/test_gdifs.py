@@ -8,6 +8,7 @@ from plifs import BreakCode, Cplifs, PLMap
 from plifs.errors import (
     AmbiguousContainment,
     BadFixedPointOrder,
+    ConvergenceFailure,
     EmptyGraph,
     IoscViolated,
     NotStronglyConnected,
@@ -16,6 +17,7 @@ from plifs.errors import (
 from plifs.gdifs import (
     DetRecursion,
     DimConfig,
+    EdgeMatrix,
     Gdifs,
     GdifsEdge,
     GdifsNode,
@@ -60,6 +62,41 @@ def test_perron_small_matrices():
         assert perron_root(A) == pytest.approx(
             max(abs(np.linalg.eigvals(A))), abs=1e-9
         )
+
+
+def ring_with_chords(rng, q):
+    """Irreducible sparse matrix: a ring plus random chords, some (src, dst)
+    pairs listed twice."""
+    src = np.concatenate([np.arange(q), rng.integers(0, q, 2 * q)])
+    dst = np.concatenate([(np.arange(q) + 1) % q, rng.integers(0, q, 2 * q)])
+    again = rng.integers(0, src.size, q // 2 + 1)
+    src, dst = np.concatenate([src, src[again]]), np.concatenate([dst, dst[again]])
+    return EdgeMatrix(q, src, dst, rng.uniform(0.05, 1.0, src.size))
+
+
+def test_perron_edge_matrix_properties():
+    rng = np.random.default_rng(11)
+    cases = [EdgeMatrix(2, np.array([0, 1]), np.array([1, 0]), np.array([2.0, 8.0]))]
+    cases += [ring_with_chords(rng, q) for q in (3, 5, 8, 20, 50, 120)]
+    for E in cases:
+        dense = E.dense()
+        ref = max(abs(np.linalg.eigvals(dense)))
+        assert abs(perron_root(E) - ref) <= 1e-10
+        assert abs(perron_root(dense) - ref) <= 1e-10
+        v = rng.uniform(0.1, 10.0, E.q)
+        before = v.copy()
+        assert abs(perron_root(E, start=v) - perron_root(E, start=np.ones(E.q))) <= 1e-12
+        assert np.all(v > 0.0) and not np.array_equal(v, before)
+
+
+def test_perron_dense_fallback_guard():
+    q = 5000
+    ring = EdgeMatrix(q, np.arange(q), (np.arange(q) + 1) % q, np.linspace(0.5, 1.5, q))
+    with pytest.raises(ConvergenceFailure):
+        perron_root(ring, cap=1)
+    # below the guard, an unconverged solve still falls back to the eigensolve
+    A = np.random.default_rng(3).uniform(0.0, 1.0, size=(5, 5)) + 0.01
+    assert perron_root(A, cap=1) == max(abs(np.linalg.eigvals(A)))
 
 
 def test_alpha_one_node_two_loops():
@@ -362,6 +399,28 @@ def test_punctured_paper_first_and_last():
     F = paper_example()
     assert punctured_dimension(F, 3) == pytest.approx(0.55122823, abs=1e-7)
     assert punctured_dimension(F, 8) == pytest.approx(0.60301162, abs=1e-7)
+
+
+@pytest.mark.parametrize("k", [5, 8])
+def test_punctured_value_is_certified(k):
+    pl = punctured_level(paper_example(), k)
+    sm = pl.graph.spectral_matrix()
+
+    def rho(s):
+        M = np.zeros((sm.q, sm.q))
+        np.add.at(M, (sm.src, sm.dst), sm.ratios**s)
+        return max(abs(np.linalg.eigvals(M)))
+
+    assert rho(pl.value - 1e-11) >= 1.0 >= rho(pl.value + 1e-11)
+
+
+def test_punctured_levels_beyond_dense_cap():
+    # k = 13 has 8184 nodes, past the 4096 a dense matrix was limited to
+    F = paper_example()
+    t = [punctured_dimension(F, k) for k in range(10, 14)]
+    assert all(a <= b for a, b in zip(t, t[1:]))
+    assert t[1] == pytest.approx(0.6030497227579872, abs=1e-12)
+    assert t[2] == pytest.approx(0.6030501732734592, abs=1e-12)
 
 
 def test_punctured_diagnostics():

@@ -27,12 +27,13 @@ from .core import (
     PLMap,
     Word,
     _containing_words,
+    _image_arrays,
     affine_restriction,
     check_iosc,
     cylinder_arrays,
-    cylinder_interval,
     image_interval,
     index_word,
+    level_sweep,
     level_words,
     periodic_point,
     verify_breaking_code,
@@ -539,9 +540,11 @@ def associate_from_periodic(
     cylinder whose interior holds a coded breaking point is cut at that
     point (the fixed point of its composition) into a left and a right
     half.  There is an edge (A, A') exactly when f_{word(A)} maps the
-    piece A' into A; for an uncut A this always holds, for halves it is an
-    order comparison against the cut point when the maps are monotone and
-    a certified refinement test otherwise.
+    piece A' into A.  For an uncut A this always holds; for a half it is
+    one image-space test against the cut point (``_certify_side``): the
+    images of ever finer covers of A' from the level sweep must all lie on
+    A's side.  Folded maps need no special case.  AmbiguousContainment
+    when no level up to ``refine_depth`` decides an edge.
     """
     tol = F.geom_tol()
     verified: list[BreakCode] = []
@@ -619,97 +622,77 @@ def associate_from_periodic(
         else:
             nodes.append(GdifsNode(word=w, side=None, hull=(los[i], his[i])))
 
-    injective = all(f.is_injective() for f in F.maps)
-    signs = {k: (1.0 if F.map(k).slopes[0] > 0 else -1.0) for k in range(1, F.m + 1)}
-
     edges: list[GdifsEdge] = []
     for i, node in enumerate(nodes):
         phi = cuts.get(word_index(node.word, F.m))
-        increasing = math.prod(signs[k] for k in node.word) > 0
         for j, tgt in enumerate(nodes):
             if node.side is not None:
-                want_low = (node.side == "left") == increasing
-                if injective:
-                    # monotone composition: compare the target hull with the
-                    # cut point, which the composition fixes
-                    if want_low:
-                        if tgt.hull[1] > phi + tol:
-                            continue
-                    else:
-                        if tgt.hull[0] < phi - tol:
-                            continue
-                else:
-                    verdict = _certify_side(
-                        F, node.word, tgt, phi, want_low, refine_depth, tol, budget
+                verdict = _certify_side(
+                    F, node.word, node.side, tgt, phi, refine_depth, tol, budget
+                )
+                if verdict is None:
+                    raise AmbiguousContainment(
+                        f"edge {node.label} -> {tgt.label} undecidable at "
+                        f"refinement depth {refine_depth}"
                     )
-                    if verdict is None:
-                        raise AmbiguousContainment(
-                            f"edge {node.label} -> {tgt.label} undecidable at "
-                            f"refinement depth {refine_depth}"
-                        )
-                    if not verdict:
-                        continue
+                if not verdict:
+                    continue
             sim = affine_restriction(F, node.word, tgt.hull, tol)
             edges.append(GdifsEdge(src=i, dst=j, ratio=sim.ratio, offset=sim.offset))
     return Gdifs(nodes=tuple(nodes), edges=tuple(edges))
 
 
+def _push(F: Cplifs, w: Word, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images of the intervals [lo, hi] under f_w, folded right to left."""
+    for k in w[::-1]:
+        lo, hi = _image_arrays(F.map(k), lo, hi)
+    return lo, hi
+
+
 def _certify_side(
     F: Cplifs,
     w: Word,
+    side: str,
     tgt: GdifsNode,
     phi: float,
-    want_low: bool,
     depth: int,
     tol: float,
     budget: int,
 ) -> bool | None:
-    """Certify f_w(piece of tgt) on one side of phi via refined cylinder
-    covers of the target piece; None when undecidable at this depth."""
+    """Decide whether f_w maps the piece of tgt into the ``side`` half
+    ("left" or "right") of the cylinder of w cut at phi.
 
-    def fw_image(iv: Interval) -> Interval:
-        for k in w[::-1]:
-            iv = image_interval(F.map(k), iv)
-        return iv
-
-    lo, hi = fw_image(tgt.hull)
-    if want_low and hi <= phi + tol:
-        return True
-    if not want_low and lo >= phi - tol:
-        return True
-    if want_low and lo > phi + tol:
-        return False
-    if not want_low and hi < phi - tol:
-        return False
-
-    # refine the target piece by deeper cylinders clipped to its hull
-    frontier = [tgt.word]
-    for _ in range(depth):
-        nxt = []
-        for word in frontier:
-            for k in range(1, F.m + 1):
-                ww = word + (k,)
-                a, b = cylinder_interval(F, ww)
-                a, b = max(a, tgt.hull[0]), min(b, tgt.hull[1])
-                if a > b:
-                    continue
-                nxt.append(ww)
-        if len(nxt) * F.m > budget:
-            raise BudgetExceeded(len(nxt) * F.m, budget, "certification frontier")
-        frontier = nxt
-        if not frontier:
-            return False
-        decided_in = True
-        for word in frontier:
-            a, b = cylinder_interval(F, word)
-            a, b = max(a, tgt.hull[0]), min(b, tgt.hull[1])
-            ia, ib = fw_image((a, b))
-            inside = (ib <= phi + tol) if want_low else (ia >= phi - tol)
-            if not inside:
-                decided_in = False
-                break
-        if decided_in:
-            return True
+    Level 0 covers the piece by tgt's hull; level d >= 1 by level d of the
+    sweep pushed through f_{tgt.word} and clipped to the hull, empty rows
+    dropped (none left: False).  A level is ``below`` when all its images
+    under f_w lie at or below phi + tol and ``above`` when all lie at or
+    above phi - tol.  The first level with either verdict decides: True
+    when it is the half's own (below for left, above for right), else
+    False.  None when no level up to ``depth`` decides.  The sweep stops
+    at the deepest d with m**d <= budget; BudgetExceeded when the verdict
+    is still open there, short of ``depth``.
+    """
+    a, b = lo, hi = tgt.hull
+    for k in w[::-1]:  # level 0: the image of the hull
+        lo, hi = image_interval(F.map(k), (lo, hi))
+    n_max = depth
+    while n_max > 0 and F.m**n_max > budget:
+        n_max -= 1
+    deeper = itertools.islice(level_sweep(F, n_max, budget), 1, None)
+    for d in range(n_max + 1):
+        if d:
+            rlo, rhi = _push(F, tgt.word, *next(deeper))
+            rlo, rhi = np.maximum(rlo, a), np.minimum(rhi, b)
+            keep = rlo <= rhi
+            if not keep.any():
+                return False
+            rlo, rhi = _push(F, w, rlo[keep], rhi[keep])
+            lo, hi = rlo.min(), rhi.max()
+        below, above = hi <= phi + tol, lo >= phi - tol
+        if below or above:
+            return bool(below if side == "left" else above)
+    if n_max < depth:
+        raise BudgetExceeded(F.m ** (n_max + 1), budget, "certification sweep")
     return None
 
 

@@ -185,6 +185,13 @@ def test_exit_code_4_on_budget(paper_file, capsys):
     assert main(["dim", paper_file, "natural", "--n", "1..11", "--budget", "100"]) == 4
 
 
+def test_gdifs_exit_code_4_when_certification_exceeds_budget(tmp_path, capsys):
+    tent = tmp_path / "tent.plifs"
+    tent.write_text(TENT)
+    assert main(["dim", str(tent), "gdifs", "--budget", "243"]) == 4
+    assert "budget is 243" in capsys.readouterr().err
+
+
 def test_measure_exit_code_4_on_budget(paper_file, capsys):
     assert main(["measure", paper_file, "--budget", "100"]) == 4
     assert "budget is 100" in capsys.readouterr().err
@@ -218,7 +225,7 @@ def test_dim_all_unavailable_lines_golden(tmp_path, capsys):
     assert main(["dim", str(tent), "all"]) == 0
     lines = capsys.readouterr().out.splitlines()
     for expected in (
-        "gdifs: unavailable (AmbiguousContainment: edge 1:left -> 1:right "
+        "gdifs: unavailable (AmbiguousContainment: edge 1:left -> 2:full "
         "undecidable at refinement depth 12)",
         "punctured: unavailable (ValueError: punctured approximation requires injective maps)",
         "determinant: unavailable (not a fixed-point-breaking family)",

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from plifs import BreakCode, Cplifs, PLMap
+from plifs.core import cylinder_arrays
 from plifs.errors import (
     AmbiguousContainment,
     BadFixedPointOrder,
+    BudgetExceeded,
     ConvergenceFailure,
     EmptyGraph,
     IoscViolated,
@@ -21,6 +23,7 @@ from plifs.gdifs import (
     Gdifs,
     GdifsEdge,
     GdifsNode,
+    _certify_side,
     alpha,
     associate_from_periodic,
     auto_codes,
@@ -391,6 +394,81 @@ def test_associate_noninjective_cut_is_ambiguous():
     code = BreakCode(0.0, (), (1,))
     with pytest.raises(AmbiguousContainment):
         associate_from_periodic(F, [code], refine_depth=6)
+
+
+@pytest.mark.parametrize(
+    "second, incidence",
+    [
+        (PLMap((0.5,), (0.2, 0.3), 0.4), [[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]),
+        (PLMap((0.5,), (-0.2, -0.3), 0.6), [[1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1]]),
+    ],
+    ids=["folded-up", "folded-down"],
+)
+def test_associate_folded_system_with_cut(second, incidence):
+    # a folded first map beside a cut second map: the edge from a half to
+    # its twin has an image touching the cut point, decided in image space
+    F = Cplifs((PLMap((0.7,), (0.25, -0.25), 0.0), second, PLMap((), (0.2,), 0.8)))
+    g = associate_from_periodic(F, auto_codes(F))
+    assert [n.label for n in g.nodes] == ["1:full", "2:left", "2:right", "3:full"]
+    A = np.zeros((g.q, g.q), dtype=int)
+    for e in g.edges:
+        A[e.src, e.dst] = 1
+    assert A.tolist() == incidence
+    roots = natural_dimension(F, 6, 12).roots
+    assert abs(alpha(g) - (2 * roots[-1] - roots[0])) < 1e-3
+
+
+def straddle_system():
+    """f_2 fixes its break 0.5 and maps the piece of map 3 across it."""
+    return Cplifs(
+        (
+            PLMap((), (0.2,), 0.0),
+            PLMap((0.5,), (0.3, 0.4), 0.35),
+            PLMap((), (0.1,), 0.425),
+            PLMap((), (0.2,), 0.8),
+        )
+    )
+
+
+def test_associate_straddling_target_is_flagged():
+    # no half of cylinder 2 holds the image of the piece of map 3, so the
+    # edge is flagged, not dropped; the default depth 12 sweeps 4^12 rows
+    # for the same verdict
+    F = straddle_system()
+    with pytest.raises(AmbiguousContainment, match="edge 2:left -> 3:full"):
+        associate_from_periodic(F, auto_codes(F), refine_depth=8)
+
+
+def test_certify_side_clips_rows_to_target_hull():
+    # I_3 = [0.425, 0.525]; a target hull ending at 0.503 maps across the
+    # cut at level 0, and at level 1 only I_34 = [0.505, 0.525] would, but
+    # it lies outside the hull and is dropped
+    F = straddle_system()
+    tgt = GdifsNode((3,), "left", (0.425, 0.503))
+    verdict = [_certify_side(F, (2,), "left", tgt, 0.5, d, F.geom_tol(), 2**26) for d in (0, 1)]
+    assert verdict == [None, True]
+
+
+def test_certify_side_refinement_levels_and_budget():
+    F = Cplifs(
+        (
+            PLMap((0.6146003281235287,), (0.10594677462355959, -0.09004839701570087), 0.2477896578288665),
+            PLMap((0.29295298171902795,), (0.13859379348594217, 0.08597144265047232), 0.25235151666957),
+            PLMap((), (0.1467736051681643,), 0.8132466025944207),
+        )
+    )
+    lo, hi = cylinder_arrays(F, 1)
+    tgt = GdifsNode((1,), None, (float(lo[0]), float(hi[0])))
+    phi, tol = 0.29295298171902795, F.geom_tol()
+
+    def verdict(depth, budget=2**26):
+        return _certify_side(F, (2,), "left", tgt, phi, depth, tol, budget)
+
+    assert verdict(0) is None
+    assert verdict(1) is True
+    assert verdict(12, budget=3) is True  # the sweep stops at level 1, where it decides
+    with pytest.raises(BudgetExceeded):
+        verdict(12, budget=2)
 
 
 # --- punctured approximation -----------------------------------------------------

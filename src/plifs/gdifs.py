@@ -93,25 +93,14 @@ class EdgeMatrix:
     dst: np.ndarray
     w: np.ndarray
 
+    def at(self, s: float) -> "EdgeMatrix":
+        """The matrix whose entries are these raised to the power s."""
+        return EdgeMatrix(self.q, self.src, self.dst, self.w**s)
+
     def dense(self) -> np.ndarray:
         M = np.zeros((self.q, self.q))
         np.add.at(M, (self.src, self.dst), self.w)
         return M
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralMatrix:
-    """Evaluator of the q x q matrix whose (i, j) entry sums |r_e|^s over
-    the edges from i to j."""
-
-    q: int
-    src: np.ndarray
-    dst: np.ndarray
-    ratios: np.ndarray  # absolute values
-
-    def at(self, s: float) -> EdgeMatrix:
-        """The matrix at s as an EdgeMatrix with one entry per edge."""
-        return EdgeMatrix(self.q, self.src, self.dst, self.ratios**s)
 
 
 @dataclass(frozen=True)
@@ -133,11 +122,13 @@ class Gdifs:
     def q(self) -> int:
         return len(self.nodes)
 
-    def spectral_matrix(self) -> SpectralMatrix:
+    def spectral_matrix(self) -> EdgeMatrix:
+        """The edges with weights |ratio|; ``.at(s)`` sums |r_e|^s over
+        the edges from i to j."""
         src = np.array([e.src for e in self.edges], dtype=np.intp)
         dst = np.array([e.dst for e in self.edges], dtype=np.intp)
         ratios = np.array([abs(e.ratio) for e in self.edges])
-        return SpectralMatrix(q=self.q, src=src, dst=dst, ratios=ratios)
+        return EdgeMatrix(self.q, src, dst, ratios)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.q)]
@@ -220,21 +211,13 @@ def strongly_connected_components(q: int, adj: list[list[int]]) -> list[list[int
 _DENSE_FALLBACK_NODES = 4096
 
 
-def _edge_matrix(M: EdgeMatrix | np.ndarray) -> EdgeMatrix:
-    if isinstance(M, EdgeMatrix):
-        return M
-    src, dst = np.nonzero(M)
-    return EdgeMatrix(M.shape[0], src, dst, M[src, dst])
-
-
 def perron_root(
-    M: EdgeMatrix | np.ndarray,
+    M: EdgeMatrix,
     tol: float = 1e-13,
     cap: int | None = None,
     start: np.ndarray | None = None,
 ) -> float:
-    """Dominant eigenvalue of a nonnegative irreducible matrix, given as an
-    EdgeMatrix or a dense square array.
+    """Dominant eigenvalue of a nonnegative irreducible matrix.
 
     Power iteration on M + Id (primitive whenever M is irreducible) from
     ``start`` (a positive vector of length q, overwritten in place with the
@@ -245,7 +228,6 @@ def perron_root(
     M, refused with ConvergenceFailure above 4096 nodes rather than
     allocating q x q floats.
     """
-    M = _edge_matrix(M)
     q = M.q
     if q == 1:
         return float(np.bincount(M.src, weights=M.w, minlength=1)[0])
@@ -266,10 +248,8 @@ def perron_root(
     return float(np.max(np.abs(np.linalg.eigvals(M.dense()))))
 
 
-def _alpha_from_spectral(
-    at: Callable[[float], EdgeMatrix | np.ndarray], tol: float
-) -> float:
-    M0 = _edge_matrix(at(0.0))
+def _alpha_from_spectral(at: Callable[[float], EdgeMatrix], tol: float) -> float:
+    M0 = at(0.0)
     v = np.ones(M0.q)  # warm start: each solve continues from the last eigenvector
     r0 = perron_root(M0, start=v)
     if r0 < 1.0 - 1e-12:
@@ -328,14 +308,15 @@ class DetRecursion:
             A[2 * k - 2, 2 * k - 2 :] = 1  # right branch, 1-based row 2k-1
         return A
 
-    def spectral(self, s: float) -> np.ndarray:
-        u = np.array(self.slopes) ** s
-        return self.incidence() * u[:, None]
+    def spectral(self, s: float) -> EdgeMatrix:
+        """The incidence entries of row i weighted by slope i to the power s."""
+        src, dst = np.nonzero(self.incidence())
+        return EdgeMatrix(len(self.slopes), src, dst, np.array(self.slopes)[src] ** s)
 
     def matrix(self, s: float) -> np.ndarray:
         """The spectral matrix minus the identity; its determinant is the
         determinant function evaluated at s."""
-        return self.spectral(s) - np.eye(len(self.slopes))
+        return self.spectral(s).dense() - np.eye(len(self.slopes))
 
     def q_and_minors(self, s: float) -> tuple[float, list[float]]:
         """Value of the determinant function together with the bordered
@@ -473,15 +454,10 @@ def build_fixed_point_family(
     nodes.append(GdifsNode(word=(m,), side=None, hull=cyl[m - 1]))
     offsets.append(1.0 - rho[-1])
 
-    tol = 1e-12
-    edges = []
-    for i, node in enumerate(nodes):
-        for j, tgt in enumerate(nodes):
-            if node.side == "left" and tgt.hull[1] > node.hull[1] + tol:
-                continue
-            if node.side == "right" and tgt.hull[0] < node.hull[0] - tol:
-                continue
-            edges.append(GdifsEdge(src=i, dst=j, ratio=rho[i], offset=offsets[i]))
+    edges = [
+        GdifsEdge(src=i, dst=j, ratio=rho[i], offset=offsets[i])
+        for i, j in np.argwhere(det.incidence()).tolist()
+    ]
     return FixedPointFamily(system=system, graph=Gdifs(tuple(nodes), tuple(edges)), det=det)
 
 
@@ -712,9 +688,14 @@ class PuncturedLevel:
 
 
 def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> PuncturedLevel:
-    """Drop the level-k cylinders whose closed interval contains a breaking
-    point, connect the rest by the one-step shift on words, and take the
-    dimension of the largest strongly connected piece."""
+    """Drop the level-k cylinders that contain a breaking point, connect
+    the rest by the one-step shift on words, and take the dimension of the
+    largest strongly connected piece.
+
+    The drop test pads each cylinder by ``F.geom_tol()`` on both sides, so
+    it is not exact closed-interval containment: a cylinder within that
+    slack of a breaking point is dropped too (ROADMAP item 4).
+    """
     if k < 2:
         raise ValueError("punctured approximation needs level k >= 2")
     if any(not f.is_injective() for f in F.maps):
@@ -726,33 +707,38 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
     lo, hi = cylinder_arrays(F, k, budget)
     points = np.array(sorted({b for _, b in F.breaking_points()}))
     drop = ((lo[:, None] - tol <= points) & (points <= hi[:, None] + tol)).any(axis=1)
-    kept = np.flatnonzero(~drop).tolist()  # word indices, in lexicographic order
-    if not kept:
+    kept = np.flatnonzero(~drop)  # word indices, in lexicographic order
+    if not kept.size:
         raise EmptyGraph(f"all level-{k} cylinders contain breaking points")
 
-    node_of = {w: i for i, w in enumerate(kept)}
-    los, his = lo.tolist(), hi.tolist()
+    # Edges w -> w' for the shift successors w' = (w % m^(k-1)) m + b that
+    # are kept, in (src, dst) order, which fixes the summation order of the
+    # Perron matvecs; f_{w[0]} is affine on a kept cylinder.
     m, tail = F.m, F.m ** (k - 1)
-    adj: list[list[int]] = [[] for _ in kept]
-    sims: dict[tuple[int, int], AffineMap] = {}
-    for i, w in enumerate(kept):
-        f = F.maps[w // tail]
-        # shift successors of w: drop its first symbol, append each symbol
-        for w2 in range((w % tail) * m, (w % tail + 1) * m):
-            j = node_of.get(w2)
-            if j is None:
-                continue
-            piece = f.piece_over((los[w2], his[w2]), tol)
-            if piece is None:
-                raise AmbiguousContainment(
-                    f"map {w // tail + 1} breaks inside kept cylinder "
-                    f"{word_str(index_word(w2, m, k))}"
-                )
-            adj[i].append(j)
-            sims[(i, j)] = f.piece_affine(piece)
+    node = np.full(lo.size, -1)  # node of each kept word, -1 if dropped
+    node[kept] = np.arange(kept.size)
+    succ = ((kept % tail) * m)[:, None] + np.arange(m)
+    src, col = np.nonzero(node[succ] >= 0)
+    w2 = succ[src, col]
+    first = kept[src] // tail
+    ratio, offset = np.empty(src.size), np.empty(src.size)
+    for i, f in enumerate(F.maps):
+        sel = first == i
+        piece = np.searchsorted(f.breaks, lo[w2[sel]], side="right")
+        bad = np.flatnonzero(piece != np.searchsorted(f.breaks, hi[w2[sel]], side="right"))
+        if bad.size:
+            raise AmbiguousContainment(
+                f"map {i + 1} breaks inside kept cylinder "
+                f"{word_str(index_word(int(w2[sel][bad[0]]), m, k))}"
+            )
+        ratio[sel] = np.asarray(f.slopes)[piece]
+        offset[sel] = np.asarray(f._intercepts)[piece]
+    dst = node[w2]
 
-    comps = strongly_connected_components(len(kept), adj)
-    whole = len(comps) == 1
+    adj: list[list[int]] = [[] for _ in range(kept.size)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        adj[i].append(j)
+    comps = strongly_connected_components(kept.size, adj)
     best: list[int] = []
     for members in comps:
         mset = set(members)
@@ -762,25 +748,25 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
     if not best:
         raise EmptyGraph(f"level-{k} punctured graph has no cycles")
 
-    remap = {u: i for i, u in enumerate(best)}
+    pos = np.full(kept.size, -1)  # node of the SCC graph, -1 outside it
+    pos[best] = np.arange(len(best))
+    on = (pos[src] >= 0) & (pos[dst] >= 0)
+    words = kept[best]
+    digits = words[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1
     nodes = tuple(
-        GdifsNode(word=index_word(kept[u], m, k), side=None, hull=(los[kept[u]], his[kept[u]]))
-        for u in best
+        GdifsNode(word=tuple(d), side=None, hull=(a, b))
+        for d, a, b in zip(digits.tolist(), lo[words].tolist(), hi[words].tolist())
     )
-    edges = tuple(
-        GdifsEdge(src=remap[i], dst=remap[j], ratio=sims[(i, j)].ratio,
-                  offset=sims[(i, j)].offset)
-        for (i, j) in sims
-        if i in remap and j in remap
-    )
+    edges = tuple(map(GdifsEdge, pos[src[on]].tolist(), pos[dst[on]].tolist(),
+                      ratio[on].tolist(), offset[on].tolist()))
     graph = Gdifs(nodes=nodes, edges=edges)
     return PuncturedLevel(
         level=k,
         value=alpha(graph),
-        kept=len(kept),
+        kept=kept.size,
         dropped=tuple(index_word(w, m, k) for w in np.flatnonzero(drop).tolist()),
         scc_size=len(best),
-        whole_graph_strongly_connected=whole,
+        whole_graph_strongly_connected=len(comps) == 1,
         graph=graph,
     )
 
@@ -818,9 +804,7 @@ def esc_diagnostic(
         raise ValueError("level must be >= 1")
     pairs = []
     for s in sims:
-        if isinstance(s, GeneratedSimilarity):
-            pairs.append((s.ratio, s.offset))
-        elif isinstance(s, AffineMap):
+        if isinstance(s, (GeneratedSimilarity, AffineMap)):
             pairs.append((s.ratio, s.offset))
         else:
             r, t = s

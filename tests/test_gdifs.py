@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from plifs import BreakCode, Cplifs, PLMap
-from plifs.core import cylinder_arrays
+from plifs.core import affine_restriction, cylinder_arrays, cylinder_interval
 from plifs.errors import (
     AmbiguousContainment,
     BadFixedPointOrder,
@@ -45,6 +45,18 @@ from helpers import cantor_pair, paper_example, random_family_instance
 LOG23 = math.log(2) / math.log(3)
 
 
+def period_two():
+    """The third map breaks at the fixed point of f_1 o f_2."""
+    phi12 = 0.21 / 0.91
+    return Cplifs(
+        (
+            PLMap((), (0.3,), 0.0),
+            PLMap((), (0.3,), 0.7),
+            PLMap((phi12,), (0.2, 0.25), 0.35),
+        )
+    )
+
+
 def one_node(*ratios):
     return Gdifs(
         nodes=(GdifsNode((1,), None, (0.0, 1.0)),),
@@ -54,15 +66,21 @@ def one_node(*ratios):
 
 # --- spectral radius and alpha -------------------------------------------------
 
+def edges(A):
+    """The nonzero entries of a dense square array as an EdgeMatrix."""
+    src, dst = np.nonzero(A)
+    return EdgeMatrix(A.shape[0], src, dst, A[src, dst])
+
+
 def test_perron_small_matrices():
-    assert perron_root(np.array([[0.5]])) == pytest.approx(0.5)
+    assert perron_root(edges(np.array([[0.5]]))) == pytest.approx(0.5)
     # 2-cycle: periodic irreducible matrix, handled by the identity shift
     M = np.array([[0.0, 2.0], [8.0, 0.0]])
-    assert perron_root(M) == pytest.approx(4.0, abs=1e-10)
+    assert perron_root(edges(M)) == pytest.approx(4.0, abs=1e-10)
     rng = np.random.default_rng(3)
     for _ in range(20):
         A = rng.uniform(0.0, 1.0, size=(5, 5)) + 0.01
-        assert perron_root(A) == pytest.approx(
+        assert perron_root(edges(A)) == pytest.approx(
             max(abs(np.linalg.eigvals(A))), abs=1e-9
         )
 
@@ -85,7 +103,7 @@ def test_perron_edge_matrix_properties():
         dense = E.dense()
         ref = max(abs(np.linalg.eigvals(dense)))
         assert abs(perron_root(E) - ref) <= 1e-10
-        assert abs(perron_root(dense) - ref) <= 1e-10
+        assert abs(perron_root(edges(dense)) - ref) <= 1e-10
         v = rng.uniform(0.1, 10.0, E.q)
         before = v.copy()
         assert abs(perron_root(E, start=v) - perron_root(E, start=np.ones(E.q))) <= 1e-12
@@ -99,7 +117,7 @@ def test_perron_dense_fallback_guard():
         perron_root(ring, cap=1)
     # below the guard, an unconverged solve still falls back to the eigensolve
     A = np.random.default_rng(3).uniform(0.0, 1.0, size=(5, 5)) + 0.01
-    assert perron_root(A, cap=1) == max(abs(np.linalg.eigvals(A)))
+    assert perron_root(edges(A), cap=1) == max(abs(np.linalg.eigvals(A)))
 
 
 def test_alpha_one_node_two_loops():
@@ -110,6 +128,18 @@ def test_alpha_one_node_m_loops():
     for m, r in ((3, 0.2), (5, 0.15)):
         g = one_node(*([r] * m))
         assert alpha(g) == pytest.approx(math.log(m) / math.log(1 / r), abs=1e-10)
+
+
+def test_edge_matrix_at_adds_repeated_pairs_after_the_power():
+    sm = one_node(1 / 3, 1 / 3).spectral_matrix()
+    for s in (0.0, 0.5, LOG23, 2.0):
+        assert np.array_equal(sm.at(s).dense(), [[2 * (1 / 3) ** s]])
+    rng = random.Random(5)
+    for m in (3, 4):
+        d = DetRecursion(tuple(rng.uniform(0.05, 0.95) for _ in range(2 * m - 2)))
+        for s in (0.0, 0.37, 1.5):
+            rows = d.incidence() * np.array(d.slopes)[:, None] ** s
+            assert np.array_equal(d.spectral(s).dense(), rows)
 
 
 def test_alpha_family_all_quarter():
@@ -342,16 +372,10 @@ def test_associate_sanity_no_break_interior_to_nodes():
 
 
 def test_associate_period_two_code():
-    # third map breaks at the fixed point of f_1 o f_2: a genuine 2-periodic
-    # code; both the code cylinder and its rotation get cut
+    # a genuine 2-periodic code; both the code cylinder and its rotation
+    # get cut
     phi12 = 0.21 / 0.91
-    F = Cplifs(
-        (
-            PLMap((), (0.3,), 0.0),
-            PLMap((), (0.3,), 0.7),
-            PLMap((phi12,), (0.2, 0.25), 0.35),
-        )
-    )
+    F = period_two()
     g = associate_from_periodic(F, [BreakCode(phi12, (), (1, 2))])
     assert g.q == 11  # 9 level-2 cylinders, two of them cut
     cut_words = sorted({n.word for n in g.nodes if n.side is not None})
@@ -485,11 +509,40 @@ def test_punctured_value_is_certified(k):
     sm = pl.graph.spectral_matrix()
 
     def rho(s):
-        M = np.zeros((sm.q, sm.q))
-        np.add.at(M, (sm.src, sm.dst), sm.ratios**s)
-        return max(abs(np.linalg.eigvals(M)))
+        return max(abs(np.linalg.eigvals(sm.at(s).dense())))
 
     assert rho(pl.value - 1e-11) >= 1.0 >= rho(pl.value + 1e-11)
+
+
+@pytest.mark.parametrize(
+    "system, ks",
+    [
+        ("paper", range(3, 9)),
+        ("period_two", range(3, 7)),
+        ("family", range(3, 7)),
+        ("cantor", [4]),
+    ],
+)
+def test_punctured_graph_is_the_shift_graph(system, ks):
+    F = {
+        "paper": paper_example,
+        "period_two": period_two,
+        "family": lambda: build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system,
+        "cantor": cantor_pair,
+    }[system]()
+    for k in ks:
+        g = punctured_level(F, k).graph
+        assert all(n.hull == cylinder_interval(F, n.word) for n in g.nodes)
+        node_of = {n.word: i for i, n in enumerate(g.nodes)}
+        want = {}
+        for i, n in enumerate(g.nodes):
+            for b in range(1, F.m + 1):
+                j = node_of.get(n.word[1:] + (b,))
+                if j is not None:
+                    sim = affine_restriction(F, n.word[:1], cylinder_interval(F, g.nodes[j].word))
+                    want[(i, j)] = (sim.ratio, sim.offset)
+        got = [((e.src, e.dst), (e.ratio, e.offset)) for e in g.edges]
+        assert len(got) == len(want) and dict(got) == want
 
 
 def test_punctured_levels_beyond_dense_cap():

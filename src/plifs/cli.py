@@ -169,7 +169,7 @@ def cmd_dim(args) -> int:
         print(f"estimate (max over last {solved.window}): {_fmt(value)}")
     elif args.method == "gdifs":
         g, codes = solved
-        print(f"nodes: {g.q}, edges: {len(g.edges)}, codes: {len(codes)}")
+        print(f"nodes: {g.q}, edges: {g.src.size}, codes: {len(codes)}")
         print(f"alpha = {_fmt(value)}")
         rows.append(("gdifs", str(g.q), _fmt(value)))
     elif args.method == "punctured":

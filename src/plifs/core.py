@@ -178,9 +178,6 @@ class GeneratedSimilarity:
     map_index: int  # 1-based
     piece_index: int  # 1-based
 
-    def as_affine(self) -> AffineMap:
-        return AffineMap(self.ratio, self.offset)
-
 
 @dataclass(frozen=True)
 class Cplifs:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,44 +103,48 @@ class EdgeMatrix:
         return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gdifs:
-    """A strongly connected multigraph with one similarity per edge."""
+    """A multigraph with one similarity per edge, held as edge arrays in the
+    layout of EdgeMatrix: edge e runs from node src[e] to node dst[e] and
+    carries x -> ratio[e] * x + offset[e]."""
 
     nodes: tuple[GdifsNode, ...]
-    edges: tuple[GdifsEdge, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    ratio: np.ndarray
+    offset: np.ndarray
 
     def __post_init__(self):
-        q = len(self.nodes)
-        for e in self.edges:
-            if not (0 <= e.src < q and 0 <= e.dst < q):
-                raise ValueError("edge endpoint out of range")
-            if not (0.0 < abs(e.ratio) < 1.0):
-                raise ValueError(f"edge ratio {e.ratio} not in (0, 1) in modulus")
+        for name, dtype in (("src", np.intp), ("dst", np.intp), ("ratio", float), ("offset", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not self.src.size == self.dst.size == self.ratio.size == self.offset.size:
+            raise ValueError("edge arrays differ in length")
+        q, size = len(self.nodes), np.abs(self.ratio)
+        out = (self.src < 0) | (self.src >= q) | (self.dst < 0) | (self.dst >= q)
+        bad = np.flatnonzero(out | ~((0.0 < size) & (size < 1.0)))
+        if bad.size and out[bad[0]]:
+            raise ValueError("edge endpoint out of range")
+        if bad.size:
+            raise ValueError(f"edge ratio {float(self.ratio[bad[0]])} not in (0, 1) in modulus")
 
     @property
     def q(self) -> int:
         return len(self.nodes)
 
+    @property
+    def edges(self) -> tuple[GdifsEdge, ...]:
+        """One record per edge, in array order; built on each access."""
+        return tuple(map(GdifsEdge, self.src.tolist(), self.dst.tolist(),
+                         self.ratio.tolist(), self.offset.tolist()))
+
     def spectral_matrix(self) -> EdgeMatrix:
         """The edges with weights |ratio|; ``.at(s)`` sums |r_e|^s over
         the edges from i to j."""
-        src = np.array([e.src for e in self.edges], dtype=np.intp)
-        dst = np.array([e.dst for e in self.edges], dtype=np.intp)
-        ratios = np.array([abs(e.ratio) for e in self.edges])
-        return EdgeMatrix(self.q, src, dst, ratios)
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.q)]
-        for e in self.edges:
-            adj[e.src].append(e.dst)
-        return adj
+        return EdgeMatrix(self.q, self.src, self.dst, np.abs(self.ratio))
 
     def strongly_connected(self) -> bool:
-        if self.q == 0:
-            return False
-        comps = strongly_connected_components(self.q, self.adjacency())
-        return len(comps) == 1
+        return self.q > 0 and not strongly_connected_components(self.q, self.src, self.dst).any()
 
     def export_text(self) -> str:
         """Deterministic plain-text listing: node header lines, then edges."""
@@ -158,49 +162,57 @@ class Gdifs:
         return "\n".join(lines) + "\n"
 
 
-def strongly_connected_components(q: int, adj: list[list[int]]) -> list[list[int]]:
-    """Kosaraju with iterative passes; components come out sorted by their
-    smallest node index."""
+def strongly_connected_components(q: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label of each of the q nodes of the graph with edges
+    src[e] -> dst[e]; labels count the components in the order of their
+    smallest node index.
+
+    Kosaraju with iterative passes over the forward and the reverse
+    adjacency, each built once from the edge arrays.
+    """
+
+    def adjacency(a, b):
+        order = np.argsort(a, kind="stable")
+        return b[order].tolist(), np.searchsorted(a[order], np.arange(q + 1)).tolist()
+
+    (fwd, fstart), (rev, rstart) = adjacency(src, dst), adjacency(dst, src)
     order: list[int] = []
+    nxt = fstart[:-1]  # next forward edge of each node
     seen = [False] * q
     for start in range(q):
         if seen[start]:
             continue
         seen[start] = True
-        stack: list[tuple[int, int]] = [(start, 0)]
+        stack = [start]
         while stack:
-            v, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, i + 1)
-                w = adj[v][i]
+            v = stack[-1]
+            e = nxt[v]
+            if e < fstart[v + 1]:
+                nxt[v] = e + 1
+                w = fwd[e]
                 if not seen[w]:
                     seen[w] = True
-                    stack.append((w, 0))
+                    stack.append(w)
             else:
                 order.append(v)
                 stack.pop()
-    radj: list[list[int]] = [[] for _ in range(q)]
-    for v in range(q):
-        for w in adj[v]:
-            radj[w].append(v)
-    comp = [-1] * q
-    comps: list[list[int]] = []
+    label = [-1] * q
+    count = 0
     for start in reversed(order):
-        if comp[start] != -1:
+        if label[start] != -1:
             continue
-        members = [start]
-        comp[start] = len(comps)
-        stack2 = [start]
-        while stack2:
-            v = stack2.pop()
-            for w in radj[v]:
-                if comp[w] == -1:
-                    comp[w] = len(comps)
-                    members.append(w)
-                    stack2.append(w)
-        comps.append(sorted(members))
-    comps.sort(key=lambda c: c[0])
-    return comps
+        label[start] = count
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in rev[rstart[v] : rstart[v + 1]]:
+                if label[w] == -1:
+                    label[w] = count
+                    stack.append(w)
+        count += 1
+    labels = np.array(label, dtype=np.intp)
+    smallest = np.unique(labels, return_index=True)[1]  # smallest node of each label
+    return np.argsort(np.argsort(smallest))[labels]
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +222,16 @@ def strongly_connected_components(q: int, adj: list[list[int]]) -> list[list[int
 # Above this many nodes perron_root refuses the dense eigensolve fallback.
 _DENSE_FALLBACK_NODES = 4096
 
+# Default closing gap of the Collatz-Wielandt bounds in perron_root, taken
+# relative to the upper bound on rho + 1, and the error band it gives a
+# certified value near rho = 1, where that bound is about 2.
+_PERRON_TOL = 1e-13
+_PERRON_BAND = 2 * _PERRON_TOL
+
 
 def perron_root(
     M: EdgeMatrix,
-    tol: float = 1e-13,
+    tol: float = _PERRON_TOL,
     cap: int | None = None,
     start: np.ndarray | None = None,
 ) -> float:
@@ -248,25 +266,21 @@ def perron_root(
     return float(np.max(np.abs(np.linalg.eigvals(M.dense()))))
 
 
-def _alpha_from_spectral(at: Callable[[float], EdgeMatrix], tol: float) -> float:
-    M0 = at(0.0)
-    v = np.ones(M0.q)  # warm start: each solve continues from the last eigenvector
-    r0 = perron_root(M0, start=v)
-    if r0 < 1.0 - 1e-12:
-        raise ConvergenceFailure("spectral radius below 1 at s = 0")
-    if r0 <= 1.0 + 1e-12:
-        return 0.0
-    return bisect_decreasing(
-        lambda s: perron_root(at(s), start=v) >= 1.0, tol, "spectral root"
-    )
-
-
 def alpha(g: Gdifs, tol: float = 1e-12) -> float:
     """The unique s with dominant eigenvalue 1, by bisection; the spectral
     radius is strictly decreasing in s."""
     if not g.strongly_connected():
         raise NotStronglyConnected(f"{g.q} nodes, graph not strongly connected")
-    return _alpha_from_spectral(g.spectral_matrix().at, tol)
+    sm = g.spectral_matrix()
+    v = np.ones(g.q)  # warm start: each solve continues from the last eigenvector
+    r0 = perron_root(sm.at(0.0), start=v)
+    if r0 < 1.0 - 1e-12:
+        raise ConvergenceFailure("spectral radius below 1 at s = 0")
+    if r0 <= 1.0 + 1e-12:
+        return 0.0
+    return bisect_decreasing(
+        lambda s: perron_root(sm.at(s), start=v) >= 1.0, tol, "spectral root"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,45 +363,30 @@ def q_recursion(d: DetRecursion, s: float) -> float:
 def q_root(d: DetRecursion, tol: float = 1e-12) -> float:
     """The determinant root that coincides with the spectral crossing.
 
-    The determinant vanishes at s = 0 as well, so the root is seeded from
-    the spectral bisection and polished locally on the determinant.
+    The determinant vanishes at s = 0 as well, so one bisection tests the
+    certified spectral radius rho(s) and, where rho lies within the error
+    band of a certified value (``_PERRON_BAND``) of 1, the sign of Q. That
+    sign decides: Q(s) = det(C(s) - Id) is the product of lambda - 1 over
+    the eigenvalues of C(s), whose size 2m - 2 is even. Above the
+    crossing every eigenvalue has modulus below 1, so the real factors
+    are negative and even in number, and Q > 0. Just below it the Perron
+    factor is positive and the other real eigenvalues are odd in number
+    and all below 1, so Q < 0.
     """
-    sm_alpha = _alpha_from_spectral(d.spectral, tol)
-    root = _polish_on_q(d, sm_alpha)
+    v = np.ones(len(d.slopes))  # warm start, as in alpha
+
+    def above(s: float) -> bool:
+        r = perron_root(d.spectral(s), start=v)
+        if abs(r - 1.0) > _PERRON_BAND:
+            return r > 1.0
+        return q_recursion(d, s) < 0.0
+
+    root = bisect_decreasing(above, tol, "determinant root")
     if abs(perron_root(d.spectral(root)) - 1.0) > 1e-10:
         raise RootMismatch(
             f"determinant root {root} does not restore spectral radius 1"
         )
     return root
-
-
-def _polish_on_q(d: DetRecursion, seed: float) -> float:
-    qv = lambda s: q_recursion(d, s)
-    if qv(seed) == 0.0:
-        return seed
-    eps = 1e-9
-    while eps <= 1e-3:
-        a, b = max(seed - eps, 1e-15), seed + eps
-        fa, fb = qv(a), qv(b)
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if fa * fb < 0.0:
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = qv(mid)
-                if fm == 0.0:
-                    return mid
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return 0.5 * (a + b)
-        eps *= 4.0
-    if abs(qv(seed)) < 1e-12:
-        return seed
-    raise RootMismatch(f"no determinant sign change near spectral root {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +453,9 @@ def build_fixed_point_family(
     nodes.append(GdifsNode(word=(m,), side=None, hull=cyl[m - 1]))
     offsets.append(1.0 - rho[-1])
 
-    edges = [
-        GdifsEdge(src=i, dst=j, ratio=rho[i], offset=offsets[i])
-        for i, j in np.argwhere(det.incidence()).tolist()
-    ]
-    return FixedPointFamily(system=system, graph=Gdifs(tuple(nodes), tuple(edges)), det=det)
+    src, dst = np.nonzero(det.incidence())
+    graph = Gdifs(tuple(nodes), src, dst, np.array(rho)[src], np.array(offsets)[src])
+    return FixedPointFamily(system=system, graph=graph, det=det)
 
 
 def detect_fixed_point_family(F: Cplifs) -> DetRecursion | None:
@@ -598,7 +595,7 @@ def associate_from_periodic(
         else:
             nodes.append(GdifsNode(word=w, side=None, hull=(los[i], his[i])))
 
-    edges: list[GdifsEdge] = []
+    src, dst, ratio, offset = [], [], [], []
     for i, node in enumerate(nodes):
         phi = cuts.get(word_index(node.word, F.m))
         for j, tgt in enumerate(nodes):
@@ -614,8 +611,11 @@ def associate_from_periodic(
                 if not verdict:
                     continue
             sim = affine_restriction(F, node.word, tgt.hull, tol)
-            edges.append(GdifsEdge(src=i, dst=j, ratio=sim.ratio, offset=sim.offset))
-    return Gdifs(nodes=tuple(nodes), edges=tuple(edges))
+            src.append(i)
+            dst.append(j)
+            ratio.append(sim.ratio)
+            offset.append(sim.offset)
+    return Gdifs(tuple(nodes), src, dst, ratio, offset)
 
 
 def _push(F: Cplifs, w: Word, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -735,38 +735,34 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
         offset[sel] = np.asarray(f._intercepts)[piece]
     dst = node[w2]
 
-    adj: list[list[int]] = [[] for _ in range(kept.size)]
-    for i, j in zip(src.tolist(), dst.tolist()):
-        adj[i].append(j)
-    comps = strongly_connected_components(kept.size, adj)
-    best: list[int] = []
-    for members in comps:
-        mset = set(members)
-        has_edge = any(j in mset for i in members for j in adj[i])
-        if has_edge and len(members) > len(best):
-            best = members
-    if not best:
+    labels = strongly_connected_components(kept.size, src, dst)
+    inner = labels[src] == labels[dst]
+    sizes = np.bincount(labels)
+    # the largest component with an internal edge; argmax keeps the one
+    # with the smallest node index on a tie
+    sizes[np.bincount(labels[src[inner]], minlength=sizes.size) == 0] = 0
+    best = int(np.argmax(sizes))
+    if not sizes[best]:
         raise EmptyGraph(f"level-{k} punctured graph has no cycles")
 
+    members = np.flatnonzero(labels == best)
     pos = np.full(kept.size, -1)  # node of the SCC graph, -1 outside it
-    pos[best] = np.arange(len(best))
-    on = (pos[src] >= 0) & (pos[dst] >= 0)
-    words = kept[best]
+    pos[members] = np.arange(members.size)
+    on = inner & (labels[src] == best)
+    words = kept[members]
     digits = words[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1
     nodes = tuple(
         GdifsNode(word=tuple(d), side=None, hull=(a, b))
         for d, a, b in zip(digits.tolist(), lo[words].tolist(), hi[words].tolist())
     )
-    edges = tuple(map(GdifsEdge, pos[src[on]].tolist(), pos[dst[on]].tolist(),
-                      ratio[on].tolist(), offset[on].tolist()))
-    graph = Gdifs(nodes=nodes, edges=edges)
+    graph = Gdifs(nodes, pos[src[on]], pos[dst[on]], ratio[on], offset[on])
     return PuncturedLevel(
         level=k,
         value=alpha(graph),
         kept=kept.size,
         dropped=tuple(index_word(w, m, k) for w in np.flatnonzero(drop).tolist()),
-        scc_size=len(best),
-        whole_graph_strongly_connected=len(comps) == 1,
+        scc_size=members.size,
+        whole_graph_strongly_connected=sizes.size == 1,
         graph=graph,
     )
 
@@ -924,7 +920,7 @@ def _natural(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
 def _gdifs(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
     codes = c.codes if c.codes is not None else auto_codes(F)
     g = associate_from_periodic(F, codes, budget=c.budget)
-    return alpha(g), f"{g.q} nodes, {len(g.edges)} edges, {len(codes)} codes", (g, codes)
+    return alpha(g), f"{g.q} nodes, {g.src.size} edges, {len(codes)} codes", (g, codes)
 
 
 def _punctured(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:

@@ -77,6 +77,14 @@ def random_iosc_affine(rng: random.Random, m: int | None = None) -> Cplifs:
     return Cplifs(maps)
 
 
+def gdifs_of_edges(nodes, edges):
+    """A Gdifs from its nodes and a sequence of GdifsEdge records."""
+    from plifs.gdifs import Gdifs
+
+    return Gdifs(tuple(nodes), [e.src for e in edges], [e.dst for e in edges],
+                 [e.ratio for e in edges], [e.offset for e in edges])
+
+
 def random_family_instance(rng: random.Random, m: int = 3):
     """Slope/fixed-point parameters for the fixed-point-breaking family
     that satisfy the disjointness requirement."""

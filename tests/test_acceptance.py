@@ -20,7 +20,6 @@ from plifs import (
 )
 from plifs.gdifs import (
     DetRecursion,
-    Gdifs,
     GdifsEdge,
     GdifsNode,
     punctured_dimension,
@@ -38,6 +37,7 @@ from plifs.oracle import (
 
 from helpers import (
     cantor_pair,
+    gdifs_of_edges,
     paper_example,
     random_family_instance,
     random_increasing_system,
@@ -115,7 +115,7 @@ def test_criterion_4_cantor_closed_form():
     est = natural_dimension(C, 1, 12)
     errs = [abs(r - LOG23) for r in est.roots]
     errs.append(abs(est.estimate - LOG23))
-    g = Gdifs(
+    g = gdifs_of_edges(
         nodes=(GdifsNode((1,), None, (0.0, 1.0)),),
         edges=(GdifsEdge(0, 0, 1 / 3, 0.0), GdifsEdge(0, 0, 1 / 3, 2 / 3)),
     )

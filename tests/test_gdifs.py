@@ -40,7 +40,7 @@ from plifs.gdifs import (
 )
 from plifs import natural_dimension
 
-from helpers import cantor_pair, paper_example, random_family_instance
+from helpers import cantor_pair, gdifs_of_edges, paper_example, random_family_instance
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -58,7 +58,7 @@ def period_two():
 
 
 def one_node(*ratios):
-    return Gdifs(
+    return gdifs_of_edges(
         nodes=(GdifsNode((1,), None, (0.0, 1.0)),),
         edges=tuple(GdifsEdge(0, 0, r, 0.0) for r in ratios),
     )
@@ -153,13 +153,13 @@ def test_alpha_family_all_quarter():
     edges = tuple(
         GdifsEdge(i, j, 0.25, 0.0) for i in range(4) for j in range(4) if A[i, j]
     )
-    assert alpha(Gdifs(nodes, edges)) == pytest.approx(
+    assert alpha(gdifs_of_edges(nodes, edges)) == pytest.approx(
         math.log(3) / math.log(4), abs=1e-10
     )
 
 
 def test_alpha_requires_strong_connectivity():
-    g = Gdifs(
+    g = gdifs_of_edges(
         nodes=(GdifsNode((1,), None, (0, 1)), GdifsNode((2,), None, (0, 1))),
         edges=(GdifsEdge(0, 1, 0.5, 0.0), GdifsEdge(1, 1, 0.5, 0.0)),
     )
@@ -168,7 +168,7 @@ def test_alpha_requires_strong_connectivity():
 
 
 def test_alpha_pure_cycle_is_zero():
-    g = Gdifs(
+    g = gdifs_of_edges(
         nodes=(GdifsNode((1,), None, (0, 1)), GdifsNode((2,), None, (0, 1))),
         edges=(GdifsEdge(0, 1, 0.5, 0.0), GdifsEdge(1, 0, 0.25, 0.0)),
     )
@@ -185,9 +185,51 @@ def test_spectral_monotone_decreasing():
 
 
 def test_scc_decomposition():
-    adj = [[1], [0], [0, 3], [3]]
-    comps = strongly_connected_components(4, adj)
-    assert sorted(map(tuple, comps)) == [(0, 1), (2,), (3,)]
+    src, dst = np.array([0, 1, 2, 2, 3]), np.array([1, 0, 0, 3, 3])
+    labels = strongly_connected_components(4, src, dst)
+    assert labels.tolist() == [0, 0, 1, 2]
+
+
+def test_scc_labels_are_mutual_reachability():
+    rng = random.Random(41)
+    for _ in range(200):
+        q = rng.randint(1, 12)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(rng.randint(0, 2 * q))]
+        pairs += rng.sample(pairs, len(pairs) // 4)  # repeated pairs
+        pairs += [(v, v) for v in range(q) if rng.random() < 0.1]  # self-loops
+        rng.shuffle(pairs)
+        src = np.array([a for a, _ in pairs], dtype=np.intp)
+        dst = np.array([b for _, b in pairs], dtype=np.intp)
+        reach = np.eye(q, dtype=bool)
+        reach[src, dst] = True
+        for k in range(q):  # Warshall's transitive closure
+            reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+        labels = strongly_connected_components(q, src, dst)
+        assert np.array_equal(labels[:, None] == labels[None, :], reach & reach.T)
+        first = [labels.tolist().index(c) for c in range(labels.max() + 1)]
+        assert first == sorted(first)  # counted in the order of the smallest node
+
+
+@pytest.mark.parametrize(
+    "src, dst, ratio, message",
+    [
+        (2, 0, 0.5, "edge endpoint out of range"),
+        (0, -1, 0.5, "edge endpoint out of range"),
+        (0, 1, 0.0, "edge ratio 0.0 not in (0, 1) in modulus"),
+        (1, 0, -1.0, "edge ratio -1.0 not in (0, 1) in modulus"),
+        (1, 1, 1.5, "edge ratio 1.5 not in (0, 1) in modulus"),
+    ],
+)
+def test_gdifs_rejects_bad_edges(src, dst, ratio, message):
+    nodes = (GdifsNode((1,), None, (0, 1)), GdifsNode((2,), None, (0, 1)))
+    with pytest.raises(ValueError) as err:
+        gdifs_of_edges(nodes, (GdifsEdge(0, 1, 0.5, 0.0), GdifsEdge(src, dst, ratio, 0.0)))
+    assert str(err.value) == message
+
+
+def test_gdifs_rejects_edge_arrays_of_unequal_length():
+    with pytest.raises(ValueError, match="edge arrays differ in length"):
+        Gdifs((GdifsNode((1,), None, (0, 1)),), [0, 0], [0, 0], [0.5, 0.5], [0.0])
 
 
 # --- determinant recursion -----------------------------------------------------
@@ -258,6 +300,29 @@ def test_q_root_matches_alpha_and_similarity_case():
     for _ in range(5):
         fam = random_family_instance(rng)
         assert q_root(fam.det) == pytest.approx(alpha(fam.graph), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "slopes, value",
+    [  # random.Random(99) draws, slopes uniform in [0.02, 0.95], whose spectral
+       # bisection midpoint lies more than 1e-12 from the root of Q
+        ((0.9437741474765221, 0.03182966580602049, 0.4196351152079612, 0.89287054283359),
+         8.41657),
+        ((0.9272150025382511, 0.6731945977553419, 0.2355648177921235, 0.8609687217856247),
+         6.82525),
+        ((0.06450658481785755, 0.712053711388449, 0.8238233567924091, 0.04772220672030721,
+          0.14542296468246485, 0.9324477740212791), 5.72296),
+        ((0.8962485585626706, 0.8392746886159282, 0.5301780591431676, 0.21090205837269016,
+          0.937001937830527, 0.4388996955926955, 0.7287358511548987, 0.8998306414702981),
+         10.89974),
+    ],
+)
+def test_q_root_high_alpha(slopes, value):
+    d = DetRecursion(slopes)
+    r = q_root(d)
+    assert r == pytest.approx(value, abs=1e-5)
+    assert q_recursion(d, r - 1e-12) < 0 < q_recursion(d, r + 1e-12)
+    assert abs(perron_root(d.spectral(r)) - 1) <= 1e-10
 
 
 # --- family builder --------------------------------------------------------------

@@ -271,6 +271,11 @@ def alpha(g: Gdifs, tol: float = 1e-12) -> float:
     radius is strictly decreasing in s."""
     if not g.strongly_connected():
         raise NotStronglyConnected(f"{g.q} nodes, graph not strongly connected")
+    return _spectral_root(g, tol)
+
+
+def _spectral_root(g: Gdifs, tol: float = 1e-12) -> float:
+    """`alpha` of a graph already known to be strongly connected."""
     sm = g.spectral_matrix()
     v = np.ones(g.q)  # warm start: each solve continues from the last eigenvector
     r0 = perron_root(sm.at(0.0), start=v)
@@ -647,6 +652,12 @@ def _certify_side(
     False.  None when no level up to ``depth`` decides.  The sweep stops
     at the deepest d with m**d <= budget; BudgetExceeded when the verdict
     is still open there, short of ``depth``.
+
+    A row at least tol inside the hull keeps its subrows, unclipped, at
+    every deeper level, and their images stay within rounding of its own.
+    So once one such row maps below phi - 2 tol and another above
+    phi + 2 tol, no deeper level decides, and the sweep ends there as it
+    would at ``depth``.
     """
     a, b = lo, hi = tgt.hull
     for k in w[::-1]:  # level 0: the image of the hull
@@ -658,15 +669,19 @@ def _certify_side(
     for d in range(n_max + 1):
         if d:
             rlo, rhi = _push(F, tgt.word, *next(deeper))
+            inside = (a + tol <= rlo) & (rhi <= b - tol)
             rlo, rhi = np.maximum(rlo, a), np.minimum(rhi, b)
             keep = rlo <= rhi
             if not keep.any():
                 return False
+            inside = inside[keep]
             rlo, rhi = _push(F, w, rlo[keep], rhi[keep])
             lo, hi = rlo.min(), rhi.max()
         below, above = hi <= phi + tol, lo >= phi - tol
         if below or above:
             return bool(below if side == "left" else above)
+        if d and (rhi[inside] < phi - 2 * tol).any() and (rlo[inside] > phi + 2 * tol).any():
+            break
     if n_max < depth:
         raise BudgetExceeded(F.m ** (n_max + 1), budget, "certification sweep")
     return None
@@ -758,7 +773,7 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
     graph = Gdifs(nodes, pos[src[on]], pos[dst[on]], ratio[on], offset[on])
     return PuncturedLevel(
         level=k,
-        value=alpha(graph),
+        value=_spectral_root(graph),  # one SCC of the graph: no second pass
         kept=kept.size,
         dropped=tuple(index_word(w, m, k) for w in np.flatnonzero(drop).tolist()),
         scc_size=members.size,

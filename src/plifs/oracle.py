@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Cplifs, DEFAULT_BUDGET, invariant_interval, level_sweep
+from .core import Cplifs, DEFAULT_BUDGET, PLMap, invariant_interval, level_sweep
 from .errors import InsufficientScales
 
 _MASK64 = (1 << 64) - 1
@@ -40,16 +40,23 @@ class SplitMix64:
 
 
 def splitmix64_batch(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of SplitMix64(seed), vectorized."""
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """First `count` outputs of SplitMix64(seed), vectorized; updated in
+    place, so at most two arrays of `count` words are alive."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def uniform_batch(seed: int, count: int) -> np.ndarray:
-    return (splitmix64_batch(seed, count) >> np.uint64(11)) * 2.0**-53
+    z = splitmix64_batch(seed, count)
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +77,80 @@ class PointCloud:
         return "\n".join(lines) + "\n"
 
 
+# Steps per lockstep block at least, and the fewest blocks for which
+# running them in lockstep beats the scalar loop.
+_BLOCK = 256
+_MIN_BLOCKS = 16
+
+
+def _scalar_orbit(maps: Sequence[PLMap], codes: np.ndarray, x: float, out: np.ndarray) -> float:
+    """x <- f_k(x) for each map code k in turn, each x written to out;
+    returns the last x."""
+    for i, k in enumerate(codes.tolist()):
+        x = maps[k](x)
+        out[i] = x
+    return x
+
+
+def _block_orbit(F: Cplifs, codes: np.ndarray, x0: float) -> np.ndarray | None:
+    """The orbit of x0 under the maps coded by ``codes``, one value per
+    code, bit for bit as `_scalar_orbit` gives it, in a buffer that may run
+    past the last code.
+
+    The orbit is cut into blocks run in lockstep.  Block b starts from x0
+    and first replays the ``replay`` + 1 codes before its own, ``replay``
+    being enough for the contraction to bring any start within 2^-64 of
+    the orbit; block 0 is padded in front with the identity, so it starts
+    on the orbit.  In floating point a replayed block can still end a
+    rounding off the orbit, so each block's value after its last replayed
+    code is compared, bit for bit and in block order, with the end of the
+    block before it, and on a mismatch the block is recomputed by
+    `_scalar_orbit` from that end.  By induction every block is then the
+    sequential orbit.  None when there are too few blocks to pay for the
+    replay.
+    """
+    r = F.max_ratio
+    replay = math.ceil(64 * math.log(2) / -math.log(r)) if r > 0 else 1
+    block = max(_BLOCK, 4 * replay)
+    n, m, lead = codes.size, F.m, replay + 1
+    blocks = -(-n // block)
+    if blocks < _MIN_BLOCKS:
+        return None
+    # One table row per map and an identity row m (slope 1, intercept -0.0:
+    # x * 1 + -0.0 is x exactly, signed zeros included).  A step looks up
+    # row * stride + piece, the piece being the number of breaks <= x as
+    # bisect_right counts it, with rows padded by +inf breaks.
+    stride = 1 + max(len(f.breaks) for f in F.maps)
+    slope = np.ones((m + 1) * stride)
+    icpt = np.full((m + 1) * stride, -0.0)
+    brk = np.full((stride - 1, (m + 1) * stride), np.inf)
+    for k, f in enumerate(F.maps):
+        slope[k * stride:k * stride + f.pieces] = f.slopes
+        icpt[k * stride:k * stride + f.pieces] = f._intercepts
+        brk[: len(f.breaks), k * stride] = f.breaks
+    base = np.full(blocks * block + lead, m, np.min_scalar_type((m + 1) * stride))
+    base[lead:lead + n] = codes
+    base *= stride
+    orbit = np.empty(blocks * block)
+    rows = orbit.reshape(blocks, block)
+    x = np.full(blocks, x0)
+    for t in range(lead + block):
+        idx = base[t:t + blocks * block:block]  # step t of every block
+        for col in brk:
+            idx = idx + (col.take(idx) <= x)
+        x = slope.take(idx) * x + icpt.take(idx)
+        if t == replay:
+            check = x.view(np.uint64)
+        elif t > replay:
+            rows[:, t - lead] = x
+    bits = rows.view(np.uint64)
+    for b in range(1, blocks):
+        if check[b] != bits[b - 1, -1]:
+            start = b * block
+            _scalar_orbit(F.maps, codes[start:start + block], float(rows[b - 1, -1]), rows[b])
+    return orbit
+
+
 def chaos_game(
     F: Cplifs,
     count: int,
@@ -77,10 +158,13 @@ def chaos_game(
     burn_in: int = 100,
     weights: Sequence[float] | None = None,
 ) -> PointCloud:
-    """Iterate x <- f_k(x) with k drawn by the seeded generator, keeping
-    `count` samples after the burn-in."""
+    """Iterate x <- f_k(x) from the middle of the invariant interval, with
+    k drawn by the seeded generator, keeping `count` samples after the
+    burn-in."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if weights is None:
         w = np.full(F.m, 1.0 / F.m)
     else:
@@ -90,16 +174,17 @@ def chaos_game(
         w = w / w.sum()
     cum = np.cumsum(w)
     cum[-1] = 1.0
-    us = uniform_batch(seed, burn_in + count)
-    ks = np.searchsorted(cum, us, side="right")
+    n = burn_in + count
+    codes = np.searchsorted(cum, uniform_batch(seed, n), side="right").astype(
+        np.min_scalar_type(F.m)
+    )
     lo, hi = invariant_interval(F)
-    x = 0.5 * (lo + hi)
-    maps = F.maps
-    out = np.empty(count)
-    for i, k in enumerate(ks):
-        x = maps[k](x)
-        if i >= burn_in:
-            out[i - burn_in] = x
+    x0 = 0.5 * (lo + hi)
+    orbit = _block_orbit(F, codes, x0)
+    if orbit is None:
+        orbit = np.empty(n)
+        _scalar_orbit(F.maps, codes, x0, orbit)
+    out = orbit[burn_in:n]
     out.flags.writeable = False
     return PointCloud(samples=out, seed=seed, burn_in=burn_in, weights=tuple(w))
 
@@ -133,7 +218,17 @@ def box_dimension(cloud: PointCloud | np.ndarray, scales: Sequence[float]) -> Bo
         raise InsufficientScales("need >= 4 positive scales")
     if eps[-1] / eps[0] < 100.0:
         raise InsufficientScales("scales must span at least two decades")
-    counts = [int(np.unique(np.floor(xs / e)).size) for e in eps]
+    # x -> floor(x / e) is nondecreasing, so one sort serves every scale:
+    # the boxes hit are the runs of equal floors.  The sort puts NaNs last;
+    # like np.unique, count them all as one box.
+    xs = np.sort(xs, axis=None)
+    nans = int(np.isnan(xs).sum())
+    xs = xs[: xs.size - nans]
+    counts = []
+    for e in eps:
+        f = np.floor(xs / e)
+        runs = 1 + int(np.count_nonzero(f[1:] != f[:-1])) if f.size else 0
+        counts.append(runs + (nans > 0))
     logs = np.log(1.0 / np.array(eps))
     logn = np.log(np.array(counts, dtype=float))
     A = np.stack([logs, np.ones_like(logs)], axis=1)

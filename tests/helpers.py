@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from plifs import Cplifs, PLMap
+from plifs.core import invariant_interval
+from plifs.oracle import PointCloud, uniform_batch
 
 
 def paper_example() -> Cplifs:
@@ -14,6 +18,18 @@ def paper_example() -> Cplifs:
 
 def cantor_pair() -> Cplifs:
     return Cplifs((PLMap((), (1 / 3,), 0.0), PLMap((), (1 / 3,), 2 / 3)))
+
+
+def period_two() -> Cplifs:
+    """The third map breaks at the fixed point of f_1 o f_2."""
+    phi12 = 0.21 / 0.91
+    return Cplifs(
+        (
+            PLMap((), (0.3,), 0.0),
+            PLMap((), (0.3,), 0.7),
+            PLMap((phi12,), (0.2, 0.25), 0.35),
+        )
+    )
 
 
 def unit_cover() -> Cplifs:
@@ -111,3 +127,27 @@ def conjugate(F: Cplifs, a: float, b: float) -> Cplifs:
         tau = a * f((0.0 - b) / a) + b
         maps.append(PLMap(breaks, f.slopes, tau))
     return Cplifs(tuple(maps))
+
+
+def chaos_game(F: Cplifs, count: int, seed: int = 0, burn_in: int = 100,
+               weights=None) -> PointCloud:
+    """Reference chaos game: one scalar map step per sample, the orbit that
+    `plifs.oracle.chaos_game` must reproduce bit for bit."""
+    if weights is None:
+        w = np.full(F.m, 1.0 / F.m)
+    else:
+        w = np.asarray(weights, dtype=float)
+        w = w / w.sum()
+    cum = np.cumsum(w)
+    cum[-1] = 1.0
+    us = uniform_batch(seed, burn_in + count)
+    ks = np.searchsorted(cum, us, side="right")
+    lo, hi = invariant_interval(F)
+    x = 0.5 * (lo + hi)
+    maps = F.maps
+    out = np.empty(count)
+    for i, k in enumerate(ks):
+        x = maps[k](x)
+        if i >= burn_in:
+            out[i - burn_in] = x
+    return PointCloud(samples=out, seed=seed, burn_in=burn_in, weights=tuple(w))

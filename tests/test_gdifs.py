@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from plifs import BreakCode, Cplifs, PLMap
-from plifs.core import affine_restriction, cylinder_arrays, cylinder_interval
+from plifs.core import affine_restriction, cylinder_arrays, cylinder_interval, level_sweep
 from plifs.errors import (
     AmbiguousContainment,
     BadFixedPointOrder,
@@ -40,21 +40,15 @@ from plifs.gdifs import (
 )
 from plifs import natural_dimension
 
-from helpers import cantor_pair, gdifs_of_edges, paper_example, random_family_instance
+from helpers import (
+    cantor_pair,
+    gdifs_of_edges,
+    paper_example,
+    period_two,
+    random_family_instance,
+)
 
 LOG23 = math.log(2) / math.log(3)
-
-
-def period_two():
-    """The third map breaks at the fixed point of f_1 o f_2."""
-    phi12 = 0.21 / 0.91
-    return Cplifs(
-        (
-            PLMap((), (0.3,), 0.0),
-            PLMap((), (0.3,), 0.7),
-            PLMap((phi12,), (0.2, 0.25), 0.35),
-        )
-    )
 
 
 def one_node(*ratios):
@@ -521,11 +515,30 @@ def straddle_system():
 
 def test_associate_straddling_target_is_flagged():
     # no half of cylinder 2 holds the image of the piece of map 3, so the
-    # edge is flagged, not dropped; the default depth 12 sweeps 4^12 rows
-    # for the same verdict
+    # edge is flagged, not dropped; the default depth 12 gives the same
+    # verdict (next test)
     F = straddle_system()
     with pytest.raises(AmbiguousContainment, match="edge 2:left -> 3:full"):
         associate_from_periodic(F, auto_codes(F), refine_depth=8)
+
+
+def test_associate_straddling_target_stops_at_level_two(monkeypatch):
+    # at level 2 rows well inside the target map to both sides of the cut,
+    # which no deeper level can undo: the default depth 12 raises there
+    # instead of sweeping 4^12 rows
+    widths = []
+
+    def spy(F, n_max, budget):
+        for lo, hi in level_sweep(F, n_max, budget):
+            widths.append(lo.size)
+            yield lo, hi
+
+    monkeypatch.setattr("plifs.gdifs.level_sweep", spy)
+    F = straddle_system()
+    with pytest.raises(AmbiguousContainment,
+                       match="edge 2:left -> 3:full undecidable at refinement depth 12"):
+        associate_from_periodic(F, auto_codes(F))
+    assert max(widths) == 4**2
 
 
 def test_certify_side_clips_rows_to_target_hull():
@@ -608,6 +621,21 @@ def test_punctured_graph_is_the_shift_graph(system, ks):
                     want[(i, j)] = (sim.ratio, sim.offset)
         got = [((e.src, e.dst), (e.ratio, e.offset)) for e in g.edges]
         assert len(got) == len(want) and dict(got) == want
+
+
+def test_punctured_level_labels_components_once(monkeypatch):
+    # the graph handed to the spectral root is one strongly connected
+    # component already; alpha's own check would label it a second time
+    calls = []
+
+    def spy(q, src, dst):
+        calls.append(q)
+        return strongly_connected_components(q, src, dst)
+
+    monkeypatch.setattr("plifs.gdifs.strongly_connected_components", spy)
+    pl = punctured_level(paper_example(), 8)
+    assert calls == [pl.kept]
+    assert pl.value == alpha(pl.graph)
 
 
 def test_punctured_levels_beyond_dense_cap():

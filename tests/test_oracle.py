@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from plifs import Cplifs, PLMap, natural_dimension
+from plifs import Cplifs, PLMap, natural_dimension, oracle
 from plifs.core import cylinder_arrays
 from plifs.errors import InsufficientScales
+from plifs.gdifs import build_fixed_point_family
 from plifs.oracle import (
     CONSISTENT_NULL,
     CONSISTENT_POSITIVE,
@@ -22,7 +23,14 @@ from plifs.oracle import (
     uniform_batch,
 )
 
-from helpers import cantor_pair, paper_example, random_increasing_system, unit_cover
+from helpers import (
+    cantor_pair,
+    chaos_game as sequential_chaos_game,
+    paper_example,
+    period_two,
+    random_increasing_system,
+    unit_cover,
+)
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -118,6 +126,76 @@ def test_chaos_weighted_selection():
     assert np.max(np.abs(cloud.samples - 0.0)) <= 1e-12
 
 
+# --- lockstep blocks against the sequential orbit -----------------------------
+
+def middle_break_at_fixed_point():
+    """A spec file of the dim-all benchmark: the middle map breaks at its
+    own fixed point.  Replayed blocks left unchecked get one seed-7 sample
+    wrong by 2.7e-20 here."""
+    return Cplifs(
+        (
+            PLMap((), (0.19893934221801801,), 0.0),
+            PLMap((0.36783916460954091,), (0.13269524048492778, 0.2227142839693026),
+                  0.31902865820190296),
+            PLMap((), (0.15886174843712994,), 0.84113825156287003),
+        )
+    )
+
+
+def same_samples(F, count, **kw):
+    fast = chaos_game(F, count, **kw)
+    slow = sequential_chaos_game(F, count, **kw)
+    return fast.samples.tobytes() == slow.samples.tobytes() and fast.weights == slow.weights
+
+
+@pytest.mark.parametrize(
+    "system, count, seed",
+    [
+        (paper_example, 200_000, 5),
+        (cantor_pair, 200_000, 3),
+        (lambda: build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system, 200_000, 8),
+        (period_two, 200_000, 9),
+        (middle_break_at_fixed_point, 200_000, 7),
+        # r_max 0.99: 4414-step replays, still blocks; 0.999: the scalar loop
+        (lambda: Cplifs((PLMap((), (0.99,), 0.0), PLMap((0.5,), (0.5, 0.2), 0.4))), 300_000, 1),
+        (lambda: Cplifs((PLMap((), (0.999,), 0.0), PLMap((), (0.5,), 0.5))), 30_000, 2),
+    ],
+    ids=["paper", "cantor", "family", "period_two", "middle_break", "r0.99", "r0.999"],
+)
+def test_chaos_samples_equal_sequential_orbit(system, count, seed):
+    assert same_samples(system(), count, seed=seed)
+
+
+def test_chaos_edge_cases_equal_sequential_orbit():
+    F = cantor_pair()
+    assert same_samples(F, 20_000, seed=2, weights=(1.0, 0.0))
+    assert same_samples(F, 100_000, seed=3, burn_in=0)
+    assert same_samples(F, 1, seed=4)
+    assert same_samples(paper_example(), 1, seed=4, burn_in=0)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 5, 101])
+def test_chaos_block_repair_restores_the_orbit(monkeypatch, seed):
+    # with 256-step blocks a replayed block of the Cantor orbit ends a
+    # rounding off the sequential one for these seeds; the certificate
+    # must catch it and recompute that block
+    repaired = []
+    scalar = oracle._scalar_orbit
+
+    def spy(maps, codes, x, out):
+        repaired.append(codes.size)
+        return scalar(maps, codes, x, out)
+
+    monkeypatch.setattr(oracle, "_scalar_orbit", spy)
+    assert same_samples(cantor_pair(), 200_000, seed=seed)
+    assert repaired and set(repaired) == {256}
+
+
+def test_chaos_rejects_negative_burn_in():
+    with pytest.raises(ValueError, match="burn_in"):
+        chaos_game(cantor_pair(), 10, burn_in=-1)
+
+
 def test_point_cloud_csv():
     cloud = PointCloud(samples=np.array([0.5, 1 / 3]), seed=0, burn_in=0, weights=(1.0,))
     text = cloud.to_csv()
@@ -145,6 +223,21 @@ def test_box_dimension_single_point_slope_zero():
     fit = box_dimension(np.zeros(100), [10.0**-j for j in range(1, 6)])
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
     assert set(fit.counts) == {1}
+
+
+def test_box_counts_equal_distinct_floors():
+    rng = np.random.default_rng(8)
+    scales = [3.0**-j for j in range(9, 1, -1)]
+    clouds = [
+        rng.normal(size=5000),
+        np.round(rng.random(3000), 3),
+        rng.random((40, 50)),
+        np.array([np.nan, 0.3, np.nan, np.inf, -np.inf, -0.0, 0.0, 0.3, -0.2]),
+    ]
+    for xs in clouds:
+        counts = box_dimension(xs, scales).counts
+        assert counts == tuple(np.unique(np.floor(xs / e)).size for e in scales)
+        assert all(type(c) is int for c in counts)
 
 
 def test_box_dimension_scale_validation():

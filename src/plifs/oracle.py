@@ -78,9 +78,10 @@ class PointCloud:
 
 
 # Steps per lockstep block at least, and the fewest blocks for which
-# running them in lockstep beats the scalar loop.
+# running them in lockstep beats the scalar loop (measured with r_max 1/3,
+# 0.8 and 0.95: the two paths cost the same at 20-28 blocks).
 _BLOCK = 256
-_MIN_BLOCKS = 16
+_MIN_BLOCKS = 24
 
 
 def _scalar_orbit(maps: Sequence[PLMap], codes: np.ndarray, x: float, out: np.ndarray) -> float:
@@ -119,7 +120,9 @@ def _block_orbit(F: Cplifs, codes: np.ndarray, x0: float) -> np.ndarray | None:
     # One table row per map and an identity row m (slope 1, intercept -0.0:
     # x * 1 + -0.0 is x exactly, signed zeros included).  A step looks up
     # row * stride + piece, the piece being the number of breaks <= x as
-    # bisect_right counts it, with rows padded by +inf breaks.
+    # bisect_right counts it: pass j moves a step that has cleared breaks
+    # 0..j-1 (and so sits at piece j) on past break j, so break j goes in
+    # column row * stride + j of pass j and every other entry is +inf.
     stride = 1 + max(len(f.breaks) for f in F.maps)
     slope = np.ones((m + 1) * stride)
     icpt = np.full((m + 1) * stride, -0.0)
@@ -127,7 +130,8 @@ def _block_orbit(F: Cplifs, codes: np.ndarray, x0: float) -> np.ndarray | None:
     for k, f in enumerate(F.maps):
         slope[k * stride:k * stride + f.pieces] = f.slopes
         icpt[k * stride:k * stride + f.pieces] = f._intercepts
-        brk[: len(f.breaks), k * stride] = f.breaks
+        j = np.arange(len(f.breaks))
+        brk[j, k * stride + j] = f.breaks
     base = np.full(blocks * block + lead, m, np.min_scalar_type((m + 1) * stride))
     base[lead:lead + n] = codes
     base *= stride

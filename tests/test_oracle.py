@@ -142,6 +142,17 @@ def middle_break_at_fixed_point():
     )
 
 
+def three_break_mixed_signs():
+    """One map with three breaks, slopes of both signs, and a plain
+    contraction; the orbit enters all four pieces of the first map."""
+    return Cplifs(
+        (
+            PLMap((0.2, 0.5, 0.8), (0.4, -0.3, 0.5, -0.2), 0.1),
+            PLMap((), (0.45,), 0.55),
+        )
+    )
+
+
 def same_samples(F, count, **kw):
     fast = chaos_game(F, count, **kw)
     slow = sequential_chaos_game(F, count, **kw)
@@ -157,13 +168,26 @@ def same_samples(F, count, **kw):
         (period_two, 200_000, 9),
         (middle_break_at_fixed_point, 200_000, 7),
         # r_max 0.99: 4414-step replays, still blocks; 0.999: the scalar loop
-        (lambda: Cplifs((PLMap((), (0.99,), 0.0), PLMap((0.5,), (0.5, 0.2), 0.4))), 300_000, 1),
+        (lambda: Cplifs((PLMap((), (0.99,), 0.0), PLMap((0.5,), (0.5, 0.2), 0.4))), 450_000, 1),
         (lambda: Cplifs((PLMap((), (0.999,), 0.0), PLMap((), (0.5,), 0.5))), 30_000, 2),
+        # maps with two and three breaks: every break row of the lookup table
+        (lambda: random_increasing_system(random.Random(7), max_breaks=2), 200_000, 11),
+        (three_break_mixed_signs, 200_000, 6),
     ],
-    ids=["paper", "cantor", "family", "period_two", "middle_break", "r0.99", "r0.999"],
+    ids=["paper", "cantor", "family", "period_two", "middle_break", "r0.99", "r0.999",
+         "two_breaks", "three_breaks"],
 )
 def test_chaos_samples_equal_sequential_orbit(system, count, seed):
     assert same_samples(system(), count, seed=seed)
+
+
+def test_three_break_orbit_visits_every_piece():
+    # guards the power of the "three_breaks" case above: a lookup that
+    # stopped short of some break would only show on a piece the orbit enters
+    F = three_break_mixed_signs()
+    samples = sequential_chaos_game(F, 200_000, seed=6).samples
+    pieces = np.searchsorted(F.maps[0].breaks, samples, side="right")
+    assert set(pieces.tolist()) == {0, 1, 2, 3}
 
 
 def test_chaos_edge_cases_equal_sequential_orbit():

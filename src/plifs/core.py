@@ -9,6 +9,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -74,17 +75,19 @@ class PLMap:
             raise ValueError("adjacent linearity intervals must have distinct slopes")
         object.__setattr__(self, "_intercepts", self._build_intercepts())
 
-    def _build_intercepts(self) -> tuple[float, ...]:
+    def _build_intercepts(self, num=float) -> tuple:
         # piece i covers (breaks[i-1], breaks[i]); anchor the piece holding 0
-        # at tau and propagate continuity across the breaks both ways.
+        # at tau and propagate continuity across the breaks both ways, in
+        # the arithmetic of ``num`` (Fraction gives the exact intercepts).
         n = len(self.slopes)
-        c = [0.0] * n
+        s, b = [num(x) for x in self.slopes], [num(x) for x in self.breaks]
+        c = [num(0)] * n
         j = bisect_right(self.breaks, 0.0)
-        c[j] = self.tau
+        c[j] = num(self.tau)
         for i in range(j, n - 1):
-            c[i + 1] = c[i] + (self.slopes[i] - self.slopes[i + 1]) * self.breaks[i]
+            c[i + 1] = c[i] + (s[i] - s[i + 1]) * b[i]
         for i in range(j - 1, -1, -1):
-            c[i] = c[i + 1] + (self.slopes[i + 1] - self.slopes[i]) * self.breaks[i]
+            c[i] = c[i + 1] + (s[i + 1] - s[i]) * b[i]
         return tuple(c)
 
     @property
@@ -384,6 +387,86 @@ def cylinder_interval(F: Cplifs, w: Word) -> Interval:
     for k in w[::-1]:
         iv = image_interval(F.map(k), iv)
     return iv
+
+
+# ---------------------------------------------------------------------------
+# rounding-aware cylinders
+#
+# The exact system is the one the float parameters (breaks, slopes, tau)
+# define; its intercepts are rationals that ``PLMap._intercepts`` rounds.
+
+
+def _exact_image(f: PLMap, c: tuple[Fraction, ...], lo: Fraction, hi: Fraction):
+    """f([lo, hi]) in rational arithmetic, c being f's exact intercepts."""
+
+    def at(x):
+        i = bisect_right(f.breaks, x)
+        return Fraction(f.slopes[i]) * x + c[i]
+
+    vals = [at(lo), at(hi)] + [at(Fraction(b)) for b in f.breaks if lo < b < hi]
+    return min(vals), max(vals)
+
+
+@lru_cache(maxsize=512)
+def _invariant_interval_error(F: Cplifs) -> Fraction:
+    """Bound on the distance of each computed endpoint of the invariant
+    interval from the exact one: J is the fixed point of the joint image
+    T(J) = hull of the f_k(J), a contraction with ratio r = F.max_ratio in
+    the endpoints, so |J~ - J| <= |T(J~) - J~| / (1 - r)."""
+    a, b = map(Fraction, invariant_interval(F))
+    images = [_exact_image(f, f._build_intercepts(Fraction), a, b) for f in F.maps]
+    d = max(abs(min(lo for lo, _ in images) - a), abs(max(hi for _, hi in images) - b))
+    return d / (1 - Fraction(F.max_ratio))
+
+
+def _up(x: Fraction) -> float:
+    """The least float >= x."""
+    y = float(x)
+    return y if y >= x else math.nextafter(y, math.inf)
+
+
+@lru_cache(maxsize=512)
+def sweep_error(F: Cplifs) -> float:
+    """Bound E on |computed - exact| for every endpoint ``level_sweep``
+    yields, at every level.
+
+    Level 0 is off by at most e0 (``_invariant_interval_error``). A step
+    y = fl(fl(s x) + c~) is off by at most r e + c_err + u (|s x| + |y|),
+    with r = F.max_ratio, c_err the largest intercept rounding, u = 2^-53
+    and |x|, |y| <= M + e0 + E (M the larger endpoint modulus of the
+    computed invariant interval). E solves E = r E + c_err + u (1 + r)
+    (M + e0 + E) + (1 - r) e0, which keeps the bound at every level.
+    """
+    a, b = invariant_interval(F)
+    u, r = Fraction(1, 2**53), Fraction(F.max_ratio)
+    e0 = _invariant_interval_error(F)
+    c_err = max(
+        abs(Fraction(x) - y)
+        for f in F.maps
+        for x, y in zip(f._intercepts, f._build_intercepts(Fraction))
+    )
+    M = Fraction(max(abs(a), abs(b)))
+    den = 1 - r - u * (1 + r)  # not positive only for r within 2u of 1: no bound
+    return _up((c_err + u * (1 + r) * (M + e0) + (1 - r) * e0) / den) if den > 0 else math.inf
+
+
+def cylinder_enclosure(
+    F: Cplifs, w: Word
+) -> tuple[tuple[Fraction, Fraction] | None, tuple[Fraction, Fraction]]:
+    """Rational intervals (inner, outer) with inner inside the exact
+    cylinder I_w and I_w inside outer: f_w, in rational arithmetic, of the
+    computed invariant interval shrunk and grown by its error bound; inner
+    is None when the shrunk interval is empty."""
+    e0 = _invariant_interval_error(F)
+    a, b = map(Fraction, invariant_interval(F))
+    inner, outer = ((a + e0, b - e0) if b - a >= 2 * e0 else None), (a - e0, b + e0)
+    for k in reversed(w):
+        f = F.map(k)
+        c = f._build_intercepts(Fraction)
+        outer = _exact_image(f, c, *outer)
+        if inner is not None:
+            inner = _exact_image(f, c, *inner)
+    return inner, outer
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -31,16 +32,18 @@ from .core import (
     affine_restriction,
     check_iosc,
     cylinder_arrays,
+    cylinder_enclosure,
     image_interval,
     index_word,
     level_sweep,
     level_words,
     periodic_point,
+    sweep_error,
     verify_breaking_code,
     word_index,
     word_str,
 )
-from .pressure import bisect_decreasing, natural_dimension
+from .pressure import BELOW, bisect_decreasing, natural_dimension
 from . import oracle
 from .errors import (
     AmbiguousContainment,
@@ -223,10 +226,16 @@ def strongly_connected_components(q: int, src: np.ndarray, dst: np.ndarray) -> n
 _DENSE_FALLBACK_NODES = 4096
 
 # Default closing gap of the Collatz-Wielandt bounds in perron_root, taken
-# relative to the upper bound on rho + 1, and the error band it gives a
-# certified value near rho = 1, where that bound is about 2.
+# relative to max(1, upper bound on rho), and the error band of a certified
+# value near rho = 1: four times its half-gap there, leaving room for rounding.
 _PERRON_TOL = 1e-13
 _PERRON_BAND = 2 * _PERRON_TOL
+
+# perron_root ends a solve whose gap has shrunk by less than a factor
+# _STALL_SHRINK over the last _STALL_STEPS steps: the bounds of a reducible
+# matrix settle apart and would otherwise run the whole step cap.
+_STALL_STEPS = 100
+_STALL_SHRINK = 1.01
 
 
 def perron_root(
@@ -237,38 +246,48 @@ def perron_root(
 ) -> float:
     """Dominant eigenvalue of a nonnegative irreducible matrix.
 
-    Power iteration on M + Id (primitive whenever M is irreducible) from
-    ``start`` (a positive vector of length q, overwritten in place with the
-    last iterate so the next solve can continue from it) or else from the
-    all-ones vector. Returns only Collatz-Wielandt-certified values (the
-    bounds min and max of (M + Id)v / v closed to ``tol``) or, if they do
-    not close within ``cap`` steps, the dense fallback: the eigensolve of
-    M, refused with ConvergenceFailure above 4096 nodes rather than
-    allocating q x q floats.
+    Power iteration on M + c Id, c a quarter of the largest row sum (the
+    shifted matrix is primitive whenever M is irreducible, and rho + c
+    dominates every other eigenvalue's modulus by a margin even when rho is
+    small), from ``start`` (a positive vector of length q, overwritten in
+    place with the last iterate so the next solve can continue from it) or
+    else from the all-ones vector. Returns only Collatz-Wielandt-certified
+    values (the bounds min and max of (M + c Id)v / v, less c, closed to
+    ``tol`` times max(1, rho)) or, if they do not close within ``cap``
+    steps or stop closing (``_STALL_STEPS``), the dense fallback: the
+    eigensolve of M, refused with ConvergenceFailure above 4096 nodes
+    rather than allocating q x q floats.
     """
     q = M.q
     if q == 1:
         return float(np.bincount(M.src, weights=M.w, minlength=1)[0])
     cap = max(200, 10 * q * q) if cap is None else cap
     v = np.ones(q) if start is None else start
-    for _ in range(cap):
-        w = v + np.bincount(M.src, weights=M.w * v[M.dst], minlength=q)
+    c = 0.25 * float(np.maximum.reduce(np.bincount(M.src, weights=M.w, minlength=q)))
+    gaps = [math.inf] * _STALL_STEPS  # gap of each of the last _STALL_STEPS steps
+    step = 0
+    for step in range(1, cap + 1):
+        w = c * v + np.bincount(M.src, weights=M.w * v[M.dst], minlength=q)
         r = w / v
-        lo, hi = float(r.min()), float(r.max())
-        np.divide(w, w.max(), out=v)
-        if hi - lo <= tol * max(1.0, hi):
-            return 0.5 * (lo + hi) - 1.0
+        lo, hi = float(np.minimum.reduce(r)) - c, float(np.maximum.reduce(r)) - c
+        np.divide(w, np.maximum.reduce(w), out=v)
+        gap = hi - lo
+        if gap <= tol * max(1.0, hi):
+            return 0.5 * (lo + hi)
+        if gap * _STALL_SHRINK > gaps[step % _STALL_STEPS]:
+            break
+        gaps[step % _STALL_STEPS] = gap
     if q > _DENSE_FALLBACK_NODES:
         raise ConvergenceFailure(
-            f"Perron bounds did not close in {cap} steps on {q} nodes "
+            f"Perron bounds did not close in {step} steps on {q} nodes "
             f"(dense fallback limited to {_DENSE_FALLBACK_NODES} nodes)"
         )
     return float(np.max(np.abs(np.linalg.eigvals(M.dense()))))
 
 
 def alpha(g: Gdifs, tol: float = 1e-12) -> float:
-    """The unique s with dominant eigenvalue 1, by bisection; the spectral
-    radius is strictly decreasing in s."""
+    """The unique s with dominant eigenvalue 1, by `bisect_decreasing` on
+    log rho(s), which is decreasing and convex in s."""
     if not g.strongly_connected():
         raise NotStronglyConnected(f"{g.q} nodes, graph not strongly connected")
     return _spectral_root(g, tol)
@@ -284,7 +303,8 @@ def _spectral_root(g: Gdifs, tol: float = 1e-12) -> float:
     if r0 <= 1.0 + 1e-12:
         return 0.0
     return bisect_decreasing(
-        lambda s: perron_root(sm.at(s), start=v) >= 1.0, tol, "spectral root"
+        lambda s: math.log(r0 if s == 0.0 else perron_root(sm.at(s), start=v)),
+        tol, "spectral root",
     )
 
 
@@ -368,25 +388,25 @@ def q_recursion(d: DetRecursion, s: float) -> float:
 def q_root(d: DetRecursion, tol: float = 1e-12) -> float:
     """The determinant root that coincides with the spectral crossing.
 
-    The determinant vanishes at s = 0 as well, so one bisection tests the
-    certified spectral radius rho(s) and, where rho lies within the error
-    band of a certified value (``_PERRON_BAND``) of 1, the sign of Q. That
-    sign decides: Q(s) = det(C(s) - Id) is the product of lambda - 1 over
-    the eigenvalues of C(s), whose size 2m - 2 is even. Above the
-    crossing every eigenvalue has modulus below 1, so the real factors
-    are negative and even in number, and Q > 0. Just below it the Perron
-    factor is positive and the other real eigenvalues are odd in number
-    and all below 1, so Q < 0.
+    The determinant vanishes at s = 0 as well, so one root solve takes the
+    signed value log rho(s) of the certified spectral radius and, where rho
+    lies within the error band of a certified value (``_PERRON_BAND``) of
+    1, -Q(s) instead. The sign of Q decides there: Q(s) = det(C(s) - Id) is
+    the product of lambda - 1 over the eigenvalues of C(s), whose size
+    2m - 2 is even. Above the crossing every eigenvalue has modulus below
+    1, so the real factors are negative and even in number, and Q > 0.
+    Just below it the Perron factor is positive and the other real
+    eigenvalues are odd in number and all below 1, so Q < 0.
     """
     v = np.ones(len(d.slopes))  # warm start, as in alpha
 
-    def above(s: float) -> bool:
+    def g(s: float) -> float:
         r = perron_root(d.spectral(s), start=v)
         if abs(r - 1.0) > _PERRON_BAND:
-            return r > 1.0
-        return q_recursion(d, s) < 0.0
+            return math.log(r)
+        return -q_recursion(d, s) or BELOW  # Q = 0 counts as below the root
 
-    root = bisect_decreasing(above, tol, "determinant root")
+    root = bisect_decreasing(g, tol, "determinant root")
     if abs(perron_root(d.spectral(root)) - 1.0) > 1e-10:
         raise RootMismatch(
             f"determinant root {root} does not restore spectral radius 1"
@@ -707,9 +727,11 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
     the rest by the one-step shift on words, and take the dimension of the
     largest strongly connected piece.
 
-    The drop test pads each cylinder by ``F.geom_tol()`` on both sides, so
-    it is not exact closed-interval containment: a cylinder within that
-    slack of a breaking point is dropped too (ROADMAP item 4).
+    Containment is that of the exact closed cylinder (the system the float
+    parameters define). Cylinders whose computed endpoints lie farther than
+    3 ``sweep_error`` from every breaking point are kept; each one nearer is
+    decided on its rational enclosure (``cylinder_enclosure``), and a
+    verdict that the enclosure cannot settle raises AmbiguousContainment.
     """
     if k < 2:
         raise ValueError("punctured approximation needs level k >= 2")
@@ -718,10 +740,22 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
     iosc = check_iosc(F)
     if not iosc.ok:
         raise IoscViolated("punctured approximation requires disjoint first cylinders")
-    tol = F.geom_tol()
     lo, hi = cylinder_arrays(F, k, budget)
     points = np.array(sorted({b for _, b in F.breaking_points()}))
-    drop = ((lo[:, None] - tol <= points) & (points <= hi[:, None] + tol)).any(axis=1)
+    # 3E: E for the endpoint, E for rounding lo - pad and hi + pad, E spare
+    pad = 3.0 * sweep_error(F)
+    near = (lo[:, None] - pad <= points) & (points <= hi[:, None] + pad)
+    drop = near.any(axis=1)  # the candidates, each decided below
+    for i in np.flatnonzero(drop).tolist():
+        word = index_word(i, F.m, k)
+        inner, outer = cylinder_enclosure(F, word)
+        bs = [Fraction(b) for b in points[near[i]].tolist()]
+        drop[i] = inner is not None and any(inner[0] <= b <= inner[1] for b in bs)
+        if not drop[i] and any(outer[0] <= b <= outer[1] for b in bs):
+            raise AmbiguousContainment(
+                f"rounding cannot settle whether level-{k} cylinder {word_str(word)} "
+                f"contains a breaking point"
+            )
     kept = np.flatnonzero(~drop)  # word indices, in lexicographic order
     if not kept.size:
         raise EmptyGraph(f"all level-{k} cylinders contain breaking points")

@@ -71,23 +71,56 @@ def pressure_at(F: Cplifs, s: float, n: int, budget: int = DEFAULT_BUDGET) -> fl
     return _logsumexp(s * logu + logc) / n
 
 
-def bisect_decreasing(above: Callable[[float], bool], tol: float, what: str) -> float:
-    """Root in [0, inf) of a decreasing function, given as the test
-    ``above(s)`` (the root lies above s): bracket by doubling from 1, then
-    bisect down to width tol."""
-    lo, hi = 0.0, 1.0
+#: Signed value of a tie that the caller counts as "root below s" (the
+#: smallest negative float; ``g(s) or BELOW`` maps an exact 0 to it).
+BELOW = -math.ulp(0.0)
+
+
+def bisect_decreasing(g: Callable[[float], float], tol: float, what: str) -> float:
+    """Root in [0, inf) of a decreasing function given by its signed values:
+    ``g(s) >= 0`` means the root lies at or above s, and g(0) must be >= 0.
+
+    Brackets by doubling from 1, then shrinks the bracket to width tol with
+    Illinois (modified regula falsi) steps: the secant point of the two
+    ends, with the stored value of an end that has not moved for two steps
+    halved, and kept at least tol/2 inside the bracket. A midpoint step
+    replaces it when the secant point leaves the bracket or the last
+    three steps have not halved the bracket, so every four evaluations at
+    least halve it. Returns the bracket's midpoint.
+    """
+    lo, glo = 0.0, g(0.0)
+    if glo < 0.0:
+        raise ConvergenceFailure(f"the {what} lies below 0")
+    hi, ghi = 1.0, g(1.0)
     doublings = 0
-    while above(hi):
+    while ghi >= 0.0:
+        lo, glo = hi, ghi
         hi *= 2.0
         doublings += 1
         if doublings > 64:
             raise ConvergenceFailure(f"no upper bracket for the {what}")
+        ghi = g(hi)
+    half = 0.5 * tol
+    moved = 0  # end the last step moved: +1 lo, -1 hi
+    widths = [math.inf] * 3  # bracket widths before each of the last three steps
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            lo = mid
+        width = hi - lo
+        s = hi - ghi * (width / (ghi - glo))
+        if not lo <= s <= hi or width > 0.5 * widths[0]:
+            s = 0.5 * (lo + hi)
+        s = min(max(s, lo + half), hi - half)
+        widths = widths[1:] + [width]
+        gs = g(s)
+        if gs >= 0.0:
+            lo, glo = s, gs
+            if moved == 1:
+                ghi *= 0.5
+            moved = 1
         else:
-            hi = mid
+            hi, ghi = s, gs
+            if moved == -1:
+                glo *= 0.5
+            moved = -1
     return 0.5 * (lo + hi)
 
 
@@ -102,14 +135,15 @@ def _root_from_logs(logu: np.ndarray, logc: np.ndarray, tol: float = 1e-13) -> f
         )
     if logu.size == 1 and logc[0] == 0.0:
         return 0.0  # single positive cylinder: the sum is 1 only at s = 0
+    # the root lies above s only where the sum exceeds 1: a tie counts as below
     return bisect_decreasing(
-        lambda s: _logsumexp(s * logu + logc) > 0.0, tol, "partition-sum root"
+        lambda s: _logsumexp(s * logu + logc) or BELOW, tol, "partition-sum root"
     )
 
 
 def solve_level_root(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> PressureProfile:
     """The unique s_n with sum over level-n words of |I_w|^{s_n} = 1,
-    found by bisection on a doubling bracket.
+    found by `bisect_decreasing` on a doubling bracket.
 
     A system whose cylinders all have zero length is a single point; its
     root is 0 by convention.

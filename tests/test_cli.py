@@ -80,7 +80,7 @@ def test_dim_punctured(paper_file, capsys):
 
 
 def test_dim_punctured_beyond_dense_cap(paper_file, capsys):
-    # level 13 has 8184 graph nodes, past the 4096 a dense matrix was limited to
+    # level 13 has 8189 graph nodes, past the 4096 a dense matrix was limited to
     def last_line(*args):
         assert main(["dim", paper_file, *args]) == 0
         name, value = capsys.readouterr().out.splitlines()[-1].split(" = ")

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from plifs.core import (
     _containing_words,
     affine_restriction,
     cylinder_arrays,
+    cylinder_enclosure,
     cylinder_interval,
     index_word,
     level_sweep,
     level_words,
+    sweep_error,
     word_index,
     word_str,
 )
@@ -267,6 +270,26 @@ def test_level_sweep_matches_cylinder_arrays():
             lo, hi = levels[n]
             for w in level_words(F.m, n):
                 assert (lo[word_index(w, F.m)], hi[word_index(w, F.m)]) == cylinder_interval(F, w)
+
+
+def test_sweep_error_bounds_every_swept_endpoint():
+    # the exact cylinder lies between its rational enclosures, so a swept
+    # endpoint within sweep_error of the exact one lies within that bound
+    # of the enclosure; the systems include folded maps and an invariant
+    # interval, near [1/14, 13/14], that no float holds exactly
+    rng = random.Random(61)
+    systems = [paper_example(), random_increasing_system(rng, span=False),
+               Cplifs((PLMap((), (-0.3,), 0.35), PLMap((), (-0.3,), 0.95)))]
+    systems += [Cplifs((random_plmap(rng), random_plmap(rng))) for _ in range(3)]
+    for F in systems:
+        E = Fraction(sweep_error(F))
+        assert 0 < E < 1e-13
+        lo, hi = cylinder_arrays(F, 5)
+        for i, w in enumerate(level_words(F.m, 5)):
+            inner, outer = cylinder_enclosure(F, w)
+            assert outer[0] - E <= Fraction(lo[i]) and Fraction(hi[i]) <= outer[1] + E
+            if inner is not None:
+                assert Fraction(lo[i]) <= inner[0] + E and Fraction(hi[i]) >= inner[1] - E
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from plifs.gdifs import (
     q_root,
     strongly_connected_components,
 )
-from plifs import natural_dimension
+from plifs import natural_dimension, solve_level_root
 
 from helpers import (
     cantor_pair,
@@ -114,6 +116,67 @@ def test_perron_dense_fallback_guard():
     assert perron_root(edges(A), cap=1) == max(abs(np.linalg.eigvals(A)))
 
 
+def test_perron_stall_ends_reducible_solve():
+    # two disjoint rings: the Collatz-Wielandt bounds settle at 0.5 and 0.6
+    # and never close, where the default cap is 10 q^2 = 2.5e8 steps
+    q, ring = 2500, np.arange(2500)
+    pair = EdgeMatrix(2 * q, np.arange(2 * q), np.concatenate([(ring + 1) % q, q + (ring + 1) % q]),
+                      np.repeat([0.5, 0.6], q))
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceFailure):
+        perron_root(pair)
+    assert time.perf_counter() - t0 < 1.0
+    # below the dense guard a stalled solve takes the eigensolve fallback
+    small = EdgeMatrix(4, np.arange(4), np.array([1, 0, 3, 2]), np.repeat([0.5, 0.6], 2))
+    assert perron_root(small) == pytest.approx(0.6, abs=1e-15)
+
+
+def count_perron_solves(monkeypatch) -> list:
+    """Record the node count of every perron_root call the gdifs module makes."""
+    calls = []
+
+    def spy(M, *args, **kwargs):
+        calls.append(M.q)
+        return perron_root(M, *args, **kwargs)
+
+    monkeypatch.setattr("plifs.gdifs.perron_root", spy)
+    return calls
+
+
+def test_root_solver_perron_solve_counts(monkeypatch):
+    # plain bisection took 42 solves for each of these roots to 1e-12
+    F = paper_example()
+    g = associate_from_periodic(F, auto_codes(F))
+    calls = count_perron_solves(monkeypatch)
+    assert alpha(g) == pytest.approx(0.6030503229872011, abs=1e-12)
+    assert len(calls) <= 16
+    calls.clear()
+    assert q_root(DetRecursion((0.25,) * 4)) == pytest.approx(math.log(3) / math.log(4), abs=1e-12)
+    assert len(calls) <= 16
+
+
+def test_q_root_equals_alpha_on_random_families():
+    rng = random.Random(2024)
+    for _ in range(200):
+        fam = random_family_instance(rng, m=rng.choice((3, 4)))
+        assert abs(q_root(fam.det) - alpha(fam.graph)) <= 1e-10
+
+
+def test_moran_roots_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(72)
+    with mpmath.workdps(40):
+        for _ in range(40):
+            r = [rng.uniform(0.02, 0.3) for _ in range(rng.randint(2, 3))]
+            # maps onto disjoint pieces of [0, 1] whose extremes fix 0 and 1
+            taus = [0.0] + [0.5 - ri / 2 for ri in r[1:-1]] + [1.0 - r[-1]]
+            F = Cplifs(tuple(PLMap((), (ri,), t) for ri, t in zip(r, taus)))
+            ref = mpmath.findroot(lambda s: sum(mpmath.mpf(ri) ** s for ri in r) - 1,
+                                  (0, 1), solver="anderson")
+            assert abs(alpha(one_node(*r)) - ref) <= 5e-13
+            assert abs(solve_level_root(F, 3).root - ref) <= 5e-13
+
+
 def test_alpha_one_node_two_loops():
     assert alpha(one_node(1 / 3, 1 / 3)) == pytest.approx(LOG23, abs=1e-10)
 
@@ -169,13 +232,17 @@ def test_alpha_pure_cycle_is_zero():
     assert alpha(g) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_spectral_monotone_decreasing():
+def test_spectral_monotone_decreasing(monkeypatch):
+    fallbacks = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: fallbacks.append(A.shape) or eigvals(A))
     rng = random.Random(17)
     for _ in range(6):
         fam = random_family_instance(rng)
         sm = fam.graph.spectral_matrix()
         values = [perron_root(sm.at(0.15 * i)) for i in range(12)]
         assert all(a > b for a, b in zip(values, values[1:]))
+    assert fallbacks == []  # all 72 solves certified; the identity shift left 4 uncertified
 
 
 def test_scc_decomposition():
@@ -639,12 +706,43 @@ def test_punctured_level_labels_components_once(monkeypatch):
 
 
 def test_punctured_levels_beyond_dense_cap():
-    # k = 13 has 8184 nodes, past the 4096 a dense matrix was limited to
+    # k = 13 has 8189 nodes, past the 4096 a dense matrix was limited to
     F = paper_example()
     t = [punctured_dimension(F, k) for k in range(10, 14)]
     assert all(a <= b for a, b in zip(t, t[1:]))
     assert t[1] == pytest.approx(0.6030497227579872, abs=1e-12)
     assert t[2] == pytest.approx(0.6030501732734592, abs=1e-12)
+
+
+def test_punctured_drop_is_exact_through_level_16():
+    # the break 0.5 ends I_{1 2^(k-1)}, the only cylinder it lies in; a drop
+    # test padded by 1e-12 also dropped I_{1 2^(k-2) 1}, which ends 1e-12
+    # below 0.5 at k = 13, and so gave t_13 = t_12
+    F = paper_example()
+    a = alpha(associate_from_periodic(F, auto_codes(F)))
+    levels = [punctured_level(F, k) for k in range(10, 17)]
+    assert [pl.kept for pl in levels] == [2**k - 1 for k in range(10, 17)]
+    t = [pl.value for pl in levels]
+    assert t[3] > t[2]  # t_13 > t_12
+    assert all(x < y for x, y in zip(t, t[1:])) and t[-1] < a
+    # the error shrinks by a steady ratio near 1/4
+    assert all(0.249 < (a - y) / (a - x) < 0.25 for x, y in zip(t, t[1:]))
+
+
+def test_punctured_unsettled_containment_raises():
+    # the exact invariant interval, near [1/14, 13/14], has no float
+    # endpoint, so the computed one is off by about 1.4e-15; the break sits
+    # on the float just below the exact upper end of I_11, closer to it than
+    # that error, shrunk through f_1 f_1, can resolve
+    s1, c1, s2, c2 = map(Fraction, (-0.3, 0.35, -0.3, 0.95))
+    low = (s1 * c2 + c1) / (1 - s1 * s2)
+    end = s1 * low + c1
+    b = float(end) if float(end) < end else math.nextafter(float(end), -math.inf)
+    F = Cplifs((PLMap((), (-0.3,), 0.35), PLMap((b,), (-0.3, -0.25), 0.95)))
+    with pytest.raises(AmbiguousContainment, match="cylinder 11 "):
+        punctured_level(F, 2)
+    # two levels deeper the enclosure is 0.09 times as wide and settles it
+    assert 0.0 < punctured_level(F, 4).value < 1.0
 
 
 def test_punctured_diagnostics():

@@ -12,6 +12,7 @@ from plifs import (
     upper_box_consistency,
 )
 from plifs.errors import DegenerateAttractor
+from plifs.pressure import bisect_decreasing
 
 from helpers import cantor_pair, paper_example, random_increasing_system, unit_cover
 
@@ -82,6 +83,50 @@ def test_root_consistency_with_pressure():
 def test_root_single_map_is_zero():
     F = Cplifs((PLMap((), (0.5,), 0.25),))
     assert solve_level_root(F, 4).root == 0.0
+
+
+@pytest.mark.parametrize("steep", [1e12, 1e100])
+def test_root_solver_falls_back_to_midpoints(steep):
+    # a kink at the root, slope -1 left of it and -steep right of it: the
+    # secant points hug the left end, and only the midpoint steps (one in
+    # every four evaluations at worst) keep the count near plain bisection's
+    # 42 for tol 1e-12; without them it takes hundreds of evaluations
+    root, calls = 0.3712, []
+
+    def g(s):
+        calls.append(s)
+        return root - s if s < root else -steep * (s - root)
+
+    assert abs(bisect_decreasing(g, 1e-12, "kinked root") - root) <= 1e-12
+    assert len(calls) <= 4 * 42
+
+
+@pytest.mark.parametrize("band", [1e-9, 1e-3])
+def test_root_solver_on_values_noisy_near_the_root(band):
+    # within `band` of the root g takes random values of either sign
+    rng = random.Random(8)
+    root, calls = 0.3712, []
+
+    def g(s):
+        calls.append(s)
+        if abs(s - root) < band:
+            return rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 10.0)
+        return root - s
+
+    assert abs(bisect_decreasing(g, 1e-12, "noisy root") - root) <= band + 1e-12
+    assert len(calls) <= 4 * 42
+
+
+def test_root_solver_converges_superlinearly_on_a_convex_value():
+    calls = []
+
+    def g(s):
+        calls.append(s)
+        return math.log(2 * 0.3**s + 0.1**s)
+
+    s = bisect_decreasing(g, 1e-13, "partition-sum root")
+    assert 2 * 0.3**s + 0.1**s == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) <= 14  # plain bisection: 45
 
 
 def test_squeeze_bound():

@@ -83,10 +83,11 @@ def bisect_decreasing(g: Callable[[float], float], tol: float, what: str) -> flo
     Brackets by doubling from 1, then shrinks the bracket to width tol with
     Illinois (modified regula falsi) steps: the secant point of the two
     ends, with the stored value of an end that has not moved for two steps
-    halved, and kept at least tol/2 inside the bracket. A midpoint step
-    replaces it when the secant point leaves the bracket or the last
-    three steps have not halved the bracket, so every four evaluations at
-    least halve it. Returns the bracket's midpoint.
+    halved; the midpoint where the secant point leaves the bracket. Each
+    point is kept tol/2 inside the bracket and, as in the ITP method
+    (Oliveira and Takahashi, ACM Trans. Math. Softw. 47, 2020), near enough
+    to the midpoint that the bracket reaches width tol within twice the
+    steps of plain bisection. Returns the bracket's midpoint.
     """
     lo, glo = 0.0, g(0.0)
     if glo < 0.0:
@@ -101,15 +102,17 @@ def bisect_decreasing(g: Callable[[float], float], tol: float, what: str) -> flo
             raise ConvergenceFailure(f"no upper bracket for the {what}")
         ghi = g(hi)
     half = 0.5 * tol
+    n = 2 * max(0, math.ceil(math.log2((hi - lo) / tol)))  # twice plain bisection's steps
     moved = 0  # end the last step moved: +1 lo, -1 hi
-    widths = [math.inf] * 3  # bracket widths before each of the last three steps
+    j = 0
     while hi - lo > tol:
-        width = hi - lo
-        s = hi - ghi * (width / (ghi - glo))
-        if not lo <= s <= hi or width > 0.5 * widths[0]:
-            s = 0.5 * (lo + hi)
-        s = min(max(s, lo + half), hi - half)
-        widths = widths[1:] + [width]
+        mid = 0.5 * (lo + hi)
+        s = hi - ghi * ((hi - lo) / (ghi - glo))
+        # within r of the midpoint: the bracket is at most tol 2^(n - j) wide
+        # after step j, so n steps reach tol whatever the secant points are
+        r = max(0.0, half * 2.0 ** (n - j) - 0.5 * (hi - lo))
+        s = min(max(s if lo <= s <= hi else mid, mid - r, lo + half), mid + r, hi - half)
+        j += 1
         gs = g(s)
         if gs >= 0.0:
             lo, glo = s, gs

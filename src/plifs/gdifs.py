@@ -28,7 +28,7 @@ from .core import (
     PLMap,
     Word,
     _containing_words,
-    _image_arrays,
+    _image_into,
     affine_restriction,
     check_iosc,
     cylinder_arrays,
@@ -646,7 +646,9 @@ def associate_from_periodic(
 def _push(F: Cplifs, w: Word, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Images of the intervals [lo, hi] under f_w, folded right to left."""
     for k in w[::-1]:
-        lo, hi = _image_arrays(F.map(k), lo, hi)
+        out_lo, out_hi = np.empty_like(lo), np.empty_like(hi)
+        _image_into(F.map(k), lo, hi, out_lo, out_hi)
+        lo, hi = out_lo, out_hi
     return lo, hi
 
 

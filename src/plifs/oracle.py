@@ -255,13 +255,24 @@ def box_dimension(cloud: PointCloud | np.ndarray, scales: Sequence[float]) -> Bo
 
 
 def _union_length(lo: np.ndarray, hi: np.ndarray) -> float:
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
+    """Length of the union of the intervals [lo, hi]: the sum, over the
+    runs of overlapping intervals in order of lo, of the run's largest hi
+    less its first lo.  Sorting is skipped when lo is nondecreasing (a
+    stable sort of sorted input keeps it as it is)."""
+    if not (lo[1:] >= lo[:-1]).all():
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
     cmax = np.maximum.accumulate(hi)
-    prev = np.concatenate(([-np.inf], cmax[:-1]))
-    starts = np.flatnonzero(lo > prev)  # index 0 always starts a run
-    ends = np.concatenate((starts[1:] - 1, [len(lo) - 1]))
-    return float(np.sum(cmax[ends] - lo[starts]))
+    new = np.empty(lo.size, bool)  # starts a run
+    new[0] = True
+    np.greater(lo[1:], cmax[:-1], out=new[1:])
+    last = np.empty_like(new)  # ends a run
+    last[:-1] = new[1:]
+    last[-1] = True
+    runs = cmax[last]
+    del cmax
+    runs -= lo[new]
+    return float(np.sum(runs))
 
 
 def lebesgue_upper_bound(

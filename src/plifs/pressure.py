@@ -44,8 +44,9 @@ def _aggregate_lengths(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, i
     """Collapse equal cylinder lengths to (log length, log multiplicity);
     piecewise systems repeat few distinct length products, which makes the
     partition sum cheap at deep levels."""
-    zero = int(np.count_nonzero(lens <= 0.0))
-    lens = lens[lens > 0.0]
+    pos = lens > 0.0
+    zero = lens.size - int(np.count_nonzero(pos))
+    lens = lens[pos]
     total = lens.size + zero
     if lens.size == 0:
         return np.empty(0), np.empty(0), zero, total

@@ -32,6 +32,17 @@ def period_two() -> Cplifs:
     )
 
 
+def three_break_mixed_signs() -> Cplifs:
+    """One map with three breaks, slopes of both signs, and a plain
+    contraction; the orbit enters all four pieces of the first map."""
+    return Cplifs(
+        (
+            PLMap((0.2, 0.5, 0.8), (0.4, -0.3, 0.5, -0.2), 0.1),
+            PLMap((), (0.45,), 0.55),
+        )
+    )
+
+
 def unit_cover() -> Cplifs:
     """Overlapping pair whose attractor is all of [0, 1]."""
     return Cplifs((PLMap((), (0.6,), 0.0), PLMap((), (0.6,), 0.4)))
@@ -151,3 +162,49 @@ def chaos_game(F: Cplifs, count: int, seed: int = 0, burn_in: int = 100,
         if i >= burn_in:
             out[i - burn_in] = x
     return PointCloud(samples=out, seed=seed, burn_in=burn_in, weights=tuple(w))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the array code that `plifs.core.level_sweep`
+# and `plifs.oracle._union_length` must reproduce bit for bit
+
+
+def _reference_image(f: PLMap, lo: np.ndarray, hi: np.ndarray):
+    def at(x):
+        idx = np.searchsorted(np.asarray(f.breaks), x, side="right")
+        return np.asarray(f.slopes)[idx] * x + np.asarray(f._intercepts)[idx]
+
+    ya, yb = at(lo), at(hi)
+    out_lo, out_hi = np.minimum(ya, yb), np.maximum(ya, yb)
+    for b in f.breaks:
+        inside = (lo < b) & (b < hi)
+        if inside.any():
+            fb = f(b)
+            out_lo = np.where(inside, np.minimum(out_lo, fb), out_lo)
+            out_hi = np.where(inside, np.maximum(out_hi, fb), out_hi)
+    return out_lo, out_hi
+
+
+def reference_level_sweep(F: Cplifs, n_max: int):
+    """Reference level sweep: each map's images built apart, then
+    concatenated in map order."""
+    a, b = invariant_interval(F)
+    lo, hi = np.array([a]), np.array([b])
+    yield lo, hi
+    for _ in range(n_max):
+        parts = [_reference_image(f, lo, hi) for f in F.maps]
+        lo = np.concatenate([p[0] for p in parts])
+        hi = np.concatenate([p[1] for p in parts])
+        yield lo, hi
+
+
+def reference_union_length(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Reference union length: stable sort by lo, then the runs of
+    overlapping intervals found by index arrays."""
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    cmax = np.maximum.accumulate(hi)
+    prev = np.concatenate(([-np.inf], cmax[:-1]))
+    starts = np.flatnonzero(lo > prev)  # index 0 always starts a run
+    ends = np.concatenate((starts[1:] - 1, [len(lo) - 1]))
+    return float(np.sum(cmax[ends] - lo[starts]))

@@ -29,6 +29,8 @@ from helpers import (
     paper_example,
     period_two,
     random_increasing_system,
+    reference_union_length,
+    three_break_mixed_signs,
     unit_cover,
 )
 
@@ -138,17 +140,6 @@ def middle_break_at_fixed_point():
             PLMap((0.36783916460954091,), (0.13269524048492778, 0.2227142839693026),
                   0.31902865820190296),
             PLMap((), (0.15886174843712994,), 0.84113825156287003),
-        )
-    )
-
-
-def three_break_mixed_signs():
-    """One map with three breaks, slopes of both signs, and a plain
-    contraction; the orbit enters all four pieces of the first map."""
-    return Cplifs(
-        (
-            PLMap((0.2, 0.5, 0.8), (0.4, -0.3, 0.5, -0.2), 0.1),
-            PLMap((), (0.45,), 0.55),
         )
     )
 
@@ -307,6 +298,22 @@ def test_lebesgue_bounds_are_the_union_of_each_level():
         assert len(bounds) == 8
         for n in range(1, 9):
             assert bounds[n - 1] == _union_length(*cylinder_arrays(F, n))
+
+
+def test_union_length_is_bit_identical_to_reference():
+    # sorted levels skip the sort; the others (a folded system's) need it
+    folded = Cplifs((PLMap((0.4,), (0.6, -0.3), 0.0), PLMap((), (-0.5,), 0.9)))
+    cases = [cylinder_arrays(folded, n) for n in range(1, 9)]
+    assert not all((lo[1:] >= lo[:-1]).all() for lo, _ in cases)
+    cases += [cylinder_arrays(paper_example(), 8)]
+    cases += [
+        (np.array([0.0, 0.1, 0.2, 0.5]), np.array([1.0, 0.3, 0.4, 0.6])),  # nested
+        (np.array([0.5, 0.0, 0.2, 0.7]), np.array([0.7, 0.2, 0.5, 0.9])),  # touching
+        (np.array([0.3, 0.3, 0.1, 0.9, 0.9]), np.array([0.3, 0.6, 0.1, 0.9, 1.0])),  # zero length
+        (np.array([0.25]), np.array([0.75])),
+    ]
+    for lo, hi in cases:
+        assert _union_length(lo, hi) == reference_union_length(lo, hi)
 
 
 def test_lebesgue_iosc_equals_plain_sum():

@@ -47,15 +47,21 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
-        return args.budget
-    env = os.environ.get("PLIFS_BUDGET")
-    if env:
+    """--budget if given, else PLIFS_BUDGET if set, else the default; a
+    given value must be a positive integer."""
+    source, value = "--budget", args.budget
+    if value is None:
+        env = os.environ.get("PLIFS_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        source = "PLIFS_BUDGET"
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ParseError(0, f"PLIFS_BUDGET={env!r} is not an integer") from None
-    return DEFAULT_BUDGET
+    if value < 1:
+        raise ParseError(0, f"{source}={value} is not a positive integer")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,11 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dim", help="dimension estimates")
     common(d)
-    d.add_argument("method", choices=["natural", "gdifs", "punctured", "determinant", "box", "all"])
-    d.add_argument("--n", default="6..11", help="level range A..B for the root sequence")
-    d.add_argument("--level", type=int, default=6, help="punctured cylinder level")
+    cfg = gd.DimConfig
+    d.add_argument("method", choices=[*gd.METHODS, "all"])
+    d.add_argument("--n", default=f"{cfg.n_min}..{cfg.n_max}",
+                   help="level range A..B for the root sequence")
+    d.add_argument("--level", type=int, default=cfg.punctured_k, help="punctured cylinder level")
+    # 0, not DimConfig.seed, so the printed box values stay as they were
     d.add_argument("--seed", type=int, default=0, help="sampling seed")
-    d.add_argument("--tol", type=float, default=5e-2, help="cross-method agreement tolerance")
+    d.add_argument("--tol", type=float, default=cfg.agreement_tol,
+                   help="cross-method agreement tolerance")
     d.add_argument("--csv", default=None, help="write method,param,value rows to this path")
 
     m = sub.add_parser("measure", help="cylinder-union measure bounds and verdict")

@@ -60,6 +60,10 @@ class PLMap:
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "tau", float(self.tau))
+        for what, vals in (("break", breaks), ("slope", slopes), ("tau", (self.tau,))):
+            bad = [v for v in vals if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{what} {bad[0]} is not finite")
         if len(slopes) != len(breaks) + 1:
             raise ValueError(
                 f"need {len(breaks) + 1} slopes for {len(breaks)} breaks, got {len(slopes)}"
@@ -142,9 +146,9 @@ class PLMap:
             best = x
         return best
 
-    def piece_over(self, iv: Interval, tol: float = GEOM_TOL) -> int | None:
-        """Index of the linearity piece whose closure covers ``iv``,
-        or None if no single piece does (a break is interior)."""
+    def piece_over(self, iv: Interval, tol: float) -> int | None:
+        """Index of the linearity piece whose closure, widened by ``tol``,
+        covers ``iv``; None if no single piece does (a break is interior)."""
         a, b = iv
         for i in range(self.pieces):
             lo, hi = self.piece_domain(i)
@@ -242,7 +246,14 @@ def image_interval(f: PLMap, iv: Interval) -> Interval:
 
 
 @lru_cache(maxsize=512)
-def _invariant_interval_cached(F: Cplifs) -> Interval:
+def invariant_interval(F: Cplifs) -> Interval:
+    """Smallest compact interval J with f_k(J) contained in J for all k.
+
+    Seeded with the hull of the maps' fixed points (which every invariant
+    interval contains) and grown by the joint image until stable; the
+    growth step preserves being a subset of any invariant interval, so the
+    limit is the minimal one.
+    """
     pts = [f.fixed_point() for f in F.maps]
     lo, hi = min(pts), max(pts)
     for _ in range(10000):
@@ -254,17 +265,6 @@ def _invariant_interval_cached(F: Cplifs) -> Interval:
             return (nlo, nhi)
         lo, hi = nlo, nhi
     raise ConvergenceFailure("invariant interval iteration did not stabilize")
-
-
-def invariant_interval(F: Cplifs) -> Interval:
-    """Smallest compact interval J with f_k(J) contained in J for all k.
-
-    Seeded with the hull of the maps' fixed points (which every invariant
-    interval contains) and grown by the joint image until stable; the
-    growth step preserves being a subset of any invariant interval, so the
-    limit is the minimal one.
-    """
-    return _invariant_interval_cached(F)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +609,13 @@ class BreakStatus:
 
 
 def _containing_words(
-    F: Cplifs, x: float, depth: int, budget: int, tol: float, prefix: Word = ()
+    F: Cplifs, x: float, depth: int, budget: int, prefix: Word = ()
 ) -> list[Word]:
-    """Words extending ``prefix`` by `depth` symbols whose cylinder contains
-    x, found by descending only through containing prefixes (I_{w k} lies
-    inside I_w).  An empty result certifies that x avoids the attractor
-    piece of ``prefix``."""
+    """Words extending ``prefix`` by `depth` symbols whose cylinder,
+    widened by ``F.geom_tol()``, contains x, found by descending only
+    through containing prefixes (I_{w k} lies inside I_w).  An empty result
+    certifies that x avoids the attractor piece of ``prefix``."""
+    tol = F.geom_tol()
     a, b = cylinder_interval(F, prefix)
     frontier = [prefix] if a - tol <= x <= b + tol else []
     for _ in range(depth):
@@ -639,10 +640,9 @@ def regularity_diagnostic(
     """Per breaking point: certified off the attractor when it avoids the
     level-`depth` cylinder union (which contains the attractor), otherwise
     undecided, with the containing words as witnesses."""
-    tol = F.geom_tol()
     out = []
     for k, b in F.breaking_points():
-        witnesses = _containing_words(F, b, depth, budget, tol)
+        witnesses = _containing_words(F, b, depth, budget)
         status = UNDECIDED_AT_DEPTH if witnesses else CERTIFIED_OFF_ATTRACTOR
         out.append(
             BreakStatus(map_index=k, point=b, status=status, depth=depth,
@@ -734,15 +734,14 @@ def verify_breaking_code(
     )
 
 
-def affine_restriction(F: Cplifs, w: Word, iv: Interval, tol: float | None = None) -> AffineMap:
+def affine_restriction(F: Cplifs, w: Word, iv: Interval) -> AffineMap:
     """The similarity that f_w restricts to on ``iv``.
 
     Folds right to left; fails if at some stage the running interval has a
-    breaking point of the next map strictly inside it, because then the
-    composition is not affine there.
+    breaking point of the next map more than ``F.geom_tol()`` inside it,
+    because then the composition is not affine there.
     """
-    if tol is None:
-        tol = F.geom_tol()
+    tol = F.geom_tol()
     cur = iv
     total = AffineMap(1.0, 0.0)
     for k in w[::-1]:

@@ -43,7 +43,7 @@ from .core import (
     word_index,
     word_str,
 )
-from .pressure import BELOW, bisect_decreasing, natural_dimension
+from .pressure import BELOW, bisect_decreasing, natural_dimension, upper_box_consistency
 from . import oracle
 from .errors import (
     AmbiguousContainment,
@@ -518,13 +518,6 @@ def detect_fixed_point_family(F: Cplifs) -> DetRecursion | None:
 # association from periodic breaking-point codes
 
 
-def _lcm(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def associate_from_periodic(
     F: Cplifs,
     codes: Sequence[BreakCode] = (),
@@ -545,7 +538,7 @@ def associate_from_periodic(
     when no level up to ``refine_depth`` decides an edge.
     """
     tol = F.geom_tol()
-    verified: list[BreakCode] = []
+    codes = tuple(codes)
     for c in codes:
         chk = verify_breaking_code(F, c.point, c.prefix, c.period)
         if not chk.ok:
@@ -554,9 +547,8 @@ def associate_from_periodic(
                 f"prefix residual {chk.residual_prefix:.3g}, "
                 f"containment {'ok' if chk.containment_ok else 'failed'}"
             )
-        verified.append(c)
 
-    P = _lcm([len(c.period) for c in verified]) if verified else 1
+    P = math.lcm(*(len(c.period) for c in codes))
     lo, hi = cylinder_arrays(F, P, budget)
     los, his = lo.tolist(), hi.tolist()
 
@@ -566,7 +558,7 @@ def associate_from_periodic(
     # periodic points whose cylinders would otherwise hide a slope change
     # of a composed edge map in their interior.
     cuts: dict[int, float] = {}  # keyed by word index
-    for c in verified:
+    for c in codes:
         if not c.purely_periodic:
             continue
         p = len(c.period)
@@ -586,7 +578,7 @@ def associate_from_periodic(
     # every other interval containment of a breaking point must either be
     # certified spurious or the construction does not apply
     for _, b in F.breaking_points():
-        bcodes = [c for c in verified if abs(c.point - b) <= tol]
+        bcodes = [c for c in codes if abs(c.point - b) <= tol]
         for i in np.flatnonzero((lo + tol < b) & (b < hi - tol)).tolist():
             if i in cuts and abs(cuts[i] - b) <= tol:
                 continue
@@ -596,7 +588,7 @@ def associate_from_periodic(
                 for c in bcodes
             ):
                 continue
-            if _containing_words(F, b, refine_depth, budget, tol, w):
+            if _containing_words(F, b, refine_depth, budget, w):
                 if bcodes and all(not c.purely_periodic for c in bcodes):
                     raise NonPeriodicCode(
                         f"breaking point {b} sits inside cylinder {word_str(w)} and "
@@ -625,9 +617,7 @@ def associate_from_periodic(
         phi = cuts.get(word_index(node.word, F.m))
         for j, tgt in enumerate(nodes):
             if node.side is not None:
-                verdict = _certify_side(
-                    F, node.word, node.side, tgt, phi, refine_depth, tol, budget
-                )
+                verdict = _certify_side(F, node.word, node.side, tgt, phi, refine_depth, budget)
                 if verdict is None:
                     raise AmbiguousContainment(
                         f"edge {node.label} -> {tgt.label} undecidable at "
@@ -635,7 +625,7 @@ def associate_from_periodic(
                     )
                 if not verdict:
                     continue
-            sim = affine_restriction(F, node.word, tgt.hull, tol)
+            sim = affine_restriction(F, node.word, tgt.hull)
             src.append(i)
             dst.append(j)
             ratio.append(sim.ratio)
@@ -659,7 +649,6 @@ def _certify_side(
     tgt: GdifsNode,
     phi: float,
     depth: int,
-    tol: float,
     budget: int,
 ) -> bool | None:
     """Decide whether f_w maps the piece of tgt into the ``side`` half
@@ -667,13 +656,14 @@ def _certify_side(
 
     Level 0 covers the piece by tgt's hull; level d >= 1 by level d of the
     sweep pushed through f_{tgt.word} and clipped to the hull, empty rows
-    dropped (none left: False).  A level is ``below`` when all its images
-    under f_w lie at or below phi + tol and ``above`` when all lie at or
-    above phi - tol.  The first level with either verdict decides: True
-    when it is the half's own (below for left, above for right), else
-    False.  None when no level up to ``depth`` decides.  The sweep stops
-    at the deepest d with m**d <= budget; BudgetExceeded when the verdict
-    is still open there, short of ``depth``.
+    dropped (none left: False).  With tol = ``F.geom_tol()``, a level is
+    ``below`` when all its images under f_w lie at or below phi + tol and
+    ``above`` when all lie at or above phi - tol.  The first level with
+    either verdict decides: True when it is the half's own (below for
+    left, above for right), else False.  None when no level up to
+    ``depth`` decides.  The sweep stops at the deepest d with
+    m**d <= budget; BudgetExceeded when the verdict is still open there,
+    short of ``depth``.
 
     A row at least tol inside the hull keeps its subrows, unclipped, at
     every deeper level, and their images stay within rounding of its own.
@@ -681,6 +671,7 @@ def _certify_side(
     phi + 2 tol, no deeper level decides, and the sweep ends there as it
     would at ``depth``.
     """
+    tol = F.geom_tol()
     a, b = lo, hi = tgt.hull
     for k in w[::-1]:  # level 0: the image of the hull
         lo, hi = image_interval(F.map(k), (lo, hi))
@@ -890,26 +881,23 @@ class DimConfig:
     """Settings of the dimension methods in METHODS:
 
     n_min: lowest level n of the partition-sum roots s_n (natural).
-    n_max: highest level n of the partition-sum roots s_n.
-    window: trailing levels whose maximum is the natural estimate.
+    n_max: highest level n of the partition-sum roots s_n; the natural
+        estimate is the maximum over the last three.
     punctured_k: cylinder level k of the punctured approximation t_k.
     box_samples: chaos-game samples fed to the box count.
     seed: chaos-game sampling seed.
     codes: breaking-point codes for the gdifs route; None detects short ones.
     budget: cap on enumerated cylinder intervals.
-    box_tolerance: slack allowed above the dimension by the box flag.
     agreement_tol: largest |diff| accepted between natural, gdifs and determinant.
     """
 
     n_min: int = 6
     n_max: int = 11
-    window: int = 3
     punctured_k: int = 6
     box_samples: int = 200_000
     seed: int = 20240801
     codes: tuple[BreakCode, ...] | None = None
     budget: int = DEFAULT_BUDGET
-    box_tolerance: float = 0.05
     agreement_tol: float = 5e-2
 
 
@@ -964,7 +952,7 @@ def auto_codes(F: Cplifs) -> tuple[BreakCode, ...]:
 
 
 def _natural(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
-    est = natural_dimension(F, c.n_min, c.n_max, c.window, c.budget)
+    est = natural_dimension(F, c.n_min, c.n_max, budget=c.budget)
     return est.estimate, f"s_n over n={c.n_min}..{c.n_max}, tail spread {est.spread:.2e}", est
 
 
@@ -1039,10 +1027,10 @@ def dim_report(F: Cplifs, config: DimConfig = DimConfig()) -> DimReport:
         flags.append(f"punctured <= gdifs: {p:.8f} <= {g:.8f} ({'ok' if ok else 'VIOLATED'})")
     if "box" in values and dims:
         box, ref = values["box"], min(1.0, max(dims.values()))
-        ok = box <= ref + config.box_tolerance
-        consistent &= ok
+        rep = upper_box_consistency(ref, box)
+        consistent &= rep.consistent
         flags.append(
-            f"box <= min(1, dim) + {config.box_tolerance}: {box:.4f} vs {ref:.4f} "
-            f"({'ok' if ok else 'VIOLATED'})"
+            f"box <= min(1, dim) + {rep.tolerance}: {box:.4f} vs {ref:.4f} "
+            f"({'ok' if rep.consistent else 'VIOLATED'})"
         )
     return DimReport(estimates=tuple(estimates), flags=tuple(flags), consistent=consistent)

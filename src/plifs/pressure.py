@@ -203,13 +203,13 @@ def upper_box_consistency(
 ) -> ConsistencyReport:
     """Flag a box-count estimate that exceeds the natural-dimension
     estimate by more than the statistical tolerance: the box dimension can
-    never sit above the partition-sum root."""
+    never sit above the partition-sum root.  Consistent when
+    ``box <= s + tolerance``."""
     s = estimate.estimate if isinstance(estimate, NaturalDimEstimate) else float(estimate)
-    margin = box - s
     return ConsistencyReport(
-        consistent=margin <= tolerance,
+        consistent=box <= s + tolerance,
         box_estimate=box,
         dim_estimate=s,
-        margin=margin,
+        margin=box - s,
         tolerance=tolerance,
     )

@@ -1,7 +1,9 @@
+import argparse
+
 import pytest
 
-from plifs.cli import main
-from plifs.gdifs import build_fixed_point_family
+from plifs.cli import build_parser, main
+from plifs.gdifs import METHODS, DimConfig, build_fixed_point_family
 from plifs.specfile import format_spec, parse_spec
 
 PAPER = """\
@@ -258,6 +260,49 @@ def test_budget_env_override(paper_file, capsys, monkeypatch):
     assert main(["dim", paper_file, "natural", "--n", "1..11"]) == 4
     # explicit flag wins over the environment
     assert main(["dim", paper_file, "natural", "--n", "1..6", "--budget", "1000000"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("source", ["--budget", "PLIFS_BUDGET"])
+def test_budget_below_one_exits_2(paper_file, capsys, monkeypatch, source, value):
+    argv = ["dim", paper_file, "natural", "--n", "1..11"]
+    if source == "--budget":
+        argv += ["--budget", value]
+    else:
+        monkeypatch.setenv("PLIFS_BUDGET", value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{source}={value} is not a positive integer\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "map tau={} slopes=0.8,0.2 breaks=0.5",
+        "map tau=0 slopes=0.8,{} breaks=0.5",
+        "map tau=0 slopes=0.8,0.2 breaks={}",
+    ],
+    ids=["tau", "slopes", "breaks"],
+)
+def test_non_finite_parameter_exits_2(tmp_path, capsys, line, bad):
+    path = tmp_path / "system.plifs"
+    path.write_text("map tau=0.9 slopes=0.1\n" + line.format(bad) + "\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and err.endswith(" is not finite\n")
+
+
+def test_dim_parser_reads_the_library_table_and_defaults():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dim = sub.choices["dim"]
+    method = next(a for a in dim._actions if a.dest == "method")
+    assert list(method.choices) == [*METHODS, "all"]
+    args = dim.parse_args(["system.plifs", "all"])
+    cfg = DimConfig()
+    assert args.n == f"{cfg.n_min}..{cfg.n_max}"
+    assert args.level == cfg.punctured_k
+    assert args.tol == cfg.agreement_tol
 
 
 def test_round_trip_parse_emit(paper_file):

@@ -351,11 +351,10 @@ def test_word_index_round_trip_in_lexicographic_order(m):
 
 def test_containing_words_from_prefix():
     F = paper_example()
-    tol = F.geom_tol()
-    full = _containing_words(F, 0.5, 7, 10**6, tol)
+    full = _containing_words(F, 0.5, 7, 10**6)
     assert full
     for prefix in [(1,), (1, 2), (2,)]:
-        sub = _containing_words(F, 0.5, 7 - len(prefix), 10**6, tol, prefix)
+        sub = _containing_words(F, 0.5, 7 - len(prefix), 10**6, prefix)
         assert sub == [w for w in full if w[: len(prefix)] == prefix]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -15,10 +16,12 @@ from plifs.errors import (
     ConvergenceFailure,
     EmptyGraph,
     IoscViolated,
+    NotApplicable,
     NotStronglyConnected,
     UnverifiedCode,
 )
 from plifs.gdifs import (
+    METHODS,
     DetRecursion,
     DimConfig,
     EdgeMatrix,
@@ -40,7 +43,7 @@ from plifs.gdifs import (
     q_root,
     strongly_connected_components,
 )
-from plifs import natural_dimension, solve_level_root
+from plifs import natural_dimension, solve_level_root, upper_box_consistency
 
 from helpers import (
     cantor_pair,
@@ -614,7 +617,7 @@ def test_certify_side_clips_rows_to_target_hull():
     # it lies outside the hull and is dropped
     F = straddle_system()
     tgt = GdifsNode((3,), "left", (0.425, 0.503))
-    verdict = [_certify_side(F, (2,), "left", tgt, 0.5, d, F.geom_tol(), 2**26) for d in (0, 1)]
+    verdict = [_certify_side(F, (2,), "left", tgt, 0.5, d, 2**26) for d in (0, 1)]
     assert verdict == [None, True]
 
 
@@ -628,10 +631,10 @@ def test_certify_side_refinement_levels_and_budget():
     )
     lo, hi = cylinder_arrays(F, 1)
     tgt = GdifsNode((1,), None, (float(lo[0]), float(hi[0])))
-    phi, tol = 0.29295298171902795, F.geom_tol()
+    phi = 0.29295298171902795
 
     def verdict(depth, budget=2**26):
-        return _certify_side(F, (2,), "left", tgt, phi, depth, tol, budget)
+        return _certify_side(F, (2,), "left", tgt, phi, depth, budget)
 
     assert verdict(0) is None
     assert verdict(1) is True
@@ -838,6 +841,36 @@ def test_dim_report_family_three_way():
     assert rep.value("determinant") == pytest.approx(a, abs=1e-9)
     assert abs(rep.value("natural") - a) < 1e-2
     assert rep.consistent
+
+
+def test_dim_config_fields():
+    assert [f.name for f in dataclasses.fields(DimConfig)] == [
+        "n_min", "n_max", "punctured_k", "box_samples", "seed", "codes", "budget",
+        "agreement_tol",
+    ]
+
+
+def test_dim_report_box_flag_is_upper_box_consistency(monkeypatch):
+    ref = 0.6
+
+    def not_applicable(F, c):
+        raise NotApplicable("stubbed out", "test")
+
+    for method in METHODS:
+        monkeypatch.setitem(METHODS, method, not_applicable)
+    monkeypatch.setitem(METHODS, "natural", lambda F, c: (ref, "", None))
+    edge = ref + 0.05
+    verdicts = []
+    for box in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+        monkeypatch.setitem(METHODS, "box", lambda F, c, box=box: (box, "", None))
+        rep = dim_report(cantor_pair())
+        ok = upper_box_consistency(ref, box).consistent
+        assert rep.flags == (
+            f"box <= min(1, dim) + 0.05: {box:.4f} vs {ref:.4f} ({'ok' if ok else 'VIOLATED'})",
+        )
+        assert rep.consistent == ok
+        verdicts.append(ok)
+    assert verdicts == [True, True, False]
 
 
 def test_detect_fixed_point_family():

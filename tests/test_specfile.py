@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
-from plifs import format_spec, parse_spec
-from plifs.errors import ParseError
+from plifs import PLMap, format_spec, parse_spec
+from plifs.errors import NonContractive, ParseError
 
 from helpers import paper_example
 
@@ -61,6 +63,29 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
         parse_spec(text)
     assert err.value.line_no == line
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "map tau={} slopes=0.8,0.2 breaks=0.5",
+        "map tau=0 slopes=0.8,{} breaks=0.5",
+        "map tau=0 slopes=0.8,0.2 breaks={}",
+    ],
+    ids=["tau", "slopes", "breaks"],
+)
+def test_non_finite_parameter_is_a_parse_error(line, bad):
+    with pytest.raises(ParseError, match="is not finite") as err:
+        parse_spec("# comment\nmap tau=0.9 slopes=0.1\n\n" + line.format(bad) + "\n")
+    assert err.value.line_no == 4
+
+
+def test_finite_expanding_slope_is_still_non_contractive():
+    with pytest.raises(NonContractive):
+        PLMap(breaks=(), slopes=(1.5,), tau=0.0)
+    with pytest.raises(ValueError, match="slope inf is not finite"):
+        PLMap(breaks=(), slopes=(math.inf,), tau=0.0)
 
 
 def test_missing_slope_count_mismatch():

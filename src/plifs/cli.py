@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Commands: check, dim {natural|gdifs|punctured|determinant|box|all},
-measure, render, esc.  Exit codes: 0 success, 2 malformed input or
-arguments (a bad system file or level range, or a value that a method
-rejects), 3 computation error, 4 budget exceeded.  The enumeration
-budget defaults to 2^26 intervals; the PLIFS_BUDGET environment variable
-overrides it and --budget overrides both.
+measure, render, esc, each run as cmd_<name>(system, budget, args).
+Exit codes: 0 success, 2 malformed input or arguments (a bad system
+file, budget, level range or depth, or a value a method rejects), 3
+computation error, 4 budget exceeded.  The enumeration budget defaults
+to 2^26 intervals; PLIFS_BUDGET overrides it and --budget overrides both.
 """
 
 from __future__ import annotations
@@ -30,20 +30,19 @@ from .core import (
     word_str,
 )
 from .errors import BudgetExceeded, ParseError, PlifsError
-from .pressure import natural_dimension
-from .specfile import parse_spec_file
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+from .pressure import WINDOW, natural_dimension
+from .specfile import fmt, parse_spec_file
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     a, sep, b = text.partition("..")
     try:
-        return int(a), int(b if sep else a)
+        lo, hi = int(a), int(b if sep else a)
     except ValueError:
-        raise ParseError(0, f"level range {text!r} is not N or A..B") from None
+        raise ValueError(f"level range {text!r} is not N or A..B") from None
+    if lo > hi:
+        raise ValueError(f"level range {text!r} has A > B")
+    return lo, hi
 
 
 def _budget(args) -> int:
@@ -58,9 +57,9 @@ def _budget(args) -> int:
         try:
             value = int(env)
         except ValueError:
-            raise ParseError(0, f"PLIFS_BUDGET={env!r} is not an integer") from None
+            raise ValueError(f"PLIFS_BUDGET={env!r} is not an integer") from None
     if value < 1:
-        raise ParseError(0, f"{source}={value} is not a positive integer")
+        raise ValueError(f"{source}={value} is not a positive integer")
     return value
 
 
@@ -83,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n", default=f"{cfg.n_min}..{cfg.n_max}",
                    help="level range A..B for the root sequence")
     d.add_argument("--level", type=int, default=cfg.punctured_k, help="punctured cylinder level")
-    # 0, not DimConfig.seed, so the printed box values stay as they were
-    d.add_argument("--seed", type=int, default=0, help="sampling seed")
+    d.add_argument("--seed", type=int, default=cfg.seed, help="sampling seed")
     d.add_argument("--tol", type=float, default=cfg.agreement_tol,
                    help="cross-method agreement tolerance")
     d.add_argument("--csv", default=None, help="write method,param,value rows to this path")
@@ -92,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("measure", help="cylinder-union measure bounds and verdict")
     common(m)
     m.add_argument("--n", default="1..12", help="level range A..B for the bound sequence")
-    m.add_argument("--tol", type=float, default=1e-3, help="plateau threshold")
+    m.add_argument("--tol", type=float, default=oracle.PLATEAU_TOL, help="plateau threshold")
 
     r = sub.add_parser("render", help="cylinder intervals as CSV rows or an SVG strip chart")
     common(r)
@@ -107,33 +105,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def cmd_check(args) -> int:
-    F = parse_spec_file(args.file)
-    budget = _budget(args)
+def cmd_check(F: Cplifs, budget: int, args) -> int:
     print(f"maps: {F.m}, type vector: {F.type_vector}")
     lo, hi = invariant_interval(F)
-    print(f"invariant interval: [{_fmt(lo)}, {_fmt(hi)}]")
+    print(f"invariant interval: [{fmt(lo)}, {fmt(hi)}]")
     for k, f in enumerate(F.maps, 1):
-        print(f"map {k}: injective {'yes' if f.is_injective() else 'no'}, max ratio {_fmt(f.max_ratio)}")
+        print(f"map {k}: injective {'yes' if f.is_injective() else 'no'}, max ratio {fmt(f.max_ratio)}")
     small = check_small(F)
     if small.ok:
         print("small: yes")
     else:
         print(f"small: no (failing clauses: {', '.join(small.failing_clauses())})")
     iosc = check_iosc(F)
-    print(f"IOSC: {'yes' if iosc.ok else 'no'} (gap {_fmt(iosc.min_gap)})")
+    print(f"IOSC: {'yes' if iosc.ok else 'no'} (gap {fmt(iosc.min_gap)})")
     breaks = F.breaking_points()
     if not breaks:
         print("regular: trivially (no breaking points)")
         return 0
     for st in regularity_diagnostic(F, args.depth, budget):
         if st.status == "CERTIFIED_OFF_ATTRACTOR":
-            print(f"break {_fmt(st.point)} (map {st.map_index}): CERTIFIED_OFF_ATTRACTOR at depth {st.depth}")
+            print(f"break {fmt(st.point)} (map {st.map_index}): CERTIFIED_OFF_ATTRACTOR at depth {st.depth}")
         else:
             words = ",".join(word_str(w) for w in st.witnesses[:8])
             more = "" if len(st.witnesses) <= 8 else f" (+{len(st.witnesses) - 8} more)"
             print(
-                f"break {_fmt(st.point)} (map {st.map_index}): UNDECIDED_AT_DEPTH {st.depth}; "
+                f"break {fmt(st.point)} (map {st.map_index}): UNDECIDED_AT_DEPTH {st.depth}; "
                 f"containing words: {words}{more}"
             )
     return 0
@@ -148,9 +144,7 @@ def _write_csv(path: str | None, rows: list[tuple[str, str, str]]) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def cmd_dim(args) -> int:
-    F = parse_spec_file(args.file)
-    budget = _budget(args)
+def cmd_dim(F: Cplifs, budget: int, args) -> int:
     n_min, n_max = _parse_range(args.n)
     cfg = gd.DimConfig(
         n_min=n_min, n_max=n_max, punctured_k=args.level, seed=args.seed,
@@ -163,8 +157,8 @@ def cmd_dim(args) -> int:
             if e.value is None:
                 print(f"{e.method}: unavailable ({e.error})")
             else:
-                print(f"{e.method}: {_fmt(e.value)}  [{e.detail}]")
-                rows.append((e.method, "", _fmt(e.value)))
+                print(f"{e.method}: {fmt(e.value)}  [{e.detail}]")
+                rows.append((e.method, "", fmt(e.value)))
         for flag in report.flags:
             print(f"  {flag}")
         print(f"consistent: {'yes' if report.consistent else 'NO'}")
@@ -174,39 +168,37 @@ def cmd_dim(args) -> int:
     value, _, solved = gd.METHODS[args.method](F, cfg)
     if args.method == "natural":
         for n, s in zip(solved.levels, solved.roots):
-            print(f"s_{n} = {_fmt(s)}")
-            rows.append(("natural", str(n), _fmt(s)))
-        print(f"estimate (max over last {solved.window}): {_fmt(value)}")
+            print(f"s_{n} = {fmt(s)}")
+            rows.append(("natural", str(n), fmt(s)))
+        print(f"estimate (max over last {WINDOW}): {fmt(value)}")
     elif args.method == "gdifs":
         g, codes = solved
         print(f"nodes: {g.q}, edges: {g.src.size}, codes: {len(codes)}")
-        print(f"alpha = {_fmt(value)}")
-        rows.append(("gdifs", str(g.q), _fmt(value)))
+        print(f"alpha = {fmt(value)}")
+        rows.append(("gdifs", str(g.q), fmt(value)))
     elif args.method == "punctured":
         note = "" if solved.whole_graph_strongly_connected else f" (largest scc of {solved.scc_size} used)"
         print(f"kept {solved.kept}, dropped {len(solved.dropped)}{note}")
-        print(f"t_{solved.level} = {_fmt(value)}")
-        rows.append(("punctured", str(solved.level), _fmt(value)))
+        print(f"t_{solved.level} = {fmt(value)}")
+        rows.append(("punctured", str(solved.level), fmt(value)))
     elif args.method == "determinant":
-        print(f"determinant root = {_fmt(value)}")
-        rows.append(("determinant", str(solved.m), _fmt(value)))
+        print(f"determinant root = {fmt(value)}")
+        rows.append(("determinant", str(solved.m), fmt(value)))
     else:  # box
-        print(f"box estimate = {_fmt(value)} (raw {_fmt(solved.raw_slope)}, rss {_fmt(solved.residual)})")
-        rows.append(("box", str(cfg.box_samples), _fmt(value)))
+        print(f"box estimate = {fmt(value)} (raw {fmt(solved.raw_slope)}, rss {fmt(solved.residual)})")
+        rows.append(("box", str(cfg.box_samples), fmt(value)))
     _write_csv(args.csv, rows)
     return 0
 
 
-def cmd_measure(args) -> int:
-    F = parse_spec_file(args.file)
-    budget = _budget(args)
+def cmd_measure(F: Cplifs, budget: int, args) -> int:
     n_min, n_max = _parse_range(args.n)
     bounds = oracle.lebesgue_upper_bound(F, n_max, budget)
     for n, v in enumerate(bounds, 1):
-        print(f"L_{n} = {_fmt(v)}")
+        print(f"L_{n} = {fmt(v)}")
     est = natural_dimension(F, max(1, n_min), n_max, budget=budget)
     verdict = oracle.measure_evidence(bounds, est.estimate, plateau_tol=args.tol)
-    print(f"dimension estimate: {_fmt(est.estimate)}")
+    print(f"dimension estimate: {fmt(est.estimate)}")
     print(f"verdict: {verdict.classification} (evidence, not proof)")
     return 0
 
@@ -215,7 +207,7 @@ def _render_csv(F: Cplifs, depth: int, budget: int) -> str:
     lines = ["word,left,right"]
     lo, hi = cylinder_arrays(F, depth, budget)
     for w, a, b in zip(level_words(F.m, depth), lo.tolist(), hi.tolist()):
-        lines.append(f"{word_str(w)},{_fmt(a)},{_fmt(b)}")
+        lines.append(f"{word_str(w)},{fmt(a)},{fmt(b)}")
     return "\n".join(lines) + "\n"
 
 
@@ -233,23 +225,19 @@ def _render_svg(F: Cplifs, depth: int, budget: int) -> str:
         y = margin + level * row_h
         for a, b in zip(lo.tolist(), hi.tolist()):
             rects.append(
-                f'<rect x="{_fmt(x(a))}" y="{_fmt(y)}" '
-                f'width="{_fmt(max(0.0, x(b) - x(a)))}" height="{_fmt(bar_h)}" '
+                f'<rect x="{fmt(x(a))}" y="{fmt(y)}" '
+                f'width="{fmt(max(0.0, x(b) - x(a)))}" height="{fmt(bar_h)}" '
                 f'fill="#3b6ea5" fill-opacity="0.85"/>'
             )
     body = "\n".join(rects)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
+        f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">\n'
         f'<rect width="100%" height="100%" fill="white"/>\n{body}\n</svg>\n'
     )
 
 
-def cmd_render(args) -> int:
-    F = parse_spec_file(args.file)
-    budget = _budget(args)
-    if args.depth < 0:
-        raise PlifsError("depth must be >= 0")
+def cmd_render(F: Cplifs, budget: int, args) -> int:
     text = (
         _render_csv(F, args.depth, budget)
         if args.format == "csv"
@@ -262,15 +250,13 @@ def cmd_render(args) -> int:
     return 0
 
 
-def cmd_esc(args) -> int:
-    F = parse_spec_file(args.file)
-    budget = _budget(args)
+def cmd_esc(F: Cplifs, budget: int, args) -> int:
     sims = generated_ifs(F)
     print(f"generated similarities: {len(sims)}")
     for n in range(1, args.level + 1):
         rep = gd.esc_diagnostic(sims, n, budget)
-        d = "inf" if rep.delta == float("inf") else _fmt(rep.delta)
-        r = "inf" if rep.delta_root == float("inf") else _fmt(rep.delta_root)
+        d = "inf" if rep.delta == float("inf") else fmt(rep.delta)
+        r = "inf" if rep.delta_root == float("inf") else fmt(rep.delta_root)
         print(f"n={n}: delta={d} delta^(1/n)={r} ({rep.compositions} compositions)")
     print("finite-depth diagnostic only; not a separation proof")
     return 0
@@ -292,9 +278,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _DISPATCH[args.command](args)
+        F = parse_spec_file(args.file)
+        budget = _budget(args)
+        # values that the command would meet only after printing some lines
+        if args.command == "check" and args.depth < 0:
+            raise ValueError(f"--depth={args.depth} is negative")
+        if args.command == "esc" and args.level < 1:
+            raise ValueError(f"--level={args.level} is below 1")
+        return _DISPATCH[args.command](F, budget, args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
-        # ValueError: an argument the library rejects, such as a level range
+        # ValueError: a bad argument, caught here or by the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -640,6 +640,8 @@ def regularity_diagnostic(
     """Per breaking point: certified off the attractor when it avoids the
     level-`depth` cylinder union (which contains the attractor), otherwise
     undecided, with the containing words as witnesses."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     out = []
     for k, b in F.breaking_points():
         witnesses = _containing_words(F, b, depth, budget)
@@ -702,13 +704,15 @@ def periodic_point(F: Cplifs, period: Word) -> float:
     raise ConvergenceFailure("periodic point iteration did not converge")
 
 
-def verify_breaking_code(
-    F: Cplifs, b: float, prefix: Word, period: Word, tol: float = 1e-9
-) -> CodeCheck:
-    """Check that b = f_prefix(y) for the periodic point y of f_period and
-    that b stays inside the cylinders I_{prefix . period^j}, j = 1..3."""
+_CODE_TOL = 1e-9  # largest distance and residuals that verify_breaking_code accepts
+
+
+def verify_breaking_code(F: Cplifs, b: float, prefix: Word, period: Word) -> CodeCheck:
+    """Check, to ``_CODE_TOL``, that b is a breaking point and b = f_prefix(y)
+    for the periodic point y of f_period, and that b stays inside the
+    cylinders I_{prefix . period^j}, j = 1..3."""
     points = [p for _, p in F.breaking_points()]
-    if not points or min(abs(b - p) for p in points) > tol:
+    if not points or min(abs(b - p) for p in points) > _CODE_TOL:
         raise ValueError(f"{b} is not a breaking point of the system")
     code = BreakCode(point=b, prefix=tuple(prefix), period=tuple(period))
     try:
@@ -727,7 +731,7 @@ def verify_breaking_code(
         if not (a - gtol <= b <= c + gtol):
             contained = False
             break
-    ok = res_period <= tol and res_prefix <= tol and contained
+    ok = res_period <= _CODE_TOL and res_prefix <= _CODE_TOL and contained
     return CodeCheck(
         ok=ok, code=code, periodic_point=y, residual_period=res_period,
         residual_prefix=res_prefix, containment_ok=contained,

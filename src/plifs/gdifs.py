@@ -43,7 +43,7 @@ from .core import (
     word_index,
     word_str,
 )
-from .pressure import BELOW, bisect_decreasing, natural_dimension, upper_box_consistency
+from .pressure import BELOW, BOX_SLACK, bisect_decreasing, natural_dimension, upper_box_consistency
 from . import oracle
 from .errors import (
     AmbiguousContainment,
@@ -225,11 +225,13 @@ def strongly_connected_components(q: int, src: np.ndarray, dst: np.ndarray) -> n
 # Above this many nodes perron_root refuses the dense eigensolve fallback.
 _DENSE_FALLBACK_NODES = 4096
 
-# Default closing gap of the Collatz-Wielandt bounds in perron_root, taken
-# relative to max(1, upper bound on rho), and the error band of a certified
-# value near rho = 1: four times its half-gap there, leaving room for rounding.
+# Closing gap of the Collatz-Wielandt bounds in perron_root, taken
+# relative to max(1, upper bound on rho); the error band of a certified
+# value near rho = 1: four times its half-gap there, leaving room for
+# rounding; and the bracket width of the roots of alpha and q_root.
 _PERRON_TOL = 1e-13
 _PERRON_BAND = 2 * _PERRON_TOL
+_ROOT_TOL = 1e-12
 
 # perron_root ends a solve whose gap has shrunk by less than a factor
 # _STALL_SHRINK over the last _STALL_STEPS steps: the bounds of a reducible
@@ -240,7 +242,6 @@ _STALL_SHRINK = 1.01
 
 def perron_root(
     M: EdgeMatrix,
-    tol: float = _PERRON_TOL,
     cap: int | None = None,
     start: np.ndarray | None = None,
 ) -> float:
@@ -253,7 +254,7 @@ def perron_root(
     place with the last iterate so the next solve can continue from it) or
     else from the all-ones vector. Returns only Collatz-Wielandt-certified
     values (the bounds min and max of (M + c Id)v / v, less c, closed to
-    ``tol`` times max(1, rho)) or, if they do not close within ``cap``
+    ``_PERRON_TOL`` times max(1, rho)) or, if they do not close within ``cap``
     steps or stop closing (``_STALL_STEPS``), the dense fallback: the
     eigensolve of M, refused with ConvergenceFailure above 4096 nodes
     rather than allocating q x q floats.
@@ -272,7 +273,7 @@ def perron_root(
         lo, hi = float(np.minimum.reduce(r)) - c, float(np.maximum.reduce(r)) - c
         np.divide(w, np.maximum.reduce(w), out=v)
         gap = hi - lo
-        if gap <= tol * max(1.0, hi):
+        if gap <= _PERRON_TOL * max(1.0, hi):
             return 0.5 * (lo + hi)
         if gap * _STALL_SHRINK > gaps[step % _STALL_STEPS]:
             break
@@ -285,15 +286,15 @@ def perron_root(
     return float(np.max(np.abs(np.linalg.eigvals(M.dense()))))
 
 
-def alpha(g: Gdifs, tol: float = 1e-12) -> float:
+def alpha(g: Gdifs) -> float:
     """The unique s with dominant eigenvalue 1, by `bisect_decreasing` on
-    log rho(s), which is decreasing and convex in s."""
+    log rho(s), which is decreasing and convex in s, to width ``_ROOT_TOL``."""
     if not g.strongly_connected():
         raise NotStronglyConnected(f"{g.q} nodes, graph not strongly connected")
-    return _spectral_root(g, tol)
+    return _spectral_root(g)
 
 
-def _spectral_root(g: Gdifs, tol: float = 1e-12) -> float:
+def _spectral_root(g: Gdifs) -> float:
     """`alpha` of a graph already known to be strongly connected."""
     sm = g.spectral_matrix()
     v = np.ones(g.q)  # warm start: each solve continues from the last eigenvector
@@ -304,7 +305,7 @@ def _spectral_root(g: Gdifs, tol: float = 1e-12) -> float:
         return 0.0
     return bisect_decreasing(
         lambda s: math.log(r0 if s == 0.0 else perron_root(sm.at(s), start=v)),
-        tol, "spectral root",
+        _ROOT_TOL, "spectral root",
     )
 
 
@@ -385,8 +386,9 @@ def q_recursion(d: DetRecursion, s: float) -> float:
     return d.q_and_minors(s)[0]
 
 
-def q_root(d: DetRecursion, tol: float = 1e-12) -> float:
-    """The determinant root that coincides with the spectral crossing.
+def q_root(d: DetRecursion) -> float:
+    """The determinant root that coincides with the spectral crossing,
+    bracketed to width ``_ROOT_TOL``.
 
     The determinant vanishes at s = 0 as well, so one root solve takes the
     signed value log rho(s) of the certified spectral radius and, where rho
@@ -406,7 +408,7 @@ def q_root(d: DetRecursion, tol: float = 1e-12) -> float:
             return math.log(r)
         return -q_recursion(d, s) or BELOW  # Q = 0 counts as below the root
 
-    root = bisect_decreasing(g, tol, "determinant root")
+    root = bisect_decreasing(g, _ROOT_TOL, "determinant root")
     if abs(perron_root(d.spectral(root)) - 1.0) > 1e-10:
         raise RootMismatch(
             f"determinant root {root} does not restore spectral radius 1"
@@ -882,7 +884,7 @@ class DimConfig:
 
     n_min: lowest level n of the partition-sum roots s_n (natural).
     n_max: highest level n of the partition-sum roots s_n; the natural
-        estimate is the maximum over the last three.
+        estimate is the maximum over the last ``pressure.WINDOW``.
     punctured_k: cylinder level k of the punctured approximation t_k.
     box_samples: chaos-game samples fed to the box count.
     seed: chaos-game sampling seed.
@@ -1030,7 +1032,7 @@ def dim_report(F: Cplifs, config: DimConfig = DimConfig()) -> DimReport:
         rep = upper_box_consistency(ref, box)
         consistent &= rep.consistent
         flags.append(
-            f"box <= min(1, dim) + {rep.tolerance}: {box:.4f} vs {ref:.4f} "
+            f"box <= min(1, dim) + {BOX_SLACK}: {box:.4f} vs {ref:.4f} "
             f"({'ok' if rep.consistent else 'VIOLATED'})"
         )
     return DimReport(estimates=tuple(estimates), flags=tuple(flags), consistent=consistent)

@@ -287,6 +287,9 @@ def lebesgue_upper_bound(
     return tuple(_union_length(lo, hi) for lo, hi in sweep)
 
 
+PLATEAU_TOL = 1e-3  # relative change below which a bound plateaus, at or above which it decays
+_WINDOW = 3  # last changes of the bound sequence that measure_evidence reads
+
 CONSISTENT_POSITIVE = "CONSISTENT_POSITIVE"
 CONSISTENT_NULL = "CONSISTENT_NULL"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -303,22 +306,19 @@ class MeasureVerdict:
     decaying: bool
     tail_changes: tuple[float, ...]
     plateau_tol: float
-    window: int
 
 
 def measure_evidence(
-    bounds: Sequence[float],
-    dim_estimate: float,
-    plateau_tol: float = 1e-3,
-    window: int = 3,
+    bounds: Sequence[float], dim_estimate: float, plateau_tol: float = PLATEAU_TOL
 ) -> MeasureVerdict:
-    """Classify the bound sequence: a plateau with dimension estimate
-    above 1 supports positive measure, geometric decay with estimate
-    below 1 supports a null attractor."""
+    """Classify the last ``_WINDOW`` relative changes of the bound
+    sequence: a plateau with dimension estimate above 1 supports positive
+    measure, geometric decay with estimate below 1 supports a null
+    attractor."""
     b = [float(x) for x in bounds]
-    if len(b) < window + 1:
-        raise ValueError(f"need at least {window + 1} bound values")
-    tail = b[-(window + 1):]
+    if len(b) < _WINDOW + 1:
+        raise ValueError(f"need at least {_WINDOW + 1} bound values")
+    tail = b[-(_WINDOW + 1):]
     changes = []
     for prev, cur in zip(tail, tail[1:]):
         changes.append((prev - cur) / prev if prev > 0 else 0.0)
@@ -337,5 +337,4 @@ def measure_evidence(
         decaying=decaying,
         tail_changes=tuple(changes),
         plateau_tol=plateau_tol,
-        window=window,
     )

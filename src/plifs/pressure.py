@@ -13,6 +13,10 @@ import numpy as np
 from .core import Cplifs, DEFAULT_BUDGET, cylinder_arrays, level_sweep
 from .errors import ConvergenceFailure, DegenerateAttractor
 
+WINDOW = 3  # last roots s_n that the natural estimate takes the maximum of
+BOX_SLACK = 0.05  # how far upper_box_consistency lets the box value exceed s
+_ROOT_TOL = 1e-13  # bracket width of each root s_n
+
 
 @dataclass(frozen=True)
 class PressureProfile:
@@ -29,29 +33,30 @@ class PressureProfile:
 class NaturalDimEstimate:
     """The s_n sequence over a level range and its tail-window summary.
 
-    The reported estimate is the maximum over the trailing window, a
+    The reported estimate is the maximum over the last `WINDOW` roots, a
     finite stand-in for the limit superior of the sequence.
     """
 
     levels: tuple[int, ...]
     roots: tuple[float, ...]
     estimate: float
-    window: int
     spread: float
 
 
 def _aggregate_lengths(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Collapse equal cylinder lengths to (log length, log multiplicity);
     piecewise systems repeat few distinct length products, which makes the
-    partition sum cheap at deep levels."""
-    pos = lens > 0.0
-    zero = lens.size - int(np.count_nonzero(pos))
-    lens = lens[pos]
-    total = lens.size + zero
+    partition sum cheap at deep levels.  One copy of the positive lengths,
+    sorted in place; each run of equal lengths is one value and its count."""
+    total = lens.size
+    lens = lens[lens > 0.0]
+    zero = total - lens.size
     if lens.size == 0:
         return np.empty(0), np.empty(0), zero, total
-    u, c = np.unique(lens, return_counts=True)
-    return np.log(u), np.log(c.astype(float)), zero, total
+    lens.sort()
+    starts = np.flatnonzero(np.concatenate(([True], lens[1:] != lens[:-1])))
+    c = np.diff(starts, append=lens.size)
+    return np.log(lens[starts]), np.log(c.astype(float)), zero, total
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -128,8 +133,9 @@ def bisect_decreasing(g: Callable[[float], float], tol: float, what: str) -> flo
     return 0.5 * (lo + hi)
 
 
-def _root_from_logs(logu: np.ndarray, logc: np.ndarray, tol: float = 1e-13) -> float:
-    # G(s) = log sum |I_w|^s is strictly decreasing when every length < 1.
+def _root_from_logs(logu: np.ndarray, logc: np.ndarray) -> float:
+    # G(s) = log sum |I_w|^s is strictly decreasing when every length < 1;
+    # its root is bracketed to width _ROOT_TOL.
     if logu.size == 0:
         return 0.0  # every cylinder has zero length: the attractor is a point
     if float(np.max(logu)) >= 0.0:
@@ -141,7 +147,7 @@ def _root_from_logs(logu: np.ndarray, logc: np.ndarray, tol: float = 1e-13) -> f
         return 0.0  # single positive cylinder: the sum is 1 only at s = 0
     # the root lies above s only where the sum exceeds 1: a tie counts as below
     return bisect_decreasing(
-        lambda s: _logsumexp(s * logu + logc) or BELOW, tol, "partition-sum root"
+        lambda s: _logsumexp(s * logu + logc) or BELOW, _ROOT_TOL, "partition-sum root"
     )
 
 
@@ -164,27 +170,23 @@ def natural_dimension(
     F: Cplifs,
     n_min: int,
     n_max: int,
-    window: int = 3,
     budget: int = DEFAULT_BUDGET,
 ) -> NaturalDimEstimate:
     """Solve s_n for n_min..n_max in one sweep of the cylinder arrays and
-    summarize the tail window."""
+    summarize the last `WINDOW` roots."""
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
-    if window < 1:
-        raise ValueError("window must be >= 1")
     roots: list[float] = []
     for n, (lo, hi) in enumerate(level_sweep(F, n_max, budget)):
         if n >= n_min:
             logu, logc, _, _ = _aggregate_lengths(hi - lo)
             roots.append(_root_from_logs(logu, logc))
     levels = tuple(range(n_min, n_max + 1))
-    tail = roots[-window:]
+    tail = roots[-WINDOW:]
     return NaturalDimEstimate(
         levels=levels,
         roots=tuple(roots),
         estimate=max(tail),
-        window=window,
         spread=max(tail) - min(tail),
     )
 
@@ -195,21 +197,17 @@ class ConsistencyReport:
     box_estimate: float
     dim_estimate: float
     margin: float
-    tolerance: float
 
 
-def upper_box_consistency(
-    estimate: NaturalDimEstimate | float, box: float, tolerance: float = 0.05
-) -> ConsistencyReport:
+def upper_box_consistency(estimate: NaturalDimEstimate | float, box: float) -> ConsistencyReport:
     """Flag a box-count estimate that exceeds the natural-dimension
-    estimate by more than the statistical tolerance: the box dimension can
+    estimate by more than the statistical slack: the box dimension can
     never sit above the partition-sum root.  Consistent when
-    ``box <= s + tolerance``."""
+    ``box <= s + BOX_SLACK``."""
     s = estimate.estimate if isinstance(estimate, NaturalDimEstimate) else float(estimate)
     return ConsistencyReport(
-        consistent=box <= s + tolerance,
+        consistent=box <= s + BOX_SLACK,
         box_estimate=box,
         dim_estimate=s,
         margin=box - s,
-        tolerance=tolerance,
     )

@@ -14,7 +14,8 @@ from .core import Cplifs, PLMap
 from .errors import ParseError
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """17 significant digits, which parse back to the same float."""
     return f"{x:.17g}"
 
 
@@ -77,8 +78,8 @@ def format_spec(F: Cplifs) -> str:
     """Emit a description that parses back to an identical system."""
     lines = []
     for f in F.maps:
-        parts = [f"map tau={_fmt(f.tau)}", "slopes=" + ",".join(_fmt(s) for s in f.slopes)]
+        parts = [f"map tau={fmt(f.tau)}", "slopes=" + ",".join(fmt(s) for s in f.slopes)]
         if f.breaks:
-            parts.append("breaks=" + ",".join(_fmt(b) for b in f.breaks))
+            parts.append("breaks=" + ",".join(fmt(b) for b in f.breaks))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
 import argparse
+import inspect
 
 import pytest
 
+from plifs import cli, oracle
 from plifs.cli import build_parser, main
-from plifs.gdifs import METHODS, DimConfig, build_fixed_point_family
+from plifs.gdifs import METHODS, DimConfig, build_fixed_point_family, dim_report
 from plifs.specfile import format_spec, parse_spec
 
 PAPER = """\
@@ -243,16 +245,28 @@ def test_dim_all_unavailable_lines_golden(tmp_path, capsys):
         (PAPER, ["dim", "punctured", "--level", "1"]),
         (PAPER, ["measure", "--n", "0..0"]),
         (FOLDED, ["dim", "punctured"]),
+        (PAPER, ["render", "--depth", "-1"]),
+        (PAPER, ["render", "--depth", "-1", "--format", "svg"]),
+        (PAPER, ["check", "--depth", "-1"]),
+        (CANTOR, ["check", "--depth", "-1"]),
+        (PAPER, ["esc", "--level", "0"]),
+        (CANTOR, ["esc", "--level", "0"]),
+        (PAPER, ["measure", "--n", "5..3"]),
     ],
-    ids=["n-not-a-range", "n-reversed", "level-below-2", "measure-n-zero", "folded-punctured"],
+    ids=["n-not-a-range", "n-reversed", "level-below-2", "measure-n-zero", "folded-punctured",
+         "render-depth-negative", "render-svg-depth-negative", "check-depth-negative",
+         "check-depth-negative-no-breaks", "esc-level-0", "esc-level-0-cantor",
+         "measure-n-reversed"],
 )
 def test_exit_code_2_on_bad_argument(tmp_path, capsys, system, argv):
     path = tmp_path / "system.plifs"
     path.write_text(system)
     command, *rest = argv
     assert main([command, str(path), *rest]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert "line 0" not in err and "Traceback" not in err
 
 
 def test_budget_env_override(paper_file, capsys, monkeypatch):
@@ -271,8 +285,16 @@ def test_budget_below_one_exits_2(paper_file, capsys, monkeypatch, source, value
     else:
         monkeypatch.setenv("PLIFS_BUDGET", value)
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith(f"{source}={value} is not a positive integer\n")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {source}={value} is not a positive integer\n"
+    assert "line 0" not in err
+
+
+def test_budget_env_not_an_integer_exits_2(paper_file, capsys, monkeypatch):
+    monkeypatch.setenv("PLIFS_BUDGET", "lots")
+    assert main(["dim", paper_file, "natural"]) == 2
+    assert capsys.readouterr().err == "error: PLIFS_BUDGET='lots' is not an integer\n"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -303,6 +325,21 @@ def test_dim_parser_reads_the_library_table_and_defaults():
     assert args.n == f"{cfg.n_min}..{cfg.n_max}"
     assert args.level == cfg.punctured_k
     assert args.tol == cfg.agreement_tol
+    assert args.seed == cfg.seed
+    assert sub.choices["measure"].parse_args(["system.plifs"]).tol == oracle.PLATEAU_TOL
+
+
+def test_dim_box_default_seed_matches_dim_report(paper_file, capsys):
+    assert main(["dim", paper_file, "box"]) == 0
+    value = capsys.readouterr().out.split("box estimate = ")[1].split()[0]
+    assert float(value) == dim_report(parse_spec(PAPER)).value("box")
+
+
+def test_commands_take_system_budget_and_arguments():
+    # main reads the system file and the budget once, for every command
+    for name, cmd in cli._DISPATCH.items():
+        assert cmd.__name__ == f"cmd_{name}"
+        assert list(inspect.signature(cmd).parameters) == ["F", "budget", "args"]
 
 
 def test_round_trip_parse_emit(paper_file):

@@ -455,6 +455,12 @@ def test_regularity_no_breaks_empty():
     assert regularity_diagnostic(cantor_pair(), 4) == ()
 
 
+@pytest.mark.parametrize("F", [paper_example(), cantor_pair()], ids=["paper", "cantor"])
+def test_regularity_negative_depth_raises(F):
+    with pytest.raises(ValueError, match="depth"):
+        regularity_diagnostic(F, -1)
+
+
 # --- breaking-point codes ----------------------------------------------------
 
 def test_code_fixed_point_of_own_map():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import random
 import time
@@ -841,6 +842,38 @@ def test_dim_report_family_three_way():
     assert rep.value("determinant") == pytest.approx(a, abs=1e-9)
     assert abs(rep.value("natural") - a) < 1e-2
     assert rep.consistent
+
+
+def test_fixed_settings_are_constants_not_parameters():
+    # each solver, window and slack runs at one named module constant, so
+    # neither the signature nor the result record carries it
+    from plifs import core, oracle, pressure
+    from plifs.gdifs import _spectral_root
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert params(perron_root) == ["M", "cap", "start"]
+    assert params(alpha) == params(_spectral_root) == ["g"]
+    assert params(q_root) == ["d"]
+    assert params(pressure._root_from_logs) == ["logu", "logc"]
+    assert params(core.verify_breaking_code) == ["F", "b", "prefix", "period"]
+    assert params(pressure.natural_dimension) == ["F", "n_min", "n_max", "budget"]
+    assert params(pressure.upper_box_consistency) == ["estimate", "box"]
+    assert params(oracle.measure_evidence) == ["bounds", "dim_estimate", "plateau_tol"]
+    assert inspect.signature(oracle.measure_evidence).parameters["plateau_tol"].default \
+        == oracle.PLATEAU_TOL
+    assert names(pressure.NaturalDimEstimate) == ["levels", "roots", "estimate", "spread"]
+    assert names(pressure.ConsistencyReport) == [
+        "consistent", "box_estimate", "dim_estimate", "margin",
+    ]
+    assert names(oracle.MeasureVerdict) == [
+        "classification", "dim_estimate", "plateau", "decaying", "tail_changes", "plateau_tol",
+    ]
+    assert (pressure.WINDOW, pressure.BOX_SLACK, oracle.PLATEAU_TOL) == (3, 0.05, 1e-3)
 
 
 def test_dim_config_fields():

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from plifs import (
@@ -11,8 +13,9 @@ from plifs import (
     solve_level_root,
     upper_box_consistency,
 )
+from plifs.core import cylinder_arrays
 from plifs.errors import DegenerateAttractor
-from plifs.pressure import bisect_decreasing
+from plifs.pressure import _aggregate_lengths, bisect_decreasing
 
 from helpers import cantor_pair, paper_example, random_increasing_system, unit_cover
 
@@ -165,6 +168,41 @@ def test_affine_closed_form_all_levels_equal():
             assert solve_level_root(F, n).root == pytest.approx(closed, abs=1e-10)
 
 
+# --- _aggregate_lengths ---------------------------------------------------------
+
+def test_aggregate_lengths_equals_unique_reference():
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 7, 1000, 4096):
+        distinct = rng.uniform(1e-9, 0.5, size=rng.integers(1, 20))
+        lens = rng.choice(np.concatenate([distinct, [0.0, -0.0]]), size=size)
+        u, c = np.unique(lens[lens > 0], return_counts=True)
+        logu, logc, zero, total = _aggregate_lengths(lens.copy())
+        assert total == size and zero == size - int(c.sum())
+        assert logu.tobytes() == np.log(u).tobytes()
+        assert logc.tobytes() == np.log(c.astype(float)).tobytes()
+    lo, hi = cylinder_arrays(paper_example(), 10)
+    u, c = np.unique((hi - lo)[hi - lo > 0], return_counts=True)
+    logu, logc, _, _ = _aggregate_lengths(hi - lo)
+    assert logu.tobytes() == np.log(u).tobytes()
+    assert logc.tobytes() == np.log(c.astype(float)).tobytes()
+
+
+def test_aggregate_lengths_peak_bytes_per_word():
+    # tracemalloc peak beyond the input, per word: about 10 B with one
+    # positive-length copy sorted in place; 18.8 B with np.unique's own copy
+    lo, hi = cylinder_arrays(paper_example(), 18)
+    lens = hi - lo
+    del lo, hi
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _aggregate_lengths(lens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / lens.size < 14.0
+
+
 # --- natural_dimension ---------------------------------------------------------
 
 def test_natural_dimension_cantor_constant():
@@ -174,7 +212,7 @@ def test_natural_dimension_cantor_constant():
 
 
 def test_natural_dimension_paper_sequence():
-    est = natural_dimension(paper_example(), 6, 11, window=3)
+    est = natural_dimension(paper_example(), 6, 11)
     printed = (0.57913815, 0.58216737, 0.58451333, 0.58638426, 0.58791145, 0.58918180)
     for got, want in zip(est.roots, printed):
         assert got == pytest.approx(want, abs=1e-7)

@@ -10,7 +10,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -78,6 +78,12 @@ class PLMap:
         if any(s1 == s2 for s1, s2 in zip(slopes, slopes[1:])):
             raise ValueError("adjacent linearity intervals must have distinct slopes")
         object.__setattr__(self, "_intercepts", self._build_intercepts())
+
+    @cached_property
+    def _exact_intercepts(self) -> tuple[Fraction, ...]:
+        """The intercepts in rational arithmetic: those of the exact map
+        that the float parameters define, computed on first use."""
+        return self._build_intercepts(Fraction)
 
     def _build_intercepts(self, num=float) -> tuple:
         # piece i covers (breaks[i-1], breaks[i]); anchor the piece holding 0
@@ -419,8 +425,9 @@ def cylinder_interval(F: Cplifs, w: Word) -> Interval:
 # define; its intercepts are rationals that ``PLMap._intercepts`` rounds.
 
 
-def _exact_image(f: PLMap, c: tuple[Fraction, ...], lo: Fraction, hi: Fraction):
-    """f([lo, hi]) in rational arithmetic, c being f's exact intercepts."""
+def _exact_image(f: PLMap, lo: Fraction, hi: Fraction):
+    """f([lo, hi]) in rational arithmetic."""
+    c = f._exact_intercepts
 
     def at(x):
         i = bisect_right(f.breaks, x)
@@ -437,7 +444,7 @@ def _invariant_interval_error(F: Cplifs) -> Fraction:
     T(J) = hull of the f_k(J), a contraction with ratio r = F.max_ratio in
     the endpoints, so |J~ - J| <= |T(J~) - J~| / (1 - r)."""
     a, b = map(Fraction, invariant_interval(F))
-    images = [_exact_image(f, f._build_intercepts(Fraction), a, b) for f in F.maps]
+    images = [_exact_image(f, a, b) for f in F.maps]
     d = max(abs(min(lo for lo, _ in images) - a), abs(max(hi for _, hi in images) - b))
     return d / (1 - Fraction(F.max_ratio))
 
@@ -466,7 +473,7 @@ def sweep_error(F: Cplifs) -> float:
     c_err = max(
         abs(Fraction(x) - y)
         for f in F.maps
-        for x, y in zip(f._intercepts, f._build_intercepts(Fraction))
+        for x, y in zip(f._intercepts, f._exact_intercepts)
     )
     M = Fraction(max(abs(a), abs(b)))
     den = 1 - r - u * (1 + r)  # not positive only for r within 2u of 1: no bound
@@ -485,10 +492,9 @@ def cylinder_enclosure(
     inner, outer = ((a + e0, b - e0) if b - a >= 2 * e0 else None), (a - e0, b + e0)
     for k in reversed(w):
         f = F.map(k)
-        c = f._build_intercepts(Fraction)
-        outer = _exact_image(f, c, *outer)
+        outer = _exact_image(f, *outer)
         if inner is not None:
-            inner = _exact_image(f, c, *inner)
+            inner = _exact_image(f, *inner)
     return inner, outer
 
 

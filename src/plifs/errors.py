@@ -81,8 +81,9 @@ class NotApplicable(PlifsError):
 
 
 class ParseError(PlifsError):
-    """A system description file is malformed."""
+    """A system description file is malformed; ``line_no`` is None when
+    the fault is the whole file's, not one line's."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -239,11 +239,21 @@ _ROOT_TOL = 1e-12
 _STALL_STEPS = 100
 _STALL_SHRINK = 1.01
 
+# A side-only solve of perron_root ends once its bounds lie on one side of 1
+# and their gap is at most _SIDE_RATIO times the distance of their midpoint
+# from 1: a root solver reads the side, and the value only for its secant.
+_SIDE_RATIO = 1e-2
+
+# _root_rho clips the log entries of each warm start to this far below their
+# maximum, so the start stays a positive vector of normal floats.
+_LOG_FLOOR = -700.0
+
 
 def perron_root(
     M: EdgeMatrix,
     cap: int | None = None,
     start: np.ndarray | None = None,
+    side_only: bool = False,
 ) -> float:
     """Dominant eigenvalue of a nonnegative irreducible matrix.
 
@@ -258,6 +268,11 @@ def perron_root(
     steps or stop closing (``_STALL_STEPS``), the dense fallback: the
     eigensolve of M, refused with ConvergenceFailure above 4096 nodes
     rather than allocating q x q floats.
+
+    ``side_only`` is the mode of a root solve, which needs rho's side of 1
+    and a rough value: the midpoint of the bounds is returned as soon as
+    they lie on one side of 1 with a gap of at most ``_SIDE_RATIO`` times
+    its distance from 1. A solve that does not get there ends as above.
     """
     q = M.q
     if q == 1:
@@ -272,9 +287,11 @@ def perron_root(
         r = w / v
         lo, hi = float(np.minimum.reduce(r)) - c, float(np.maximum.reduce(r)) - c
         np.divide(w, np.maximum.reduce(w), out=v)
-        gap = hi - lo
+        gap, mid = hi - lo, 0.5 * (lo + hi)
         if gap <= _PERRON_TOL * max(1.0, hi):
-            return 0.5 * (lo + hi)
+            return mid
+        if side_only and (lo > 1.0 or hi < 1.0) and gap <= _SIDE_RATIO * abs(mid - 1.0):
+            return mid
         if gap * _STALL_SHRINK > gaps[step % _STALL_STEPS]:
             break
         gaps[step % _STALL_STEPS] = gap
@@ -294,18 +311,43 @@ def alpha(g: Gdifs) -> float:
     return _spectral_root(g)
 
 
+def _root_rho(at: Callable[[float], EdgeMatrix], q: int) -> Callable[[float], float]:
+    """rho(s) of the q x q matrices ``at(s)`` for a root solve: each call is
+    one side-only `perron_root` solve, certified on its side of 1 (or
+    closed to ``_PERRON_TOL`` near 1). The first solve starts from the
+    all-ones vector, the second from the first's eigenvector, and each later
+    one from the last two solves' eigenvectors extrapolated linearly in s in
+    log space, its log entries clipped to ``_LOG_FLOOR`` below their
+    maximum. The points s must be distinct, as `bisect_decreasing`'s are.
+    """
+    last: list[tuple[float, np.ndarray]] = []  # (s, log eigenvector), last two solves
+
+    def rho(s: float) -> float:
+        if len(last) == 2:
+            (s0, u0), (s1, u1) = last
+            u = u1 + ((s - s1) / (s1 - s0)) * (u1 - u0)
+            v = np.exp(np.maximum(u - np.max(u), _LOG_FLOOR))
+        else:
+            v = np.exp(last[0][1]) if last else np.ones(q)
+        r = perron_root(at(s), start=v, side_only=True)
+        # a last iterate may hold an underflowed 0, which the floor keeps finite
+        last[:] = [*last[-1:], (s, np.log(np.maximum(v, np.finfo(float).tiny)))]
+        return r
+
+    return rho
+
+
 def _spectral_root(g: Gdifs) -> float:
-    """`alpha` of a graph already known to be strongly connected."""
-    sm = g.spectral_matrix()
-    v = np.ones(g.q)  # warm start: each solve continues from the last eigenvector
-    r0 = perron_root(sm.at(0.0), start=v)
+    """`alpha` of a graph already known to be strongly connected: the root
+    of log rho(s), each rho(s) from a side-only solve (`_root_rho`)."""
+    rho = _root_rho(g.spectral_matrix().at, g.q)
+    r0 = rho(0.0)
     if r0 < 1.0 - 1e-12:
         raise ConvergenceFailure("spectral radius below 1 at s = 0")
     if r0 <= 1.0 + 1e-12:
         return 0.0
     return bisect_decreasing(
-        lambda s: math.log(r0 if s == 0.0 else perron_root(sm.at(s), start=v)),
-        _ROOT_TOL, "spectral root",
+        lambda s: math.log(r0 if s == 0.0 else rho(s)), _ROOT_TOL, "spectral root"
     )
 
 
@@ -391,19 +433,21 @@ def q_root(d: DetRecursion) -> float:
     bracketed to width ``_ROOT_TOL``.
 
     The determinant vanishes at s = 0 as well, so one root solve takes the
-    signed value log rho(s) of the certified spectral radius and, where rho
-    lies within the error band of a certified value (``_PERRON_BAND``) of
-    1, -Q(s) instead. The sign of Q decides there: Q(s) = det(C(s) - Id) is
-    the product of lambda - 1 over the eigenvalues of C(s), whose size
-    2m - 2 is even. Above the crossing every eigenvalue has modulus below
-    1, so the real factors are negative and even in number, and Q > 0.
-    Just below it the Perron factor is positive and the other real
-    eigenvalues are odd in number and all below 1, so Q < 0.
+    signed value log rho(s) of the certified spectral radius, each rho(s)
+    from a side-only solve (`_root_rho`), and, where rho lies within the
+    error band of a certified value (``_PERRON_BAND``) of 1, -Q(s) instead
+    (a side-only solve returns such a rho only once its bounds have
+    closed). The sign of Q decides there: Q(s) = det(C(s) - Id) is the
+    product of lambda - 1 over the eigenvalues of C(s), whose size 2m - 2
+    is even. Above the crossing every eigenvalue has modulus below 1, so
+    the real factors are negative and even in number, and Q > 0. Just
+    below it the Perron factor is positive and the other real eigenvalues
+    are odd in number and all below 1, so Q < 0.
     """
-    v = np.ones(len(d.slopes))  # warm start, as in alpha
+    rho = _root_rho(d.spectral, len(d.slopes))
 
     def g(s: float) -> float:
-        r = perron_root(d.spectral(s), start=v)
+        r = rho(s)
         if abs(r - 1.0) > _PERRON_BAND:
             return math.log(r)
         return -q_recursion(d, s) or BELOW  # Q = 0 counts as below the root

@@ -33,7 +33,8 @@ def _parse_floats(text: str, line_no: int, what: str) -> tuple[float, ...]:
 
 
 def parse_spec(text: str) -> Cplifs:
-    """Parse a system description; raises ParseError with a line number."""
+    """Parse a system description; raises ParseError with the faulty
+    line's number, or with none for a file that holds no map line."""
     maps = []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -65,7 +66,7 @@ def parse_spec(text: str) -> Cplifs:
         except Exception as exc:
             raise ParseError(line_no, str(exc)) from None
     if not maps:
-        raise ParseError(0, "no map lines found")
+        raise ParseError(None, "no map lines found")
     return Cplifs(maps=tuple(maps))
 
 

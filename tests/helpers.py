@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -165,8 +166,9 @@ def chaos_game(F: Cplifs, count: int, seed: int = 0, burn_in: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: the array code that `plifs.core.level_sweep`
-# and `plifs.oracle._union_length` must reproduce bit for bit
+# reference implementations: the array code that `plifs.core.level_sweep`,
+# `plifs.oracle._union_length` and `plifs.gdifs.perron_root` (without its
+# side-only mode) must reproduce bit for bit
 
 
 def _reference_image(f: PLMap, lo: np.ndarray, hi: np.ndarray):
@@ -208,3 +210,29 @@ def reference_union_length(lo: np.ndarray, hi: np.ndarray) -> float:
     starts = np.flatnonzero(lo > prev)  # index 0 always starts a run
     ends = np.concatenate((starts[1:] - 1, [len(lo) - 1]))
     return float(np.sum(cmax[ends] - lo[starts]))
+
+
+def reference_perron_root(M, cap: int | None = None, start: np.ndarray | None = None) -> float:
+    """Reference Perron solve: power iteration on M + c Id until the
+    Collatz-Wielandt bounds close to 1e-13 times max(1, rho), with the stall
+    exit after 100 steps and the dense fallback (at any size); ``start`` is overwritten
+    with the last iterate."""
+    q = M.q
+    if q == 1:
+        return float(np.bincount(M.src, weights=M.w, minlength=1)[0])
+    cap = max(200, 10 * q * q) if cap is None else cap
+    v = np.ones(q) if start is None else start
+    c = 0.25 * float(np.maximum.reduce(np.bincount(M.src, weights=M.w, minlength=q)))
+    gaps = [math.inf] * 100
+    for step in range(1, cap + 1):
+        w = c * v + np.bincount(M.src, weights=M.w * v[M.dst], minlength=q)
+        r = w / v
+        lo, hi = float(np.minimum.reduce(r)) - c, float(np.maximum.reduce(r)) - c
+        np.divide(w, np.maximum.reduce(w), out=v)
+        gap = hi - lo
+        if gap <= 1e-13 * max(1.0, hi):
+            return 0.5 * (lo + hi)
+        if gap * 1.01 > gaps[step % 100]:
+            break
+        gaps[step % 100] = gap
+    return float(np.max(np.abs(np.linalg.eigvals(M.dense()))))

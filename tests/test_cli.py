@@ -269,6 +269,17 @@ def test_exit_code_2_on_bad_argument(tmp_path, capsys, system, argv):
     assert "line 0" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["# nothing\n", ""])
+def test_file_without_maps_exits_2_without_a_line_number(tmp_path, capsys, text):
+    path = tmp_path / "empty.plifs"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no map lines found\n"
+    assert "line 0" not in err
+
+
 def test_budget_env_override(paper_file, capsys, monkeypatch):
     monkeypatch.setenv("PLIFS_BUDGET", "100")
     assert main(["dim", paper_file, "natural", "--n", "1..11"]) == 4

@@ -52,6 +52,7 @@ from helpers import (
     paper_example,
     period_two,
     random_family_instance,
+    reference_perron_root,
 )
 
 LOG23 = math.log(2) / math.log(3)
@@ -157,6 +158,120 @@ def test_root_solver_perron_solve_counts(monkeypatch):
     calls.clear()
     assert q_root(DetRecursion((0.25,) * 4)) == pytest.approx(math.log(3) / math.log(4), abs=1e-12)
     assert len(calls) <= 16
+    calls.clear()
+    assert punctured_level(F, 10).value == pytest.approx(0.6030479165017837, abs=1e-12)
+    assert len(calls) <= 16
+
+
+def perron_cases():
+    """The matrices of test_perron_edge_matrix_properties."""
+    rng = np.random.default_rng(11)
+    cases = [EdgeMatrix(2, np.array([0, 1]), np.array([1, 0]), np.array([2.0, 8.0]))]
+    return cases + [ring_with_chords(rng, q) for q in (3, 5, 8, 20, 50, 120)]
+
+
+def test_perron_value_solve_is_the_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for E in perron_cases():
+        ref = reference_perron_root(E)
+        assert perron_root(E) == perron_root(E, side_only=False) == ref
+        assert perron_root(E, cap=3) == reference_perron_root(E, cap=3)
+        v = rng.uniform(0.1, 10.0, E.q)
+        v_ref = v.copy()
+        assert perron_root(E, start=v, side_only=False) == reference_perron_root(E, start=v_ref)
+        assert np.array_equal(v, v_ref)
+
+
+def side_only_cases():
+    """(matrix, dense spectral radius): random irreducible matrices scaled
+    to radii on both sides of 1, and the spectral matrices of the paper
+    ladder k = 3..8 at 1e-3 and 1e-9 on either side of their root."""
+    rng = np.random.default_rng(23)
+    for q in (2, 3, 5, 8, 20, 50):
+        E = ring_with_chords(rng, q)
+        rho = max(abs(np.linalg.eigvals(E.dense())))
+        for target in (0.3, 0.9, 1 - 1e-3, 1 - 1e-8, 1 + 1e-8, 1 + 1e-3, 1.1, 3.0):
+            M = EdgeMatrix(q, E.src, E.dst, E.w * (target / rho))
+            yield M, max(abs(np.linalg.eigvals(M.dense())))
+    F = paper_example()
+    for k in range(3, 9):
+        pl = punctured_level(F, k)
+        sm = pl.graph.spectral_matrix()
+        for ds in (-1e-3, -1e-9, 1e-9, 1e-3):
+            M = sm.at(pl.value + ds)
+            yield M, max(abs(np.linalg.eigvals(M.dense())))
+
+
+def test_side_only_solve_is_on_the_side_of_the_dense_radius(monkeypatch):
+    from plifs.gdifs import _SIDE_RATIO
+
+    fallbacks = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: fallbacks.append(A.shape) or eigvals(A))
+    checked = early = 0
+    for M, ref in side_only_cases():
+        fallbacks.clear()
+        r = perron_root(M, side_only=True)
+        assert fallbacks == []  # certified by its own bounds
+        if abs(ref - 1.0) <= 1e-10:
+            continue
+        checked += 1
+        assert (r > 1.0) == (ref > 1.0)
+        assert abs(r - ref) <= _SIDE_RATIO * abs(ref - 1.0) + 1e-14 * max(1.0, ref)
+        early += abs(r - perron_root(M)) > 1e-12
+    assert checked >= 60
+    assert early >= checked // 3  # the mode ends solves before their bounds close
+
+
+def test_root_solve_warm_starts_stay_positive_and_finite(monkeypatch):
+    # ratios from 1e-3 to 0.9 and a root above 4: the bracket doubles to
+    # s = 8, where the entries reach 1e-24 and the eigenvector spreads
+    nodes = tuple(GdifsNode((i,), None, (0.0, 1.0)) for i in range(1, 5))
+    ratios = {(0, 0): 0.9, (0, 1): 0.9, (1, 0): 0.9, (1, 1): 0.9, (1, 2): 1e-3,
+              (2, 2): 0.85, (2, 3): 0.05, (3, 3): 0.5, (3, 0): 1e-3}
+    g = gdifs_of_edges(nodes, tuple(GdifsEdge(i, j, r, 0.0) for (i, j), r in ratios.items()))
+    starts, points, modes = [], [], []
+
+    def spy(M, cap=None, start=None, side_only=False):
+        starts.append(start.copy())
+        points.append(math.log(M.w[0]) / math.log(g.ratio[0]))
+        modes.append(side_only)
+        return perron_root(M, cap, start, side_only)
+
+    monkeypatch.setattr("plifs.gdifs.perron_root", spy)
+    a = alpha(g)
+    assert 4.0 < a < 8.0 and max(points) == pytest.approx(8.0)  # s from 0.9^s
+    assert all(modes)
+    assert all(np.all(np.isfinite(v)) and np.all(v > 0.0) for v in starts)
+    assert min(v.min() for v in starts) < 1e-20  # the starts follow the spread
+    sm = g.spectral_matrix()
+    below, above = (max(abs(np.linalg.eigvals(sm.at(a + d).dense()))) for d in (-1e-9, 1e-9))
+    assert below > 1.0 > above
+
+
+def test_root_solve_start_is_clipped_to_the_log_floor(monkeypatch):
+    # a far extrapolation (s = 0, 1, then 300) would push some start entries
+    # below the smallest float; the clip keeps them at e^-700 of the largest
+    from plifs.gdifs import _LOG_FLOOR, _root_rho
+
+    rng = np.random.default_rng(5)
+    E = ring_with_chords(rng, 12)
+    E = EdgeMatrix(E.q, E.src, E.dst, np.geomspace(1e-3, 0.9, E.w.size))
+    starts = []
+
+    def spy(M, cap=None, start=None, side_only=False):
+        starts.append(start.copy())
+        return perron_root(M, cap, start, side_only)
+
+    monkeypatch.setattr("plifs.gdifs.perron_root", spy)
+    rho = _root_rho(E.at, E.q)
+    values = [rho(s) for s in (0.0, 1.0, 300.0)]
+    far = starts[-1]
+    assert np.all(np.isfinite(far)) and np.all(far > 0.0)
+    assert far.max() == 1.0 and far.min() == pytest.approx(math.exp(_LOG_FLOOR), rel=1e-12)
+    for s, r in zip((0.0, 1.0, 300.0), values):
+        ref = max(abs(np.linalg.eigvals(E.at(s).dense())))
+        assert (r > 1.0) == (ref > 1.0)
 
 
 def test_q_root_equals_alpha_on_random_families():
@@ -856,7 +971,7 @@ def test_fixed_settings_are_constants_not_parameters():
     def names(cls):
         return [f.name for f in dataclasses.fields(cls)]
 
-    assert params(perron_root) == ["M", "cap", "start"]
+    assert params(perron_root) == ["M", "cap", "start", "side_only"]
     assert params(alpha) == params(_spectral_root) == ["g"]
     assert params(q_root) == ["d"]
     assert params(pressure._root_from_logs) == ["logu", "logc"]

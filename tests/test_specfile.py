@@ -56,7 +56,7 @@ def test_round_trip_random_system():
         ("map tau=0 slopes=0.5\nmap tau=0 slopes=0.5,0.5 breaks=0.5\n", 2),
         ("map tau=0 slopes=0.5,0.6 breaks=0.5,0.4\nmap tau=0 slopes=0.5\n", 1),
         ("map tau=0 slopes=1.2\n", 1),
-        ("", 0),
+        ("", None),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

@@ -58,6 +58,7 @@ from .errors import (
     RootMismatch,
     UnverifiedCode,
 )
+from .specfile import fmt
 
 # ---------------------------------------------------------------------------
 # graphs
@@ -156,11 +157,11 @@ class Gdifs:
             lo, hi = node.hull
             lines.append(
                 f"node {i} word={word_str(node.word) or '-'} "
-                f"side={node.side or 'full'} hull={lo:.17g},{hi:.17g}"
+                f"side={node.side or 'full'} hull={fmt(lo)},{fmt(hi)}"
             )
         for e in sorted(self.edges, key=lambda e: (e.src, e.dst, e.ratio, e.offset)):
             lines.append(
-                f"edge {e.src} {e.dst} ratio={e.ratio:.17g} offset={e.offset:.17g}"
+                f"edge {e.src} {e.dst} ratio={fmt(e.ratio)} offset={fmt(e.offset)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -311,10 +312,11 @@ def alpha(g: Gdifs) -> float:
     return _spectral_root(g)
 
 
-def _root_rho(at: Callable[[float], EdgeMatrix], q: int) -> Callable[[float], float]:
+def _root_rho(at: Callable[[float], EdgeMatrix], q: int) -> Callable[..., float]:
     """rho(s) of the q x q matrices ``at(s)`` for a root solve: each call is
     one side-only `perron_root` solve, certified on its side of 1 (or
-    closed to ``_PERRON_TOL`` near 1). The first solve starts from the
+    closed to ``_PERRON_TOL`` near 1), or with ``side_only=False`` a solve
+    closed to ``_PERRON_TOL``. The first solve starts from the
     all-ones vector, the second from the first's eigenvector, and each later
     one from the last two solves' eigenvectors extrapolated linearly in s in
     log space, its log entries clipped to ``_LOG_FLOOR`` below their
@@ -322,14 +324,14 @@ def _root_rho(at: Callable[[float], EdgeMatrix], q: int) -> Callable[[float], fl
     """
     last: list[tuple[float, np.ndarray]] = []  # (s, log eigenvector), last two solves
 
-    def rho(s: float) -> float:
+    def rho(s: float, side_only: bool = True) -> float:
         if len(last) == 2:
             (s0, u0), (s1, u1) = last
             u = u1 + ((s - s1) / (s1 - s0)) * (u1 - u0)
             v = np.exp(np.maximum(u - np.max(u), _LOG_FLOOR))
         else:
             v = np.exp(last[0][1]) if last else np.ones(q)
-        r = perron_root(at(s), start=v, side_only=True)
+        r = perron_root(at(s), start=v, side_only=side_only)
         # a last iterate may hold an underflowed 0, which the floor keeps finite
         last[:] = [*last[-1:], (s, np.log(np.maximum(v, np.finfo(float).tiny)))]
         return r
@@ -442,7 +444,9 @@ def q_root(d: DetRecursion) -> float:
     is even. Above the crossing every eigenvalue has modulus below 1, so
     the real factors are negative and even in number, and Q > 0. Just
     below it the Perron factor is positive and the other real eigenvalues
-    are odd in number and all below 1, so Q < 0.
+    are odd in number and all below 1, so Q < 0. The closing check is a
+    full solve at the root, started like the root solves from their last
+    eigenvectors, whose rho must lie within 1e-10 of 1.
     """
     rho = _root_rho(d.spectral, len(d.slopes))
 
@@ -453,7 +457,7 @@ def q_root(d: DetRecursion) -> float:
         return -q_recursion(d, s) or BELOW  # Q = 0 counts as below the root
 
     root = bisect_decreasing(g, _ROOT_TOL, "determinant root")
-    if abs(perron_root(d.spectral(root)) - 1.0) > 1e-10:
+    if abs(rho(root, side_only=False) - 1.0) > 1e-10:
         raise RootMismatch(
             f"determinant root {root} does not restore spectral radius 1"
         )

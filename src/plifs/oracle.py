@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import Cplifs, DEFAULT_BUDGET, PLMap, invariant_interval, level_sweep
 from .errors import InsufficientScales
+from .specfile import fmt
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -73,7 +74,7 @@ class PointCloud:
 
     def to_csv(self) -> str:
         lines = ["index,x"]
-        lines.extend(f"{i},{x:.17g}" for i, x in enumerate(self.samples))
+        lines.extend(f"{i},{fmt(x)}" for i, x in enumerate(self.samples))
         return "\n".join(lines) + "\n"
 
 
@@ -164,7 +165,14 @@ def chaos_game(
 ) -> PointCloud:
     """Iterate x <- f_k(x) from the middle of the invariant interval, with
     k drawn by the seeded generator, keeping `count` samples after the
-    burn-in."""
+    burn-in.
+
+    The map code of a uniform u is the number of entries of the cumulative
+    weights ``cum[:-1]`` at or below u, counted one threshold at a time;
+    that is the bisect_right index of u in ``cum``, because the cumsum of
+    nonnegative weights is nondecreasing and ``cum[-1] = 1.0`` exceeds
+    every u.  The orbit is run by `_block_orbit` where it has enough
+    blocks, else step by step."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if burn_in < 0:
@@ -179,9 +187,11 @@ def chaos_game(
     cum = np.cumsum(w)
     cum[-1] = 1.0
     n = burn_in + count
-    codes = np.searchsorted(cum, uniform_batch(seed, n), side="right").astype(
-        np.min_scalar_type(F.m)
-    )
+    u = uniform_batch(seed, n)
+    codes = np.zeros(n, np.min_scalar_type(F.m))
+    for c in cum[:-1]:
+        codes += u >= c
+    del u
     lo, hi = invariant_interval(F)
     x0 = 0.5 * (lo + hi)
     orbit = _block_orbit(F, codes, x0)
@@ -215,7 +225,14 @@ def default_box_scales(F: Cplifs) -> tuple[float, ...]:
 
 def box_dimension(cloud: PointCloud | np.ndarray, scales: Sequence[float]) -> BoxCountFit:
     """Box-count regression over the given scales; needs at least four of
-    them spanning two decades."""
+    them spanning two decades, and a sample that is a number.
+
+    N(e) counts the distinct floor(x / e), NaNs counted as one box as
+    np.unique counts them.  The samples are sorted once and floored in
+    full only at the finest scale; each coarser scale is counted on the
+    first and last sample of each finest box, which is exact when no
+    finest box spans more than two boxes of that scale (checked per scale;
+    where it fails, that scale is counted on all samples)."""
     xs = cloud.samples if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     eps = sorted(float(e) for e in scales)
     if len(eps) < 4 or eps[0] <= 0:
@@ -223,16 +240,29 @@ def box_dimension(cloud: PointCloud | np.ndarray, scales: Sequence[float]) -> Bo
     if eps[-1] / eps[0] < 100.0:
         raise InsufficientScales("scales must span at least two decades")
     # x -> floor(x / e) is nondecreasing, so one sort serves every scale:
-    # the boxes hit are the runs of equal floors.  The sort puts NaNs last;
-    # like np.unique, count them all as one box.
+    # the boxes hit are the runs of equal floors.  The sort puts NaNs last.
     xs = np.sort(xs, axis=None)
     nans = int(np.isnan(xs).sum())
     xs = xs[: xs.size - nans]
-    counts = []
-    for e in eps:
-        f = np.floor(xs / e)
-        runs = 1 + int(np.count_nonzero(f[1:] != f[:-1])) if f.size else 0
-        counts.append(runs + (nans > 0))
+    if not xs.size:
+        raise ValueError("box counting needs a sample that is a number")
+    f = np.floor(xs / eps[0])
+    starts = np.flatnonzero(f[1:] != f[:-1]) + 1  # of every finest box but the first
+    # the first and last sample of each finest box, in sorted order: at a
+    # coarser scale the floors of a box's samples lie between those of its
+    # ends, so where these differ by at most one (true also of +-inf) the
+    # ends give the same runs as all the samples
+    ends = np.empty(2 * starts.size + 2)
+    ends[0], ends[-1] = xs[0], xs[-1]
+    ends[2::2] = xs[starts]
+    ends[1:-1:2] = xs[starts - 1]
+    counts = [starts.size + 1]
+    for e in eps[1:]:
+        g = np.floor(ends / e)
+        if not (g[1::2] <= g[::2] + 1.0).all():
+            g = np.floor(xs / e)
+        counts.append(1 + int(np.count_nonzero(g[1:] != g[:-1])))
+    counts = [c + (nans > 0) for c in counts]
     logs = np.log(1.0 / np.array(eps))
     logn = np.log(np.array(counts, dtype=float))
     A = np.stack([logs, np.ones_like(logs)], axis=1)

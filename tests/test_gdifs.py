@@ -281,6 +281,33 @@ def test_q_root_equals_alpha_on_random_families():
         assert abs(q_root(fam.det) - alpha(fam.graph)) <= 1e-10
 
 
+def test_q_root_closing_check_starts_where_the_root_solves_end(monkeypatch):
+    # the closing check is a full solve at the root; started from the root
+    # solves' eigenvectors it needs a step or two, not a cold start's dozens
+    rng = random.Random(31)
+    bincount = np.bincount
+    for _ in range(20):
+        fam = random_family_instance(rng, m=rng.choice((3, 4)))
+        modes, steps = [], []
+
+        def spy(M, cap=None, start=None, side_only=False):
+            modes.append(side_only)
+            steps.append(-1)  # the row-sum bincount of the shift is no step
+            return perron_root(M, cap, start, side_only)
+
+        def count(*args, **kw):
+            steps[-1] += 1
+            return bincount(*args, **kw)
+
+        with monkeypatch.context() as mp:
+            mp.setattr("plifs.gdifs.perron_root", spy)
+            mp.setattr(np, "bincount", count)
+            root = q_root(fam.det)
+        assert modes[-1] is False and all(modes[:-1])
+        assert steps[-1] <= 2
+        assert abs(root - alpha(fam.graph)) <= 1e-10
+
+
 def test_moran_roots_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(72)
@@ -1028,6 +1055,20 @@ def test_detect_fixed_point_family():
     assert det.slopes == (0.25, 0.2, 0.3, 0.25)
     assert detect_fixed_point_family(cantor_pair()) is None
     assert detect_fixed_point_family(paper_example()) is None
+
+
+def test_export_text_of_the_paper_graph_is_unchanged():
+    # the listing as written with the inline "{x:.17g}" format that
+    # specfile.fmt now provides
+    F = paper_example()
+    assert associate_from_periodic(F, auto_codes(F)).export_text() == (
+        "node 0 word=1 side=full hull=0,0.5\n"
+        "node 1 word=2 side=full hull=0.90000000000000002,1\n"
+        "edge 0 0 ratio=0.80000000000000004 offset=0\n"
+        "edge 0 1 ratio=0.20000000000000001 offset=0.30000000000000004\n"
+        "edge 1 0 ratio=0.10000000000000001 offset=0.90000000000000002\n"
+        "edge 1 1 ratio=0.10000000000000001 offset=0.90000000000000002\n"
+    )
 
 
 def test_export_text_deterministic():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -206,9 +207,50 @@ def test_chaos_block_repair_restores_the_orbit(monkeypatch, seed):
     assert repaired and set(repaired) == {256}
 
 
+def affine_maps(m):
+    """m contractions onto consecutive subintervals of [0, 1]."""
+    return Cplifs(tuple(PLMap((), (0.9 / m,), k / m) for k in range(m)))
+
+
+# (0.2, 1/3, 0.3, 0.2, 0) normalised: the cumsum reaches 1.0000000000000002
+# at its fourth entry, before the last is set to 1.0
+OVERSHOOT = (0.2, 1 / 3, 0.3, 0.2, 0.0)
+
+
+@pytest.mark.parametrize(
+    "m, weights",
+    [
+        (3, (0.0, 1.0, 2.0)),
+        (3, (1.0, 0.0, 2.0)),
+        (3, (1.0, 2.0, 0.0)),
+        (40, None),
+        (40, tuple(float(k % 7) for k in range(40))),
+        (5, OVERSHOOT),
+    ],
+    ids=["zero_first", "zero_middle", "zero_last", "40_maps", "40_maps_weighted", "overshoot"],
+)
+def test_chaos_map_codes_equal_searchsorted(m, weights):
+    # the sequential reference picks each map by np.searchsorted
+    assert same_samples(affine_maps(m), 20_000, seed=m, weights=weights)
+
+
+def test_overshoot_weights_exceed_one_before_the_last_entry():
+    w = np.array(OVERSHOOT)
+    assert np.cumsum(w / w.sum())[:-1].max() > 1.0
+
+
 def test_chaos_rejects_negative_burn_in():
     with pytest.raises(ValueError, match="burn_in"):
         chaos_game(cantor_pair(), 10, burn_in=-1)
+
+
+def test_point_cloud_csv_is_unchanged():
+    # sha256 of the CSV text of this cloud as written with the inline
+    # "{x:.17g}" format that specfile.fmt now provides
+    text = chaos_game(paper_example(), 1000, seed=3).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "259f5987ad73ca015a63da70a5b71f75c80f0a2926803cd685efaf3ee183fc6f"
+    )
 
 
 def test_point_cloud_csv():
@@ -240,7 +282,26 @@ def test_box_dimension_single_point_slope_zero():
     assert set(fit.counts) == {1}
 
 
-def test_box_counts_equal_distinct_floors():
+def box_counts_and_full_passes(monkeypatch, xs, scales):
+    """box_dimension's counts, and how many times it floored all of xs."""
+    sizes = []
+    floor = np.floor
+
+    def spy(x, *args, **kw):
+        sizes.append(np.size(x))
+        return floor(x, *args, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "floor", spy)
+        counts = box_dimension(xs, scales).counts
+    return counts, sizes.count(np.size(xs))
+
+
+def distinct_floors(xs, scales):
+    return tuple(np.unique(np.floor(xs / e)).size for e in scales)
+
+
+def test_box_counts_equal_distinct_floors(monkeypatch):
     rng = np.random.default_rng(8)
     scales = [3.0**-j for j in range(9, 1, -1)]
     clouds = [
@@ -251,8 +312,44 @@ def test_box_counts_equal_distinct_floors():
     ]
     for xs in clouds:
         counts = box_dimension(xs, scales).counts
-        assert counts == tuple(np.unique(np.floor(xs / e)).size for e in scales)
+        assert counts == distinct_floors(xs, scales)
         assert all(type(c) is int for c in counts)
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    for F in (paper_example(), cantor_pair(), family, period_two()):
+        xs = chaos_game(F, 100_000, seed=12).samples
+        scales = sorted(oracle.default_box_scales(F))
+        counts, full = box_counts_and_full_passes(monkeypatch, xs, scales)
+        assert counts == distinct_floors(xs, scales)
+        assert full == 1  # the finest scale only: every coarser one was certified
+
+
+@pytest.mark.parametrize(
+    "xs, scales",
+    [
+        # above 2^53 fl(x / 3) is a float 128 apart from the next and holds
+        # up to two of these samples, 256 apart; at 30 the floors of such a
+        # finest box's two ends can be adjacent floats 8 apart, more than
+        # the certificate's one
+        (1.6 * 2.0**60 + 256.0 * np.arange(2000), [3.0, 3.0 + 3 * 2.0**-51, 30.0, 300.0]),
+        # x / 1e-8 overflows to inf for all but the first sample, so one
+        # finest box spans 11 boxes at 1e-2
+        (np.linspace(1e300, 1.7e308, 1000), [1e-8, 1e-6, 1e-4, 1e-2]),
+    ],
+    ids=["beyond_2^53", "overflow"],
+)
+def test_box_counts_fall_back_to_all_samples(monkeypatch, xs, scales):
+    # the certificate fails at one coarser scale, which is then floored on
+    # all samples like the finest
+    with np.errstate(over="ignore"):
+        counts, full = box_counts_and_full_passes(monkeypatch, xs, scales)
+        assert counts == distinct_floors(xs, scales)
+    assert full == 2
+
+
+@pytest.mark.parametrize("xs", [np.array([]), np.full(5, np.nan)], ids=["empty", "all_nan"])
+def test_box_dimension_needs_a_sample_that_is_a_number(xs):
+    with pytest.raises(ValueError, match="sample that is a number"):
+        box_dimension(xs, [10.0**-j for j in range(1, 6)])
 
 
 def test_box_dimension_scale_validation():

@@ -12,11 +12,9 @@ from .core import (
     check_small,
     cylinder_arrays,
     cylinders,
-    eval_map,
     generated_ifs,
     image_interval,
     invariant_interval,
-    is_injective,
     level_sweep,
     regularity_diagnostic,
     verify_breaking_code,
@@ -34,7 +32,6 @@ from .gdifs import (
     build_fixed_point_family,
     dim_report,
     esc_diagnostic,
-    punctured_dimension,
     punctured_level,
     q_recursion,
     q_root,

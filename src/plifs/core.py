@@ -235,11 +235,6 @@ class Cplifs:
         return GEOM_TOL * max(1.0, hi - lo)
 
 
-def eval_map(f: PLMap, x: float) -> float:
-    """Evaluate the piecewise affine map at x."""
-    return f(x)
-
-
 def image_interval(f: PLMap, iv: Interval) -> Interval:
     """Exact image f([a, b]): extrema occur at the endpoints or at
     breaking points interior to the interval."""
@@ -583,11 +578,6 @@ def check_small(F: Cplifs) -> SmallnessReport:
     return SmallnessReport(ok=ok, sum_rho=sum(rhos), sum_ok=sum_ok, per_map=tuple(per_map))
 
 
-def is_injective(f: PLMap) -> bool:
-    """True iff all slopes share one sign."""
-    return f.is_injective()
-
-
 def generated_ifs(F: Cplifs) -> tuple[GeneratedSimilarity, ...]:
     """The self-similar system of all affine pieces of all maps."""
     out = []
@@ -702,11 +692,12 @@ def periodic_point(F: Cplifs, period: Word) -> float:
     """Fixed point of the composition f_{period} (a contraction)."""
     lo, hi = invariant_interval(F)
     x = 0.5 * (lo + hi)
+    back = None  # the iterate two steps back: rounding can settle into a 2-cycle
     for _ in range(100000):
         nx = _apply_word(F, period, x)
-        if abs(nx - x) < 1e-16 * (1.0 + abs(x)):
+        if abs(nx - x) < 1e-16 * (1.0 + abs(x)) or nx == back:
             return nx
-        x = nx
+        back, x = x, nx
     raise ConvergenceFailure("periodic point iteration did not converge")
 
 

@@ -38,6 +38,7 @@ from .core import (
     level_sweep,
     level_words,
     periodic_point,
+    regularity_diagnostic,
     sweep_error,
     verify_breaking_code,
     word_index,
@@ -859,10 +860,6 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
     )
 
 
-def punctured_dimension(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> float:
-    return punctured_level(F, k, budget).value
-
-
 # ---------------------------------------------------------------------------
 # finite-depth separation diagnostic
 
@@ -936,7 +933,8 @@ class DimConfig:
     punctured_k: cylinder level k of the punctured approximation t_k.
     box_samples: chaos-game samples fed to the box count.
     seed: chaos-game sampling seed.
-    codes: breaking-point codes for the gdifs route; None detects short ones.
+    codes: breaking-point codes for the gdifs route; None reads them off the
+        containment witnesses of the breaks with ``auto_codes``.
     budget: cap on enumerated cylinder intervals.
     agreement_tol: largest |diff| accepted between natural, gdifs and determinant.
     """
@@ -972,32 +970,37 @@ class DimReport:
         return None
 
 
+#: Length of the containment witnesses that ``auto_codes`` reads codes off:
+#: |prefix| + |period| <= 12 / 3.
+_CODE_DEPTH = 4
+
+
 def auto_codes(F: Cplifs) -> tuple[BreakCode, ...]:
-    """Detect short codes for breaking points: a point fixed by its own
-    map, or the one-step image of some map's fixed point."""
-    tol = max(F.geom_tol(), 1e-11)
+    """Codes for the breaking points, read off their containment witnesses.
+
+    Every level-``_CODE_DEPTH`` word w whose cylinder holds a break offers
+    each split (w[:a], w[a:t]) that w repeats to its end.  Candidates run
+    by shorter t, then witness, then shorter prefix; the first whose
+    cylinder I_{prefix . period^3} still holds the break and that passes
+    ``verify_breaking_code`` is the break's code.
+    """
     out = []
-    seen = set()
-    for _, b in F.breaking_points():
-        if b in seen:
-            continue
-        seen.add(b)
-        found = None
-        for k in range(1, F.m + 1):
-            if abs(F.map(k)(b) - b) <= tol:
-                found = BreakCode(point=b, prefix=(), period=(k,))
+    witnesses = {st.point: st.witnesses for st in regularity_diagnostic(F, _CODE_DEPTH)}
+    for b, words in witnesses.items():
+        candidates = dict.fromkeys(
+            (w[:a], w[a:t])
+            for t in range(1, _CODE_DEPTH + 1)
+            for w in words
+            for a in range(t)
+            if all(w[i] == w[i - (t - a)] for i in range(t, len(w)))
+        )
+        for prefix, period in candidates:
+            if (
+                _containing_words(F, b, 0, DEFAULT_BUDGET, prefix + period * 3)
+                and verify_breaking_code(F, b, prefix, period).ok
+            ):
+                out.append(BreakCode(point=b, prefix=prefix, period=period))
                 break
-        if found is None:
-            for i in range(1, F.m + 1):
-                for j in range(1, F.m + 1):
-                    y = F.map(j).fixed_point()
-                    if abs(F.map(i)(y) - b) <= tol:
-                        found = BreakCode(point=b, prefix=(i,), period=(j,))
-                        break
-                if found:
-                    break
-        if found is not None and verify_breaking_code(F, found.point, found.prefix, found.period).ok:
-            out.append(found)
     return tuple(out)
 
 

@@ -20,29 +20,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """Deterministic 64-bit generator; the batch variant must agree with
-    this reference bit for bit (state advances by a fixed odd constant, so
-    the whole stream vectorizes)."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
-
-
 def splitmix64_batch(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of SplitMix64(seed), vectorized; updated in
-    place, so at most two arrays of `count` words are alive."""
+    """First `count` outputs of the SplitMix64 generator from `seed`,
+    vectorized; updated in place, so at most two arrays of `count` words
+    are alive."""
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.uint64(seed & _MASK64)

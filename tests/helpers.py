@@ -166,6 +166,29 @@ def chaos_game(F: Cplifs, count: int, seed: int = 0, burn_in: int = 100,
 
 
 # ---------------------------------------------------------------------------
+# reference implementations: the scalar generator that
+# `plifs.oracle.splitmix64_batch` must reproduce bit for bit
+
+
+class SplitMix64:
+    """Deterministic 64-bit generator, one output per call; its state
+    advances by a fixed odd constant, so the batch variant vectorizes."""
+
+    _MASK64 = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self._state = seed & self._MASK64
+
+    def next_uint64(self) -> int:
+        mask = self._MASK64
+        self._state = (self._state + 0x9E3779B97F4A7C15) & mask
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+
+# ---------------------------------------------------------------------------
 # reference implementations: the array code that `plifs.core.level_sweep`,
 # `plifs.oracle._union_length` and `plifs.gdifs.perron_root` (without its
 # side-only mode) must reproduce bit for bit

@@ -22,7 +22,7 @@ from plifs.gdifs import (
     DetRecursion,
     GdifsEdge,
     GdifsNode,
-    punctured_dimension,
+    punctured_level,
     q_recursion,
     q_root,
 )
@@ -79,7 +79,7 @@ def test_criterion_1_golden_level1_gdifs():
     ok = abs(value - 0.60304963) < 1e-6 and elapsed < 1.0
     # confirmation by the independent punctured route: the level-8 value
     # approaches the same limit from below
-    t8 = punctured_dimension(F, 8)
+    t8 = punctured_level(F, 8).value
     ok = ok and t8 <= value and (value - t8) < 1e-3
     _report(
         1,
@@ -92,7 +92,7 @@ def test_criterion_1_golden_level1_gdifs():
 def test_criterion_2_punctured_sequence():
     F = paper_example()
     t0 = time.perf_counter()
-    values = [punctured_dimension(F, k) for k in range(3, 9)]
+    values = [punctured_level(F, k).value for k in range(3, 9)]
     elapsed = time.perf_counter() - t0
     err = max(abs(a - b) for a, b in zip(values, PUNCTURED_PRINTED))
     monotone = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))

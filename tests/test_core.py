@@ -12,11 +12,9 @@ from plifs import (
     check_iosc,
     check_small,
     cylinders,
-    eval_map,
     generated_ifs,
     image_interval,
     invariant_interval,
-    is_injective,
     lebesgue_upper_bound,
     natural_dimension,
     punctured_level,
@@ -34,6 +32,7 @@ from plifs.core import (
     index_word,
     level_sweep,
     level_words,
+    periodic_point,
     sweep_error,
     word_index,
     word_str,
@@ -84,21 +83,21 @@ def test_tau_is_value_at_zero():
         assert f(0.0) == pytest.approx(f.tau, abs=1e-12)
 
 
-# --- eval_map ----------------------------------------------------------------
+# --- map evaluation ----------------------------------------------------------
 
 def test_eval_map_at_break():
     f = PLMap((0.5,), (0.8, 0.2), 0.0)
-    assert eval_map(f, 0.5) == pytest.approx(0.4, abs=1e-15)
+    assert f(0.5) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_eval_map_affine():
     f = PLMap((), (0.1,), 0.9)
-    assert eval_map(f, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert f(1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_eval_map_tent():
     f = PLMap((0.5,), (0.6, -0.6), 0.0)
-    assert eval_map(f, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert f(1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 # --- image_interval ----------------------------------------------------------
@@ -432,7 +431,7 @@ def test_small_tent_needs_stricter_bound():
 )
 def test_is_injective(slopes, expected):
     breaks = (0.5,) if len(slopes) > 1 else ()
-    assert is_injective(PLMap(breaks, slopes, 0.0)) is expected
+    assert PLMap(breaks, slopes, 0.0).is_injective() is expected
 
 
 # --- regularity diagnostics --------------------------------------------------
@@ -486,6 +485,13 @@ def test_code_paper_example_wrong_period():
 def test_code_rejects_non_breaking_point():
     with pytest.raises(ValueError):
         verify_breaking_code(paper_example(), 0.25, (), (1,))
+
+
+def test_periodic_point_settles_rounding_two_cycle():
+    # x -> 0.9 - 0.7x rounds into a 2-cycle of iterates wider than the
+    # 1e-16 relative stop, so the iteration ends on the repeat instead
+    F = Cplifs((PLMap((), (-0.7,), 0.9),))
+    assert periodic_point(F, (1,)) == pytest.approx(0.9 / 1.7, abs=1e-15)
 
 
 # --- affine restrictions and generated system --------------------------------

@@ -17,6 +17,7 @@ from plifs.errors import (
     ConvergenceFailure,
     EmptyGraph,
     IoscViolated,
+    NonPeriodicCode,
     NotApplicable,
     NotStronglyConnected,
     UnverifiedCode,
@@ -38,7 +39,6 @@ from plifs.gdifs import (
     dim_report,
     esc_diagnostic,
     perron_root,
-    punctured_dimension,
     punctured_level,
     q_recursion,
     q_root,
@@ -53,6 +53,7 @@ from helpers import (
     period_two,
     random_family_instance,
     reference_perron_root,
+    three_break_mixed_signs,
 )
 
 LOG23 = math.log(2) / math.log(3)
@@ -655,7 +656,7 @@ def test_associate_period_two_code():
     a = alpha(g)
     est = natural_dimension(F, 10, 14)
     assert abs(a - est.estimate) < 2e-3
-    assert punctured_dimension(F, 6) <= a + 1e-9
+    assert punctured_level(F, 6).value <= a + 1e-9
 
 
 def test_associate_noninjective_without_cuts():
@@ -692,6 +693,11 @@ def test_associate_noninjective_cut_is_ambiguous():
         associate_from_periodic(F, [code], refine_depth=6)
 
 
+def folded_system(second):
+    """A folded first map beside ``second`` and a plain contraction."""
+    return Cplifs((PLMap((0.7,), (0.25, -0.25), 0.0), second, PLMap((), (0.2,), 0.8)))
+
+
 @pytest.mark.parametrize(
     "second, incidence",
     [
@@ -703,7 +709,7 @@ def test_associate_noninjective_cut_is_ambiguous():
 def test_associate_folded_system_with_cut(second, incidence):
     # a folded first map beside a cut second map: the edge from a half to
     # its twin has an image touching the cut point, decided in image space
-    F = Cplifs((PLMap((0.7,), (0.25, -0.25), 0.0), second, PLMap((), (0.2,), 0.8)))
+    F = folded_system(second)
     g = associate_from_periodic(F, auto_codes(F))
     assert [n.label for n in g.nodes] == ["1:full", "2:left", "2:right", "3:full"]
     A = np.zeros((g.q, g.q), dtype=int)
@@ -786,12 +792,69 @@ def test_certify_side_refinement_levels_and_budget():
         verdict(12, budget=2)
 
 
+# --- codes read off the containment witnesses -------------------------------------
+
+def negative_slope_system():
+    """f_2 has slopes of one negative sign and breaks at its fixed point."""
+    return Cplifs((PLMap((), (0.2,), 0.0), PLMap((0.9 / 1.7,), (-0.7, -0.6), 0.9)))
+
+
+def eventually_periodic_system():
+    """f_2 breaks at 0.15 = f_1(1/2), the image of f_3's fixed point."""
+    return Cplifs(
+        (
+            PLMap((), (0.3,), 0.0),
+            PLMap((0.15,), (0.25, 0.2), 0.7925),  # fixes 1
+            PLMap((), (0.2,), 0.4),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "F, code",
+    [
+        (paper_example(), BreakCode(0.5, (1,), (2,))),
+        (three_break_mixed_signs(), BreakCode(0.2, (1,), (2,))),
+        (folded_system(PLMap((0.5,), (0.2, 0.3), 0.4)), BreakCode(0.5, (), (2,))),
+        (folded_system(PLMap((0.5,), (-0.2, -0.3), 0.6)), BreakCode(0.5, (), (2,))),
+        (straddle_system(), BreakCode(0.5, (), (2,))),
+        (period_two(), BreakCode(0.21 / 0.91, (), (1, 2))),
+        (negative_slope_system(), BreakCode(0.9 / 1.7, (), (2,))),
+        (eventually_periodic_system(), BreakCode(0.15, (1,), (3,))),
+    ],
+    ids=["paper", "three-break", "folded-up", "folded-down", "straddle", "period-two",
+         "negative-slope", "eventually-periodic"],
+)
+def test_auto_codes_pinned(F, code):
+    # straddle: 0.5 has witnesses under maps 2 and 3; 2222 comes first
+    assert auto_codes(F) == (code,)
+
+
+def test_auto_codes_period_two_alpha():
+    F = period_two()
+    explicit = associate_from_periodic(F, [BreakCode(0.21 / 0.91, (), (1, 2))])
+    assert alpha(associate_from_periodic(F, auto_codes(F))) == alpha(explicit)
+
+
+def test_auto_codes_negative_slope_gdifs_value():
+    # iterating f_2 for its fixed point rounds into a 2-cycle, which
+    # periodic_point must settle before the code can be verified
+    value, _, _ = METHODS["gdifs"](negative_slope_system(), DimConfig())
+    assert value == pytest.approx(0.7868740, abs=1e-7)
+
+
+def test_associate_eventually_periodic_code_raises():
+    F = eventually_periodic_system()
+    with pytest.raises(NonPeriodicCode):
+        associate_from_periodic(F, auto_codes(F))
+
+
 # --- punctured approximation -----------------------------------------------------
 
 def test_punctured_paper_first_and_last():
     F = paper_example()
-    assert punctured_dimension(F, 3) == pytest.approx(0.55122823, abs=1e-7)
-    assert punctured_dimension(F, 8) == pytest.approx(0.60301162, abs=1e-7)
+    assert punctured_level(F, 3).value == pytest.approx(0.55122823, abs=1e-7)
+    assert punctured_level(F, 8).value == pytest.approx(0.60301162, abs=1e-7)
 
 
 @pytest.mark.parametrize("k", [5, 8])
@@ -854,7 +917,7 @@ def test_punctured_level_labels_components_once(monkeypatch):
 def test_punctured_levels_beyond_dense_cap():
     # k = 13 has 8189 nodes, past the 4096 a dense matrix was limited to
     F = paper_example()
-    t = [punctured_dimension(F, k) for k in range(10, 14)]
+    t = [punctured_level(F, k).value for k in range(10, 14)]
     assert all(a <= b for a, b in zip(t, t[1:]))
     assert t[1] == pytest.approx(0.6030497227579872, abs=1e-12)
     assert t[2] == pytest.approx(0.6030501732734592, abs=1e-12)
@@ -909,7 +972,7 @@ def test_punctured_regular_system_equals_full_dimension():
 def test_punctured_requires_injective():
     F = Cplifs((PLMap((0.5,), (0.3, -0.3), 0.0), PLMap((), (0.2,), 0.8)))
     with pytest.raises(ValueError):
-        punctured_dimension(F, 3)
+        punctured_level(F, 3).value
 
 
 def test_punctured_empty_graph():

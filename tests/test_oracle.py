@@ -15,7 +15,6 @@ from plifs.oracle import (
     INCONCLUSIVE,
     PointCloud,
     _union_length,
-    SplitMix64,
     box_dimension,
     chaos_game,
     lebesgue_upper_bound,
@@ -25,6 +24,7 @@ from plifs.oracle import (
 )
 
 from helpers import (
+    SplitMix64,
     cantor_pair,
     chaos_game as sequential_chaos_game,
     paper_example,

@@ -194,10 +194,10 @@ def cmd_dim(F: Cplifs, budget: int, args) -> int:
 def cmd_measure(F: Cplifs, budget: int, args) -> int:
     n_min, n_max = _parse_range(args.n)
     bounds = oracle.lebesgue_upper_bound(F, n_max, budget)
-    for n, v in enumerate(bounds, 1):
-        print(f"L_{n} = {fmt(v)}")
     est = natural_dimension(F, max(1, n_min), n_max, budget=budget)
     verdict = oracle.measure_evidence(bounds, est.estimate, plateau_tol=args.tol)
+    for n, v in enumerate(bounds, 1):
+        print(f"L_{n} = {fmt(v)}")
     print(f"dimension estimate: {fmt(est.estimate)}")
     print(f"verdict: {verdict.classification} (evidence, not proof)")
     return 0

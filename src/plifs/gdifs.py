@@ -122,7 +122,9 @@ class Gdifs:
 
     def __post_init__(self):
         for name, dtype in (("src", np.intp), ("dst", np.intp), ("ratio", float), ("offset", float)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            a = np.array(getattr(self, name), dtype=dtype)  # a copy the caller cannot reach
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if not self.src.size == self.dst.size == self.ratio.size == self.offset.size:
             raise ValueError("edge arrays differ in length")
         q, size = len(self.nodes), np.abs(self.ratio)
@@ -172,52 +174,42 @@ def strongly_connected_components(q: int, src: np.ndarray, dst: np.ndarray) -> n
     src[e] -> dst[e]; labels count the components in the order of their
     smallest node index.
 
-    Kosaraju with iterative passes over the forward and the reverse
-    adjacency, each built once from the edge arrays.
+    Forward-backward reachability with trimming, each step one pass over
+    the edges between live nodes: a live node with no live in-edge or no
+    live out-edge is its own component and is trimmed, until none is left;
+    then the component of the smallest live node is its forward reach
+    intersected with its backward reach, and its nodes leave the live set.
     """
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    rep = np.arange(q)  # smallest node of each node's component
+    live = np.ones(q, dtype=bool)
 
-    def adjacency(a, b):
-        order = np.argsort(a, kind="stable")
-        return b[order].tolist(), np.searchsorted(a[order], np.arange(q + 1)).tolist()
+    def reach(v: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        seen = np.zeros(q, dtype=bool)
+        seen[v] = True
+        count = 1
+        while True:
+            seen[b[seen[a]]] = True
+            count, last = int(np.count_nonzero(seen)), count
+            if count == last:
+                return seen
 
-    (fwd, fstart), (rev, rstart) = adjacency(src, dst), adjacency(dst, src)
-    order: list[int] = []
-    nxt = fstart[:-1]  # next forward edge of each node
-    seen = [False] * q
-    for start in range(q):
-        if seen[start]:
+    while True:
+        keep = live[src] & live[dst]
+        src, dst = src[keep], dst[keep]
+        has_out, has_in = np.zeros(q, dtype=bool), np.zeros(q, dtype=bool)
+        has_out[src], has_in[dst] = True, True
+        trim = live & ~(has_out & has_in)
+        if trim.any():
+            live &= ~trim  # trimmed nodes keep rep = themselves
             continue
-        seen[start] = True
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            e = nxt[v]
-            if e < fstart[v + 1]:
-                nxt[v] = e + 1
-                w = fwd[e]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-            else:
-                order.append(v)
-                stack.pop()
-    label = [-1] * q
-    count = 0
-    for start in reversed(order):
-        if label[start] != -1:
-            continue
-        label[start] = count
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in rev[rstart[v] : rstart[v + 1]]:
-                if label[w] == -1:
-                    label[w] = count
-                    stack.append(w)
-        count += 1
-    labels = np.array(label, dtype=np.intp)
-    smallest = np.unique(labels, return_index=True)[1]  # smallest node of each label
-    return np.argsort(np.argsort(smallest))[labels]
+        if not live.any():
+            break
+        v = int(np.argmax(live))
+        comp = reach(v, src, dst) & reach(v, dst, src)
+        rep[comp] = v
+        live &= ~comp
+    return np.unique(rep, return_inverse=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +475,12 @@ def build_fixed_point_family(
     fixed points, together with its associated graph.
 
     The first map fixes 0 with the first slope, the last fixes 1 with the
-    final slope, and middle map k breaks at its fixed point with slopes
-    number 2k-2 and 2k-1 (1-based).  First cylinders must be
-    pairwise disjoint.
+    final slope, and middle map k breaks at its fixed point phi_k with
+    slopes number 2k-2 and 2k-1 (1-based).  First cylinders must be
+    pairwise disjoint.  The graph is `associate_from_periodic` with the
+    codes ``BreakCode(phi_k, (), (k,))``: node 1 is the first cylinder,
+    nodes 2k-2 and 2k-1 the halves of cylinder k cut at phi_k, node 2m-2
+    the last cylinder, and its edges are those of ``DetRecursion.incidence``.
     """
     det = DetRecursion(tuple(slopes))
     m = det.m
@@ -514,24 +509,8 @@ def build_fixed_point_family(
             "the family construction requires disjoint first cylinders"
         )
 
-    nodes = []
-    offsets = []
-    cyl = iosc.first_cylinders
-    nodes.append(GdifsNode(word=(1,), side=None, hull=cyl[0]))
-    offsets.append(0.0)
-    for k in range(2, m):
-        phi = full[k - 1]
-        lo, hi = cyl[k - 1]
-        nodes.append(GdifsNode(word=(k,), side="left", hull=(lo, phi)))
-        offsets.append(phi * (1.0 - rho[2 * k - 3]))
-        nodes.append(GdifsNode(word=(k,), side="right", hull=(phi, hi)))
-        offsets.append(phi * (1.0 - rho[2 * k - 2]))
-    nodes.append(GdifsNode(word=(m,), side=None, hull=cyl[m - 1]))
-    offsets.append(1.0 - rho[-1])
-
-    src, dst = np.nonzero(det.incidence())
-    graph = Gdifs(tuple(nodes), src, dst, np.array(rho)[src], np.array(offsets)[src])
-    return FixedPointFamily(system=system, graph=graph, det=det)
+    codes = tuple(BreakCode(phi, (), (k,)) for k, phi in enumerate(phis, 2))
+    return FixedPointFamily(system, associate_from_periodic(system, codes), det)
 
 
 def detect_fixed_point_family(F: Cplifs) -> DetRecursion | None:
@@ -947,6 +926,12 @@ class DimConfig:
     codes: tuple[BreakCode, ...] | None = None
     budget: int = DEFAULT_BUDGET
     agreement_tol: float = 5e-2
+
+    def __post_init__(self):
+        if not 1 <= self.n_min <= self.n_max:
+            raise ValueError("need 1 <= n_min <= n_max")
+        if self.punctured_k < 2:
+            raise ValueError("punctured approximation needs level k >= 2")
 
 
 @dataclass(frozen=True)

@@ -259,3 +259,107 @@ def reference_perron_root(M, cap: int | None = None, start: np.ndarray | None = 
             break
         gaps[step % 100] = gap
     return float(np.max(np.abs(np.linalg.eigvals(M.dense()))))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the graph code that
+# `plifs.gdifs.strongly_connected_components` must reproduce label for label,
+# and `plifs.gdifs.build_fixed_point_family` edge for edge
+
+
+def reference_scc(q: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label of each of the q nodes of the graph with edges
+    src[e] -> dst[e]; labels count the components in the order of their
+    smallest node index.
+
+    Kosaraju with iterative passes over the forward and the reverse
+    adjacency, each built once from the edge arrays.
+    """
+
+    def adjacency(a, b):
+        order = np.argsort(a, kind="stable")
+        return b[order].tolist(), np.searchsorted(a[order], np.arange(q + 1)).tolist()
+
+    (fwd, fstart), (rev, rstart) = adjacency(src, dst), adjacency(dst, src)
+    order: list[int] = []
+    nxt = fstart[:-1]  # next forward edge of each node
+    seen = [False] * q
+    for start in range(q):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            v = stack[-1]
+            e = nxt[v]
+            if e < fstart[v + 1]:
+                nxt[v] = e + 1
+                w = fwd[e]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+            else:
+                order.append(v)
+                stack.pop()
+    label = [-1] * q
+    count = 0
+    for start in reversed(order):
+        if label[start] != -1:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in rev[rstart[v] : rstart[v + 1]]:
+                if label[w] == -1:
+                    label[w] = count
+                    stack.append(w)
+        count += 1
+    labels = np.array(label, dtype=np.intp)
+    smallest = np.unique(labels, return_index=True)[1]  # smallest node of each label
+    return np.argsort(np.argsort(smallest))[labels]
+
+
+def reference_family_graph(fam):
+    """The associated graph of a fixed-point-breaking family written down
+    as the paper gives it: node 1 the first cylinder, nodes 2k-2 / 2k-1
+    the halves of middle cylinder k cut at its fixed point, node 2m-2 the
+    last cylinder, one edge per entry of the incidence matrix, each edge
+    carrying the branch of its source node."""
+    from plifs.core import check_iosc
+    from plifs.gdifs import Gdifs, GdifsNode
+
+    det, m, rho = fam.det, fam.det.m, fam.det.slopes
+    full = (0.0,) + tuple(f.breaks[0] for f in fam.system.maps[1:-1]) + (1.0,)
+
+    nodes = []
+    offsets = []
+    cyl = check_iosc(fam.system).first_cylinders
+    nodes.append(GdifsNode(word=(1,), side=None, hull=cyl[0]))
+    offsets.append(0.0)
+    for k in range(2, m):
+        phi = full[k - 1]
+        lo, hi = cyl[k - 1]
+        nodes.append(GdifsNode(word=(k,), side="left", hull=(lo, phi)))
+        offsets.append(phi * (1.0 - rho[2 * k - 3]))
+        nodes.append(GdifsNode(word=(k,), side="right", hull=(phi, hi)))
+        offsets.append(phi * (1.0 - rho[2 * k - 2]))
+    nodes.append(GdifsNode(word=(m,), side=None, hull=cyl[m - 1]))
+    offsets.append(1.0 - rho[-1])
+
+    src, dst = np.nonzero(det.incidence())
+    return Gdifs(tuple(nodes), src, dst, np.array(rho)[src], np.array(offsets)[src])
+
+
+def assert_family_graph_matches_reference(fam) -> None:
+    """fam.graph equals `reference_family_graph(fam)`: nodes, endpoints and
+    ratios bit for bit, and offsets, which lie in [0, 1], to within 2^-53
+    (one unit in the last place on [1/2, 1)): the reference takes a right
+    branch's offset as phi (1 - slope), the map's own intercept rounds
+    differently."""
+    ref = reference_family_graph(fam)
+    g = fam.graph
+    assert g.nodes == ref.nodes
+    assert np.array_equal(g.src, ref.src) and np.array_equal(g.dst, ref.dst)
+    assert np.array_equal(g.ratio, ref.ratio)
+    assert np.all(np.abs(g.offset - ref.offset) <= 2.0**-53)

@@ -1,33 +1,100 @@
-"""Every plifs function the benchmark calls must exist, so that a deletion
-that would break the traced benchmark run fails the test suite first."""
+"""Every plifs name the benchmark uses must exist, so that a deletion that
+would break the benchmark run fails the test suite first.  The names are
+read from the benchmark's own source: its traced functions
+(``perfbench/tracing.py``'s ``LAYER_CALLS``), every ``from plifs... import
+X`` and every attribute read off a plifs module in ``perfbench/*.py``."""
 
+import ast
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# Called by the benchmark's probe (perfbench/child.py) without a span.
-PROBE_ONLY = {
-    "core": ("invariant_interval",),
-    "gdifs": ("auto_codes", "detect_fixed_point_family"),
-    "pressure": ("solve_level_root",),
-}
+
+def layer_calls() -> set[tuple[str, str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(f"plifs.{layer}", name) for layer, names in tracing.LAYER_CALLS.items()
+            for name in names}
+
+
+def source_names(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for each ``from <module> import name`` of a plifs
+    module in the file, and for each ``<alias>.<attr>...name`` where the
+    alias is bound to a plifs name by an import anywhere in the file and
+    ``<alias>.<attr>...`` is a plifs module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "plifs":
+            for a in node.names:
+                names.add((node.module, a.name))
+                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "plifs":
+                    # `import plifs.cli` binds plifs; `import plifs.cli as c` binds c
+                    aliases[a.asname or "plifs"] = a.name if a.asname else "plifs"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            module = _dotted(node.value, aliases)
+            if module is not None and _is_module(module):
+                names.add((module, node.attr))
+    return names
+
+
+def _dotted(node: ast.expr, aliases: dict) -> str | None:
+    """The plifs path that a name or a chain of attributes on a name spells."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, aliases)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _is_module(dotted: str) -> bool:
+    try:
+        return isinstance(importlib.import_module(dotted), types.ModuleType)
+    except ImportError:
+        return False
+
+
+def benchmark_names() -> set[tuple[str, str]]:
+    names = layer_calls()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        names |= source_names(path)
+    return names
 
 
 def test_benchmark_calls_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    calls = {
-        (layer, name)
-        for table in (tracing.LAYER_CALLS, PROBE_ONLY)
-        for layer, names in table.items()
-        for name in names
-    }
+    # each name is a function, a class or a module
     missing = sorted(
-        f"{layer}.{name}"
-        for layer, name in calls
-        if not callable(getattr(importlib.import_module(f"plifs.{layer}"), name, None))
+        f"{module}.{name}"
+        for module, name in benchmark_names()
+        if not callable(obj := getattr(importlib.import_module(module), name, None))
+        and not isinstance(obj, types.ModuleType)
     )
     assert not missing
+
+
+def test_benchmark_names_are_read_from_its_source():
+    names = benchmark_names()
+    for expected in [
+        ("plifs", "build_fixed_point_family"),
+        ("plifs", "check_iosc"),
+        ("plifs", "BreakCode"),
+        ("plifs", "Cplifs"),
+        ("plifs", "PLMap"),
+        ("plifs.errors", "PlifsError"),
+        ("plifs", "parse_spec_file"),
+        ("plifs.core", "invariant_interval"),
+        ("plifs.gdifs", "auto_codes"),
+        ("plifs.gdifs", "detect_fixed_point_family"),
+        ("plifs.pressure", "solve_level_root"),
+        ("plifs.cli", "main"),
+    ]:
+        assert expected in names

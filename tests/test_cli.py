@@ -252,11 +252,14 @@ def test_dim_all_unavailable_lines_golden(tmp_path, capsys):
         (PAPER, ["esc", "--level", "0"]),
         (CANTOR, ["esc", "--level", "0"]),
         (PAPER, ["measure", "--n", "5..3"]),
+        (PAPER, ["measure", "--n", "1..3"]),
+        (PAPER, ["dim", "all", "--n", "0..5"]),
+        (PAPER, ["dim", "all", "--level", "1"]),
     ],
     ids=["n-not-a-range", "n-reversed", "level-below-2", "measure-n-zero", "folded-punctured",
          "render-depth-negative", "render-svg-depth-negative", "check-depth-negative",
          "check-depth-negative-no-breaks", "esc-level-0", "esc-level-0-cantor",
-         "measure-n-reversed"],
+         "measure-n-reversed", "measure-n-too-short", "all-n-zero", "all-level-below-2"],
 )
 def test_exit_code_2_on_bad_argument(tmp_path, capsys, system, argv):
     path = tmp_path / "system.plifs"

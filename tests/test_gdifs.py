@@ -47,12 +47,14 @@ from plifs.gdifs import (
 from plifs import natural_dimension, solve_level_root, upper_box_consistency
 
 from helpers import (
+    assert_family_graph_matches_reference,
     cantor_pair,
     gdifs_of_edges,
     paper_example,
     period_two,
     random_family_instance,
     reference_perron_root,
+    reference_scc,
     three_break_mixed_signs,
 )
 
@@ -418,6 +420,59 @@ def test_scc_labels_are_mutual_reachability():
         assert first == sorted(first)  # counted in the order of the smallest node
 
 
+def test_scc_matches_kosaraju_on_random_graphs():
+    rng = random.Random(53)
+    for _ in range(400):
+        q = rng.randint(0, 60)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(rng.randint(0, 2 * q))]
+        pairs += rng.sample(pairs, len(pairs) // 4)  # repeated pairs
+        pairs += [(v, v) for v in range(q) if rng.random() < 0.1]  # self-loops
+        rng.shuffle(pairs)  # nodes on no pair are isolated
+        src = np.array([a for a, _ in pairs], dtype=np.intp)
+        dst = np.array([b for _, b in pairs], dtype=np.intp)
+        labels = strongly_connected_components(q, src, dst)
+        assert labels.tolist() == reference_scc(q, src, dst).tolist()
+
+
+@pytest.mark.parametrize(
+    "system, ks",
+    [("paper", range(3, 15)), ("period_two", range(3, 8)), ("family", range(3, 8))],
+)
+def test_scc_matches_kosaraju_on_punctured_graphs(monkeypatch, system, ks):
+    F = {
+        "paper": paper_example,
+        "period_two": period_two,
+        "family": lambda: build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system,
+    }[system]()
+    graphs = []
+
+    def spy(q, src, dst):
+        graphs.append((q, src, dst))
+        return strongly_connected_components(q, src, dst)
+
+    monkeypatch.setattr("plifs.gdifs.strongly_connected_components", spy)
+    for k in ks:
+        punctured_level(F, k)
+    assert len(graphs) == len(ks)
+    for q, src, dst in graphs:
+        labels = strongly_connected_components(q, src, dst)
+        assert labels.tolist() == reference_scc(q, src, dst).tolist()
+
+
+def test_gdifs_arrays_are_read_only_copies():
+    fam = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,))
+    g = fam.graph
+    a = alpha(g)
+    for name in ("src", "dst", "ratio", "offset"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 1.5
+    assert alpha(g) == a
+    src = np.array([0, 1])
+    h = Gdifs(g.nodes[:2], src, [1, 0], [0.5, 0.5], [0.0, 0.0])
+    src[:] = 0
+    assert h.src.tolist() == [0, 1] and h.strongly_connected()
+
+
 @pytest.mark.parametrize(
     "src, dst, ratio, message",
     [
@@ -551,6 +606,7 @@ def test_family_instance_shape():
         A[e.src, e.dst] = 1
     assert (A == expected_incidence).all()
     assert (A == fam.det.incidence()).all()
+    assert_family_graph_matches_reference(fam)
 
 
 def test_family_m4_incidence():
@@ -565,6 +621,22 @@ def test_family_m4_incidence():
     assert (A[2] == [0, 0, 1, 1, 1, 1]).all()
     assert (A[3] == [1, 1, 1, 1, 0, 0]).all()
     assert (A[4] == [0, 0, 0, 0, 1, 1]).all()
+    assert_family_graph_matches_reference(fam)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_family_graph_matches_reference(m):
+    rng = random.Random(m)
+    done = 0
+    while done < 12:
+        slopes = [rng.uniform(0.02, 0.6 / m) for _ in range(2 * m - 2)]
+        phis = sorted(rng.uniform(0.05, 0.95) for _ in range(m - 2))
+        try:
+            fam = build_fixed_point_family(tuple(slopes), tuple(phis))
+        except (IoscViolated, BadFixedPointOrder, ValueError):
+            continue
+        assert_family_graph_matches_reference(fam)
+        done += 1
 
 
 def test_family_rejects_equal_adjacent_slopes():
@@ -613,6 +685,7 @@ def test_associate_family_matches_direct_graph():
     rng = random.Random(41)
     for _ in range(5):
         fam = random_family_instance(rng)
+        assert_family_graph_matches_reference(fam)
         g = associate_from_periodic(fam.system, auto_codes(fam.system))
         assert g.q == fam.graph.q
         direct = {(e.src, e.dst): e.ratio for e in fam.graph.edges}
@@ -1086,6 +1159,19 @@ def test_dim_config_fields():
         "n_min", "n_max", "punctured_k", "box_samples", "seed", "codes", "budget",
         "agreement_tol",
     ]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_min": 0}, "need 1 <= n_min <= n_max"),
+        ({"n_min": 7, "n_max": 6}, "need 1 <= n_min <= n_max"),
+        ({"punctured_k": 1}, "punctured approximation needs level k >= 2"),
+    ],
+)
+def test_dim_config_rejects_bad_levels(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DimConfig(**kwargs)
 
 
 def test_dim_report_box_flag_is_upper_box_consistency(monkeypatch):

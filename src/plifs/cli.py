@@ -221,8 +221,9 @@ def _render_svg(F: Cplifs, depth: int, budget: int) -> str:
         return margin + (width - 2 * margin) * (v - lo0) / span
 
     rects = []
-    for level, (lo, hi) in enumerate(level_sweep(F, depth, budget)):
+    for level, chunks in enumerate(level_sweep(F, depth, budget)):
         y = margin + level * row_h
+        lo, hi = chunks.join()
         for a, b in zip(lo.tolist(), hi.tolist()):
             rects.append(
                 f'<rect x="{fmt(x(a))}" y="{fmt(y)}" '

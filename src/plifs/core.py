@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -357,44 +357,115 @@ def _image_into(
             np.maximum(out_hi, fb, out=out_hi, where=inside)
 
 
-def level_sweep(
-    F: Cplifs, n_max: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Endpoint arrays of the level-n cylinder intervals for n = 0..n_max,
-    each in lexicographic word order and built from the level before it;
-    level 0 is the invariant interval.  The budget is checked once, for
-    level n_max, before the first level is built.
+#: Most words in one chunk of a level: 2^15 endpoint pairs, 512 KiB, sit
+#: in cache with their scratch.  Over the six deep-sweep ops (2-vCPU
+#: x86-64 VM, numpy 2.4) 2^15 to 2^17 ran about equally fast and 2^13
+#: slower; of those, 2^15 holds the least memory in chunks.
+_CHUNK = 2**15
 
-    Each level is a fresh pair of arrays that the sweep never writes
-    again, so a consumer may keep it.  Map k writes its images straight
-    into block k of the level, so the peak while level n is built is
-    level n - 1, level n and one map's scratch (`_image_into`): about
-    16/m + 16 + 9/m bytes per level-n word, besides the levels the
-    consumer keeps."""
+Chunk = tuple[np.ndarray, np.ndarray]
+
+
+class Level:
+    """One level of cylinder intervals as a re-iterable sequence of
+    (lo, hi) chunks, each at most ``_CHUNK`` words, in lexicographic word
+    order; ``size`` is the number of words.  ``chunks(out)`` yields the
+    chunks; given ``out``, a pair of ``size``-word arrays, it writes each
+    chunk straight into its slices of ``out`` and yields those."""
+
+    def __init__(self, size: int, chunks: Callable[[Chunk | None], Iterator[Chunk]]):
+        self.size = size
+        self._chunks = chunks
+
+    def __iter__(self) -> Iterator[Chunk]:
+        return self._chunks(None)
+
+    @classmethod
+    def of(cls, lo: np.ndarray, hi: np.ndarray) -> "Level":
+        """The level held in the arrays lo, hi; its chunks are views."""
+
+        def chunks(out: Chunk | None) -> Iterator[Chunk]:
+            if out is not None:
+                out[0][:], out[1][:] = lo, hi
+            src_lo, src_hi = (lo, hi) if out is None else out
+            for i in range(0, lo.size, _CHUNK):
+                yield src_lo[i:i + _CHUNK], src_hi[i:i + _CHUNK]
+
+        return cls(lo.size, chunks)
+
+    def join(self) -> Chunk:
+        """The whole level as one preallocated pair of arrays that its
+        chunks are written into."""
+        out = np.empty(self.size), np.empty(self.size)
+        for _ in self._chunks(out):
+            pass
+        return out
+
+
+def level_sweep(F: Cplifs, n_max: int, budget: int = DEFAULT_BUDGET) -> Iterator[Level]:
+    """The level-n cylinder intervals as a `Level` of chunks for
+    n = 0..n_max, each level in lexicographic word order and built from
+    the one before it; level 0 is the invariant interval.  The budget is
+    checked once, for level n_max, before the first level is built.
+
+    A level is built when the consumer asks for it.  Levels below n_max
+    are built in full (map k writes its images straight into block k) and
+    their chunks are views; the sweep never writes them again, so a
+    consumer may keep them.  Level n_max is never allocated: each pass
+    over its chunks computes them afresh, map after map, as the images of
+    ``_CHUNK``-word slices of level n_max - 1.  So the peak while level
+    n < n_max is built is level n - 1, level n and one map's scratch
+    (`_image_into`), about 16/m + 16 + 9/m bytes per level-n word, and a
+    pass over level n_max holds level n_max - 1 and one chunk with its
+    scratch: 16/m bytes per level-n_max word."""
     if n_max < 0:
         raise ValueError("level must be >= 0")
     _check_budget(F.m, n_max, budget)
     a, b = invariant_interval(F)
     lo = np.array([a])
     hi = np.array([b])
-    yield lo, hi
-    for _ in range(n_max):
+    yield Level.of(lo, hi)
+    for _ in range(1, n_max):
         q = lo.size
         nlo, nhi = np.empty(F.m * q), np.empty(F.m * q)
         for k, f in enumerate(F.maps):
             _image_into(f, lo, hi, nlo[k * q:(k + 1) * q], nhi[k * q:(k + 1) * q])
         lo, hi = nlo, nhi
-        yield lo, hi
+        yield Level.of(lo, hi)
+
+    def deepest(out: Chunk | None) -> Iterator[Chunk]:
+        j = 0  # where the next chunk starts in the level
+        for f in F.maps:
+            for i in range(0, lo.size, _CHUNK):
+                clo, chi = lo[i:i + _CHUNK], hi[i:i + _CHUNK]
+                if out is None:
+                    out_lo, out_hi = np.empty_like(clo), np.empty_like(chi)
+                else:
+                    out_lo, out_hi = out[0][j:j + clo.size], out[1][j:j + clo.size]
+                _image_into(f, clo, chi, out_lo, out_hi)
+                yield out_lo, out_hi
+                j += clo.size
+
+    if n_max:
+        yield Level(F.m * lo.size, deepest)
 
 
 def cylinder_arrays(
     F: Cplifs, n: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of all level-n cylinder intervals in lexicographic
-    word order (first symbol most significant)."""
-    for lo, hi in level_sweep(F, n, budget):
+    word order (first symbol most significant): the deepest level of the
+    sweep, each map's images of level n - 1 written chunk by chunk
+    straight into one preallocated pair of arrays."""
+    return deepest_level(F, n, budget).join()
+
+
+def deepest_level(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Level:
+    """The level-n cylinder intervals as chunks: the last level of
+    ``level_sweep(F, n)``, never allocated whole."""
+    for level in level_sweep(F, n, budget):
         pass
-    return lo, hi
+    return level
 
 
 def cylinders(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> CylinderSet:

@@ -685,15 +685,15 @@ def _certify_side(
     ("left" or "right") of the cylinder of w cut at phi.
 
     Level 0 covers the piece by tgt's hull; level d >= 1 by level d of the
-    sweep pushed through f_{tgt.word} and clipped to the hull, empty rows
-    dropped (none left: False).  With tol = ``F.geom_tol()``, a level is
-    ``below`` when all its images under f_w lie at or below phi + tol and
-    ``above`` when all lie at or above phi - tol.  The first level with
-    either verdict decides: True when it is the half's own (below for
-    left, above for right), else False.  None when no level up to
-    ``depth`` decides.  The sweep stops at the deepest d with
-    m**d <= budget; BudgetExceeded when the verdict is still open there,
-    short of ``depth``.
+    sweep, read whole, chunk by chunk, pushed through f_{tgt.word} and
+    clipped to the hull, empty rows dropped (none left: False).  With
+    tol = ``F.geom_tol()``, a level is ``below`` when all its images under
+    f_w lie at or below phi + tol and ``above`` when all lie at or above
+    phi - tol.  The first level with either verdict decides: True when it
+    is the half's own (below for left, above for right), else False.  None
+    when no level up to ``depth`` decides.  The sweep stops at the deepest
+    d with m**d <= budget; BudgetExceeded when the verdict is still open
+    there, short of ``depth``.
 
     A row at least tol inside the hull keeps its subrows, unclipped, at
     every deeper level, and their images stay within rounding of its own.
@@ -710,20 +710,27 @@ def _certify_side(
         n_max -= 1
     deeper = itertools.islice(level_sweep(F, n_max, budget), 1, None)
     for d in range(n_max + 1):
+        low = high = False  # an inside row maps below phi - 2 tol, one above phi + 2 tol
         if d:
-            rlo, rhi = _push(F, tgt.word, *next(deeper))
-            inside = (a + tol <= rlo) & (rhi <= b - tol)
-            rlo, rhi = np.maximum(rlo, a), np.minimum(rhi, b)
-            keep = rlo <= rhi
-            if not keep.any():
+            lo, hi = math.inf, -math.inf
+            for clo, chi in next(deeper):
+                rlo, rhi = _push(F, tgt.word, clo, chi)
+                inside = (a + tol <= rlo) & (rhi <= b - tol)
+                rlo, rhi = np.maximum(rlo, a), np.minimum(rhi, b)
+                keep = rlo <= rhi
+                if not keep.any():
+                    continue
+                inside = inside[keep]
+                rlo, rhi = _push(F, w, rlo[keep], rhi[keep])
+                lo, hi = min(lo, rlo.min()), max(hi, rhi.max())
+                low = low or (rhi[inside] < phi - 2 * tol).any()
+                high = high or (rlo[inside] > phi + 2 * tol).any()
+            if lo > hi:  # no row left
                 return False
-            inside = inside[keep]
-            rlo, rhi = _push(F, w, rlo[keep], rhi[keep])
-            lo, hi = rlo.min(), rhi.max()
         below, above = hi <= phi + tol, lo >= phi - tol
         if below or above:
             return bool(below if side == "left" else above)
-        if d and (rhi[inside] < phi - 2 * tol).any() and (rlo[inside] > phi + 2 * tol).any():
+        if low and high:
             break
     if n_max < depth:
         raise BudgetExceeded(F.m ** (n_max + 1), budget, "certification sweep")

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Cplifs, DEFAULT_BUDGET, PLMap, invariant_interval, level_sweep
+from .core import Cplifs, DEFAULT_BUDGET, Level, PLMap, invariant_interval, level_sweep
 from .errors import InsufficientScales
 from .specfile import fmt
 
@@ -265,25 +265,48 @@ def box_dimension(cloud: PointCloud | np.ndarray, scales: Sequence[float]) -> Bo
     )
 
 
-def _union_length(lo: np.ndarray, hi: np.ndarray) -> float:
-    """Length of the union of the intervals [lo, hi]: the sum, over the
-    runs of overlapping intervals in order of lo, of the run's largest hi
-    less its first lo.  Sorting is skipped when lo is nondecreasing (a
-    stable sort of sorted input keeps it as it is)."""
-    if not (lo[1:] >= lo[:-1]).all():
-        order = np.argsort(lo, kind="stable")
-        lo, hi = lo[order], hi[order]
-    cmax = np.maximum.accumulate(hi)
-    new = np.empty(lo.size, bool)  # starts a run
-    new[0] = True
-    np.greater(lo[1:], cmax[:-1], out=new[1:])
-    last = np.empty_like(new)  # ends a run
-    last[:-1] = new[1:]
-    last[-1] = True
-    runs = cmax[last]
-    del cmax
-    runs -= lo[new]
-    return float(np.sum(runs))
+def _union_length(level: Level) -> float:
+    """Length of the union of a level's intervals [lo, hi]: the sum, over
+    the runs of overlapping intervals in order of lo, of the run's largest
+    hi less its first lo.
+
+    While lo is nondecreasing, within each chunk and across chunk edges,
+    the chunks are read in turn: the running maximum of hi and the first
+    lo of the open run carry from one chunk to the next, and each run's
+    length is written to one array that a single ``np.sum`` adds up, as
+    for the whole level at once.  At the first chunk out of order the
+    level is joined and stably sorted by lo, and its runs are read the
+    same way."""
+    runs = np.empty(level.size)
+    count = 0
+    first = cmax = None  # first lo of the open run, largest hi so far
+    last_lo = -np.inf
+    for lo, hi in level:
+        if not (lo[0] >= last_lo and (lo[1:] >= lo[:-1]).all()):
+            del runs
+            lo, hi = level.join()
+            order = np.argsort(lo, kind="stable")
+            lo, hi = lo[order], hi[order]
+            del order
+            return _union_length(Level.of(lo, hi))
+        last_lo = lo[-1]
+        if first is None:  # the level's first interval opens the first run
+            first, cmax = lo[0], hi[0]
+        acc = np.empty(lo.size + 1)  # acc[j]: the largest hi before entry j
+        acc[0] = cmax
+        acc[1:] = hi
+        np.maximum.accumulate(acc, out=acc)
+        starts = np.flatnonzero(lo > acc[:-1])  # entries that open a run
+        seg = runs[count:count + starts.size]
+        np.take(acc, starts, out=seg)  # each closes the run before it
+        seg[:1] -= first
+        seg[1:] -= lo[starts[:-1]]
+        count += starts.size
+        if starts.size:
+            first = lo[starts[-1]]
+        cmax = acc[-1]
+    runs[count] = cmax - first
+    return float(np.sum(runs[:count + 1]))
 
 
 def lebesgue_upper_bound(
@@ -295,7 +318,7 @@ def lebesgue_upper_bound(
         raise ValueError("n_max must be >= 1")
     sweep = level_sweep(F, n_max, budget)
     next(sweep)  # level 0, the invariant interval itself
-    return tuple(_union_length(lo, hi) for lo, hi in sweep)
+    return tuple(_union_length(level) for level in sweep)
 
 
 PLATEAU_TOL = 1e-3  # relative change below which a bound plateaus, at or above which it decays

@@ -6,11 +6,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Cplifs, DEFAULT_BUDGET, cylinder_arrays, level_sweep
+from .core import _CHUNK, Chunk, Cplifs, DEFAULT_BUDGET, deepest_level, level_sweep
 from .errors import ConvergenceFailure, DegenerateAttractor
 
 WINDOW = 3  # last roots s_n that the natural estimate takes the maximum of
@@ -43,20 +43,74 @@ class NaturalDimEstimate:
     spread: float
 
 
-def _aggregate_lengths(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Collapse equal cylinder lengths to (log length, log multiplicity);
-    piecewise systems repeat few distinct length products, which makes the
-    partition sum cheap at deep levels.  One copy of the positive lengths,
-    sorted in place; each run of equal lengths is one value and its count."""
-    total = lens.size
-    lens = lens[lens > 0.0]
-    zero = total - lens.size
-    if lens.size == 0:
-        return np.empty(0), np.empty(0), zero, total
-    lens.sort()
-    starts = np.flatnonzero(np.concatenate(([True], lens[1:] != lens[:-1])))
-    c = np.diff(starts, append=lens.size)
-    return np.log(lens[starts]), np.log(c.astype(float)), zero, total
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values."""
+    new = np.empty(values.size, bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and how often each occurs."""
+    first = _run_starts(values)
+    counts = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = values.size - first[-1:]
+    return values[first], counts
+
+
+def _merge_counts(us: list[np.ndarray], cs: list[np.ndarray]) -> None:
+    """Merge histograms, each sorted distinct values us[i] with counts
+    cs[i], into one in place: on return the lists hold only the sorted
+    distinct values and their summed counts, the counts following the
+    values' argsort.  Each input is dropped once it is joined."""
+    if len(us) == 1:
+        return
+    u = np.concatenate(us)
+    us.clear()
+    order = np.argsort(u)
+    u = u[order]
+    c = np.concatenate(cs)
+    cs.clear()
+    c = c[order]
+    del order
+    first = _run_starts(u)
+    us.append(u[first])
+    cs.append(np.add.reduceat(c, first))
+
+
+def _aggregate_lengths(level: Iterable[Chunk]) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Collapse the equal cylinder lengths hi - lo of a level's (lo, hi)
+    chunks to (log length, log multiplicity), plus the zero-length and the
+    total word counts; piecewise systems repeat few distinct length
+    products, which makes the partition sum cheap at deep levels.
+
+    Each chunk's positive lengths are sorted and each run of equal lengths
+    counted.  The chunks' histograms merge into the level's, sorted
+    distinct lengths with exact integer counts, once they hold at least
+    2 ``_CHUNK`` entries and as many as the level's: the values and counts
+    are those of one sort of the whole level, and only the level's
+    histogram and a few chunks' are held at a time."""
+    us, cs = [np.empty(0)], [np.empty(0, np.intp)]  # the level's histogram first
+    held = total = 0  # entries of the chunks' histograms, words read
+    room = 2 * _CHUNK  # held entries that start a merge
+    for lo, hi in level:
+        lens = hi - lo
+        total += lens.size
+        lens = lens[lens > 0.0]
+        lens.sort()
+        u, c = _histogram(lens)
+        us.append(u)
+        cs.append(c)
+        held += u.size
+        if held >= room:
+            _merge_counts(us, cs)
+            held = 0
+            room = max(room, us[0].size)
+    _merge_counts(us, cs)
+    (u,), (c,) = us, cs
+    return np.log(u), np.log(c.astype(float)), total - int(c.sum()), total
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -70,8 +124,7 @@ def pressure_at(F: Cplifs, s: float, n: int, budget: int = DEFAULT_BUDGET) -> fl
         raise ValueError("s must be >= 0")
     if n < 1:
         raise ValueError("level must be >= 1")
-    lo, hi = cylinder_arrays(F, n, budget)
-    logu, logc, _, _ = _aggregate_lengths(hi - lo)
+    logu, logc, _, _ = _aggregate_lengths(deepest_level(F, n, budget))
     if logu.size == 0:
         raise DegenerateAttractor("all level-%d cylinders have zero length" % n)
     return _logsumexp(s * logu + logc) / n
@@ -159,8 +212,7 @@ def solve_level_root(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Pressur
     root is 0 by convention.
     """
     t0 = time.perf_counter()
-    lo, hi = cylinder_arrays(F, n, budget)
-    logu, logc, zero, count = _aggregate_lengths(hi - lo)
+    logu, logc, zero, count = _aggregate_lengths(deepest_level(F, n, budget))
     root = _root_from_logs(logu, logc)
     return PressureProfile(level=n, root=root, word_count=count, zero_count=zero,
                            elapsed=time.perf_counter() - t0)
@@ -177,9 +229,9 @@ def natural_dimension(
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
     roots: list[float] = []
-    for n, (lo, hi) in enumerate(level_sweep(F, n_max, budget)):
+    for n, level in enumerate(level_sweep(F, n_max, budget)):
         if n >= n_min:
-            logu, logc, _, _ = _aggregate_lengths(hi - lo)
+            logu, logc, _, _ = _aggregate_lengths(level)
             roots.append(_root_from_logs(logu, logc))
     levels = tuple(range(n_min, n_max + 1))
     tail = roots[-WINDOW:]

@@ -115,20 +115,53 @@ def gdifs_of_edges(nodes, edges):
 
 def random_family_instance(rng: random.Random, m: int = 3):
     """Slope/fixed-point parameters for the fixed-point-breaking family
-    that satisfy the disjointness requirement."""
+    that satisfy the disjointness requirement.
+
+    The m - 2 fixed points lie in [0.25, 0.75], each 0.15 from the next,
+    so at most 4 fit: m >= 7 raises ValueError.  For m <= 5 they are drawn
+    and redrawn until they are spaced; m = 6 leaves them only 0.05 of
+    slack, so its fixed points and slopes are drawn to fit."""
     from plifs.gdifs import build_fixed_point_family
 
+    if m >= 7:
+        raise ValueError(
+            f"m = {m} needs {m - 2} fixed points in [0.25, 0.75] spaced 0.15 "
+            "apart; at most 4 fit (m <= 6)"
+        )
     while True:
-        slopes = [rng.uniform(0.1, 0.35) for _ in range(2 * m - 2)]
-        if any(abs(a - b) < 1e-3 for a, b in zip(slopes, slopes[1:])):
-            continue
-        phis = sorted(rng.uniform(0.25, 0.75) for _ in range(m - 2))
-        if any(b - a < 0.15 for a, b in zip([0.0] + phis, phis + [1.0])):
-            continue
+        if m == 6:
+            slopes, phis = _packed_family_parameters(rng)
+        else:
+            slopes = [rng.uniform(0.1, 0.35) for _ in range(2 * m - 2)]
+            if any(abs(a - b) < 1e-3 for a, b in zip(slopes, slopes[1:])):
+                continue
+            phis = sorted(rng.uniform(0.25, 0.75) for _ in range(m - 2))
+            if any(b - a < 0.15 for a, b in zip([0.0] + phis, phis + [1.0])):
+                continue
         try:
             return build_fixed_point_family(tuple(slopes), tuple(phis))
         except Exception:
             continue
+
+
+def _packed_family_parameters(rng: random.Random) -> tuple[list[float], list[float]]:
+    """Parameters of a 6-map family: four fixed points in [0.25, 0.75],
+    each 0.15 from the next (0.05 of slack shared out at random), and
+    slopes that keep the first cylinders disjoint.  Between neighbouring
+    anchors a < b (0, the fixed points, 1) the cylinder of a reaches
+    right by its slope times 1 - a and that of b left by its slope times
+    b; each reach is drawn between 0.1 and 0.3 times b - a (and each slope
+    is capped at 0.35), with neighbouring slopes at least 1e-3 apart."""
+    while True:
+        slack = sorted(rng.uniform(0.0, 0.05) for _ in range(4))
+        phis = [0.25 + 0.15 * i + x for i, x in enumerate(slack)]
+        anchors = [0.0] + phis + [1.0]
+        slopes = []
+        for a, b in zip(anchors, anchors[1:]):
+            slopes.append(min(0.35, rng.uniform(0.1, 0.3) * (b - a) / (1.0 - a)))
+            slopes.append(min(0.35, rng.uniform(0.1, 0.3) * (b - a) / b))
+        if all(abs(s - t) >= 1e-3 for s, t in zip(slopes, slopes[1:])):
+            return slopes, phis
 
 
 def conjugate(F: Cplifs, a: float, b: float) -> Cplifs:
@@ -190,8 +223,9 @@ class SplitMix64:
 
 # ---------------------------------------------------------------------------
 # reference implementations: the array code that `plifs.core.level_sweep`,
-# `plifs.oracle._union_length` and `plifs.gdifs.perron_root` (without its
-# side-only mode) must reproduce bit for bit
+# `plifs.oracle._union_length`, `plifs.gdifs._certify_side` and
+# `plifs.gdifs.perron_root` (without its side-only mode) must reproduce
+# bit for bit
 
 
 def _reference_image(f: PLMap, lo: np.ndarray, hi: np.ndarray):
@@ -233,6 +267,36 @@ def reference_union_length(lo: np.ndarray, hi: np.ndarray) -> float:
     starts = np.flatnonzero(lo > prev)  # index 0 always starts a run
     ends = np.concatenate((starts[1:] - 1, [len(lo) - 1]))
     return float(np.sum(cmax[ends] - lo[starts]))
+
+
+def reference_certify_side(F: Cplifs, w, side: str, tgt, phi: float, depth: int) -> bool | None:
+    """Reference side certification: each level of the reference sweep
+    whole, pushed and clipped at once, with no budget."""
+    from plifs.core import image_interval
+    from plifs.gdifs import _push
+
+    tol = F.geom_tol()
+    a, b = lo, hi = tgt.hull
+    for k in w[::-1]:
+        lo, hi = image_interval(F.map(k), (lo, hi))
+    deeper = iter(list(reference_level_sweep(F, depth))[1:])
+    for d in range(depth + 1):
+        if d:
+            rlo, rhi = _push(F, tgt.word, *next(deeper))
+            inside = (a + tol <= rlo) & (rhi <= b - tol)
+            rlo, rhi = np.maximum(rlo, a), np.minimum(rhi, b)
+            keep = rlo <= rhi
+            if not keep.any():
+                return False
+            inside = inside[keep]
+            rlo, rhi = _push(F, w, rlo[keep], rhi[keep])
+            lo, hi = rlo.min(), rhi.max()
+        below, above = hi <= phi + tol, lo >= phi - tol
+        if below or above:
+            return bool(below if side == "left" else above)
+        if d and (rhi[inside] < phi - 2 * tol).any() and (rlo[inside] > phi + 2 * tol).any():
+            return None
+    return None
 
 
 def reference_perron_root(M, cap: int | None = None, start: np.ndarray | None = None) -> float:

@@ -13,11 +13,15 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def layer_calls() -> set[tuple[str, str]]:
+def tracing_module() -> types.ModuleType:
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return {(f"plifs.{layer}", name) for layer, names in tracing.LAYER_CALLS.items()
+    return tracing
+
+
+def layer_calls() -> set[tuple[str, str]]:
+    return {(f"plifs.{layer}", name) for layer, names in tracing_module().LAYER_CALLS.items()
             for name in names}
 
 
@@ -98,3 +102,20 @@ def test_benchmark_names_are_read_from_its_source():
         ("plifs.cli", "main"),
     ]:
         assert expected in names
+
+
+def test_benchmark_work_counts_read_the_call_results():
+    # the traced run counts the work of some calls off what they return
+    # (``COUNTS``: words of a level, samples of a chaos game), so a change
+    # to what they return must fail here before it breaks the traced run
+    from plifs import core, oracle
+
+    from helpers import paper_example
+
+    F = paper_example()
+    calls = {"core.cylinder_arrays": (lambda: core.cylinder_arrays(F, 3), 8),
+             "oracle.chaos_game": (lambda: oracle.chaos_game(F, 50), 50)}
+    counts = tracing_module().COUNTS
+    assert set(counts) == set(calls)
+    for name, (call, words) in calls.items():
+        assert counts[name](call()) == words

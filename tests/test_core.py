@@ -24,6 +24,7 @@ from plifs import (
 from plifs.core import (
     CERTIFIED_OFF_ATTRACTOR,
     UNDECIDED_AT_DEPTH,
+    _CHUNK,
     _containing_words,
     affine_restriction,
     cylinder_arrays,
@@ -263,7 +264,7 @@ def test_level_sweep_matches_cylinder_arrays():
     rng = random.Random(47)
     for _ in range(6):
         F = random_increasing_system(rng, span=False)
-        levels = list(level_sweep(F, 8))
+        levels = [level.join() for level in level_sweep(F, 8)]
         assert len(levels) == 9
         for n, (lo, hi) in enumerate(levels):
             ref_lo, ref_hi = cylinder_arrays(F, n)
@@ -290,16 +291,80 @@ def test_level_sweep_is_bit_identical_to_reference():
         Cplifs((PLMap((), (0.5,), -0.0), PLMap((), (0.4,), 0.6))),
     ]
     for F in systems:
-        for (lo, hi), (rlo, rhi) in zip(level_sweep(F, 8), reference_level_sweep(F, 8),
-                                        strict=True):
+        for level, (rlo, rhi) in zip(level_sweep(F, 8), reference_level_sweep(F, 8),
+                                     strict=True):
+            lo, hi = level.join()
             assert lo.tobytes() == rlo.tobytes() and hi.tobytes() == rhi.tobytes()
     assert np.signbit(cylinder_arrays(systems[-1], 8)[0][0])
 
 
+def test_levels_across_chunk_edges_are_bit_identical_to_reference():
+    # paper levels 17 and 18 hold 4 and 8 chunks, the family's level 11
+    # (3^11 words) 6; every level comes in order in chunks of at most
+    # _CHUNK words, the same chunks on each pass, and joins to the
+    # reference level byte for byte
+    from plifs.gdifs import build_fixed_point_family
+
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    assert 3**11 > 5 * _CHUNK and 2**17 == 4 * _CHUNK
+    for F, n_max in ((paper_example(), 18), (family, 11)):
+        sweep = zip(level_sweep(F, n_max), reference_level_sweep(F, n_max), strict=True)
+        for n, (level, (rlo, rhi)) in enumerate(sweep):
+            chunks = list(level)
+            assert all(0 < lo.size == hi.size <= _CHUNK for lo, hi in chunks)
+            assert sum(lo.size for lo, _ in chunks) == level.size == F.m**n
+            again = list(level)
+            assert [c[0].tobytes() + c[1].tobytes() for c in again] == [
+                c[0].tobytes() + c[1].tobytes() for c in chunks]
+            lo, hi = level.join()
+            assert lo.tobytes() == rlo.tobytes() and hi.tobytes() == rhi.tobytes()
+        lo, hi = cylinder_arrays(F, n_max)
+        assert lo.tobytes() == rlo.tobytes() and hi.tobytes() == rhi.tobytes()
+
+
+def test_sweep_builds_levels_lazily_and_never_the_deepest(monkeypatch):
+    # the budget is checked before any level is built; level n is built
+    # when the consumer asks for it, from level n - 1; the deepest level's
+    # chunks are computed on each pass over them, a chunk at a time, so a
+    # pass holds a few chunks, not the level
+    from plifs import core
+
+    words = []
+    image_into = core._image_into
+
+    def spy(f, lo, *rest):
+        words.append(lo.size)
+        image_into(f, lo, *rest)
+
+    monkeypatch.setattr(core, "_image_into", spy)
+    with pytest.raises(BudgetExceeded):  # checked before level 0
+        next(level_sweep(paper_example(), 18, budget=2**17))
+    assert not words
+    sweep = level_sweep(paper_example(), 18)
+    for n in range(18):
+        next(sweep)
+        assert sum(words) == 2 ** (n + 1) - 2  # levels 1..n, one call per map
+    deepest = next(sweep)
+    assert sum(words) == 2**18 - 2 and deepest.size == 2**18
+    for _ in range(2):
+        del words[:]
+        tracemalloc.start()
+        try:
+            for _ in deepest:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(words) == 2**18 and max(words) == _CHUNK
+        assert peak < 3 * 16 * _CHUNK < 16 * 2**18 / 2
+
+
 def test_sweep_peak_bytes_per_word():
-    # tracemalloc peak per word of the deepest level, 28.5 B and 34 B with
-    # levels built in place and a union without index arrays; 40 B and
-    # 88 B with per-map images, a concatenated copy and index arrays
+    # tracemalloc peak per word of the deepest level: 25.3 B, 23.1 B and
+    # 14.5 B with the deepest level read in chunks and never built; 29 B,
+    # 34 B and 32.9 B with it built whole, and 40 B and 88 B for the first
+    # two with per-map images, a concatenated copy and index arrays.  The
+    # bounds on the last two are the chunked figures plus 25%.
     from plifs.gdifs import build_fixed_point_family
 
     family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
@@ -317,7 +382,8 @@ def test_sweep_peak_bytes_per_word():
         return (peak - base) / words
 
     assert per_word(lambda: cylinder_arrays(paper, 18), 2**18) < 34.0
-    assert per_word(lambda: lebesgue_upper_bound(family, 11), 3**11) < 48.0
+    assert per_word(lambda: lebesgue_upper_bound(family, 11), 3**11) < 28.9
+    assert per_word(lambda: natural_dimension(paper, 6, 18), 2**18) < 18.1
 
 
 def test_sweep_error_bounds_every_swept_endpoint():

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from plifs import BreakCode, Cplifs, PLMap
-from plifs.core import affine_restriction, cylinder_arrays, cylinder_interval, level_sweep
+from plifs.core import (
+    affine_restriction,
+    cylinder_arrays,
+    cylinder_interval,
+    image_interval,
+    level_sweep,
+)
 from plifs.errors import (
     AmbiguousContainment,
     BadFixedPointOrder,
@@ -53,6 +59,7 @@ from helpers import (
     paper_example,
     period_two,
     random_family_instance,
+    reference_certify_side,
     reference_perron_root,
     reference_scc,
     three_break_mixed_signs,
@@ -282,6 +289,24 @@ def test_q_root_equals_alpha_on_random_families():
     for _ in range(200):
         fam = random_family_instance(rng, m=rng.choice((3, 4)))
         assert abs(q_root(fam.det) - alpha(fam.graph)) <= 1e-10
+
+
+def test_random_family_instance_sizes():
+    # m - 2 fixed points 0.15 apart fit in [0.25, 0.75] only for m <= 6;
+    # m = 6, with 0.05 of slack, is drawn to fit, so every size returns at once
+    from plifs.core import check_iosc
+
+    rng = random.Random(7)
+    for m in (3, 4, 5, 6):
+        t0 = time.perf_counter()
+        fam = random_family_instance(rng, m)
+        assert time.perf_counter() - t0 < 1.0
+        assert fam.system.m == m and check_iosc(fam.system).ok
+        phis = [f.breaks[0] for f in fam.system.maps[1:-1]]
+        assert all(b - a >= 0.15 for a, b in zip([0.0] + phis, phis + [1.0]))
+        assert abs(q_root(fam.det) - alpha(fam.graph)) <= 1e-10
+    with pytest.raises(ValueError, match="spaced 0.15 apart"):
+        random_family_instance(rng, 7)
 
 
 def test_q_root_closing_check_starts_where_the_root_solves_end(monkeypatch):
@@ -821,9 +846,9 @@ def test_associate_straddling_target_stops_at_level_two(monkeypatch):
     widths = []
 
     def spy(F, n_max, budget):
-        for lo, hi in level_sweep(F, n_max, budget):
-            widths.append(lo.size)
-            yield lo, hi
+        for level in level_sweep(F, n_max, budget):
+            widths.append(level.size)
+            yield level
 
     monkeypatch.setattr("plifs.gdifs.level_sweep", spy)
     F = straddle_system()
@@ -863,6 +888,30 @@ def test_certify_side_refinement_levels_and_budget():
     assert verdict(12, budget=3) is True  # the sweep stops at level 1, where it decides
     with pytest.raises(BudgetExceeded):
         verdict(12, budget=2)
+
+
+def test_certify_side_over_chunks_matches_whole_levels(monkeypatch):
+    # with 5-word chunks every level from 2 on spans several chunks, and
+    # each verdict must be the one read off whole levels: a chunk that
+    # shows rows on both sides of the cut must not end its level early
+    monkeypatch.setattr("plifs.core._CHUNK", 5)
+    rng = random.Random(1807)
+    systems = [straddle_system()] + [random_family_instance(rng, 3).system for _ in range(3)]
+    verdicts = set()
+    for F in systems:
+        lo, hi = cylinder_arrays(F, 1)
+        for t in range(F.m):
+            tgt = GdifsNode((t + 1,), None, (float(lo[t]), float(hi[t])))
+            for w in [(j + 1,) for j in range(F.m)] + [(j + 1, t + 1) for j in range(F.m)]:
+                a, b = tgt.hull
+                for k in w[::-1]:
+                    a, b = image_interval(F.map(k), (a, b))
+                for phi in np.linspace(a, b, 13):
+                    for side in ("left", "right"):
+                        got = _certify_side(F, w, side, tgt, float(phi), 5, 2**26)
+                        assert got == reference_certify_side(F, w, side, tgt, float(phi), 5)
+                        verdicts.add(got)
+    assert verdicts == {None, True, False}
 
 
 # --- codes read off the containment witnesses -------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plifs import Cplifs, PLMap, natural_dimension, oracle
-from plifs.core import cylinder_arrays
+from plifs.core import _CHUNK, Level, cylinder_arrays
 from plifs.errors import InsufficientScales
 from plifs.gdifs import build_fixed_point_family
 from plifs.oracle import (
@@ -394,15 +394,29 @@ def test_lebesgue_bounds_are_the_union_of_each_level():
         bounds = lebesgue_upper_bound(F, 8)
         assert len(bounds) == 8
         for n in range(1, 9):
-            assert bounds[n - 1] == _union_length(*cylinder_arrays(F, n))
+            assert bounds[n - 1] == _union_length(Level.of(*cylinder_arrays(F, n)))
 
 
-def test_union_length_is_bit_identical_to_reference():
-    # sorted levels skip the sort; the others (a folded system's) need it
+def test_union_length_is_bit_identical_to_reference(monkeypatch):
+    # levels sorted by lo are read chunk by chunk, carrying the open run
+    # across chunk edges; the others (a folded system's) are joined and
+    # sorted first.  Both match the reference bit for bit.
+    joined = []
+    join = Level.join
+    monkeypatch.setattr(Level, "join", lambda level: joined.append(level.size) or join(level))
     folded = Cplifs((PLMap((0.4,), (0.6, -0.3), 0.0), PLMap((), (-0.5,), 0.9)))
     cases = [cylinder_arrays(folded, n) for n in range(1, 9)]
     assert not all((lo[1:] >= lo[:-1]).all() for lo, _ in cases)
-    cases += [cylinder_arrays(paper_example(), 8)]
+    cases += [cylinder_arrays(folded, 17)]  # four chunks, out of order in the first
+    cases += [cylinder_arrays(paper_example(), 8), cylinder_arrays(paper_example(), 17)]
+    cases += [cylinder_arrays(unit_cover(), 17)]  # one run across every chunk edge
+    # sorted, four chunks: runs across the first and the last chunk edge
+    lo = np.arange(3 * _CHUNK + 5, dtype=float)
+    hi = lo + 0.5
+    hi[_CHUNK - 1] = lo[_CHUNK + 2] + 0.25
+    hi[3 * _CHUNK - 3] = lo[3 * _CHUNK + 1]
+    cases += [(lo, hi)]
+    assert reference_union_length(lo, hi) == 0.5 * lo.size + 1.5 + 2.0
     cases += [
         (np.array([0.0, 0.1, 0.2, 0.5]), np.array([1.0, 0.3, 0.4, 0.6])),  # nested
         (np.array([0.5, 0.0, 0.2, 0.7]), np.array([0.7, 0.2, 0.5, 0.9])),  # touching
@@ -410,7 +424,10 @@ def test_union_length_is_bit_identical_to_reference():
         (np.array([0.25]), np.array([0.75])),
     ]
     for lo, hi in cases:
-        assert _union_length(lo, hi) == reference_union_length(lo, hi)
+        del joined[:]
+        got = _union_length(Level.of(lo, hi))
+        assert got.hex() == reference_union_length(lo, hi).hex()
+        assert joined == ([] if (lo[1:] >= lo[:-1]).all() else [lo.size])
 
 
 def test_lebesgue_iosc_equals_plain_sum():

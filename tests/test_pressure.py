@@ -13,8 +13,9 @@ from plifs import (
     solve_level_root,
     upper_box_consistency,
 )
-from plifs.core import cylinder_arrays
+from plifs.core import _CHUNK, Level, cylinder_arrays, deepest_level
 from plifs.errors import DegenerateAttractor
+from plifs.gdifs import build_fixed_point_family
 from plifs.pressure import _aggregate_lengths, bisect_decreasing
 
 from helpers import cantor_pair, paper_example, random_increasing_system, unit_cover
@@ -171,36 +172,79 @@ def test_affine_closed_form_all_levels_equal():
 # --- _aggregate_lengths ---------------------------------------------------------
 
 def test_aggregate_lengths_equals_unique_reference():
+    # any chunking of a level gives np.unique's distinct positive lengths
+    # and counts on the joined level, with 0.0 and -0.0 counted as zero.
+    # The last sizes span several chunks: few distinct lengths (merged
+    # once, at the end), all distinct (merged once, then left for the
+    # end), and each chunk a shuffle of one pool (merged again and again)
     rng = np.random.default_rng(17)
-    for size in (1, 2, 7, 1000, 4096):
-        distinct = rng.uniform(1e-9, 0.5, size=rng.integers(1, 20))
-        lens = rng.choice(np.concatenate([distinct, [0.0, -0.0]]), size=size)
+
+    def check(lo, hi, level):
+        lens = hi - lo
         u, c = np.unique(lens[lens > 0], return_counts=True)
-        logu, logc, zero, total = _aggregate_lengths(lens.copy())
-        assert total == size and zero == size - int(c.sum())
+        logu, logc, zero, total = _aggregate_lengths(level)
+        assert total == lens.size and zero == lens.size - int(c.sum())
         assert logu.tobytes() == np.log(u).tobytes()
         assert logc.tobytes() == np.log(c.astype(float)).tobytes()
-    lo, hi = cylinder_arrays(paper_example(), 10)
-    u, c = np.unique((hi - lo)[hi - lo > 0], return_counts=True)
-    logu, logc, _, _ = _aggregate_lengths(hi - lo)
-    assert logu.tobytes() == np.log(u).tobytes()
-    assert logc.tobytes() == np.log(c.astype(float)).tobytes()
+
+    for size in (1, 2, 7, 1000, 4096, 3 * _CHUNK + 7):
+        distinct = rng.uniform(1e-9, 0.5, size=rng.integers(1, 20))
+        lens = rng.choice(np.concatenate([distinct, [0.0, -0.0]]), size=size)
+        check(np.zeros(size), lens, Level.of(np.zeros(size), lens))
+    lens = rng.permutation(np.concatenate([rng.uniform(1e-9, 0.5, 2 * _CHUNK), [0.0, -0.0]]))
+    check(np.zeros(lens.size), lens, Level.of(np.zeros(lens.size), lens))
+    pool = rng.uniform(1e-9, 0.5, _CHUNK)
+    lens = np.concatenate([rng.permutation(pool) for _ in range(5)])
+    check(np.zeros(lens.size), lens, Level.of(np.zeros(lens.size), lens))
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    for F, n in ((paper_example(), 10), (paper_example(), 17), (family, 11)):
+        check(*cylinder_arrays(F, n), deepest_level(F, n))
+
+
+def test_all_zero_levels_across_chunks():
+    # both maps fix 1/2, so every cylinder of the 4-chunk level 17 has
+    # length 0 (+0.0 or -0.0): no distinct length, a degenerate pressure
+    # and a root of 0
+    F = Cplifs((PLMap((), (0.5,), 0.25), PLMap((), (-0.5,), 0.75)))
+    lo, hi = cylinder_arrays(F, 17)
+    assert not (hi - lo).any()
+    logu, logc, zero, total = _aggregate_lengths(deepest_level(F, 17))
+    assert logu.size == logc.size == 0 and zero == total == 2**17
+    with pytest.raises(DegenerateAttractor):
+        pressure_at(F, 0.5, 17)
+    prof = solve_level_root(F, 17)
+    assert prof.root == 0.0 and prof.zero_count == prof.word_count == 2**17
+    assert natural_dimension(F, 15, 17).roots == (0.0, 0.0, 0.0)
 
 
 def test_aggregate_lengths_peak_bytes_per_word():
-    # tracemalloc peak beyond the input, per word: about 10 B with one
-    # positive-length copy sorted in place; 18.8 B with np.unique's own copy
+    # tracemalloc peak beyond the input, per word: 2.2 B with each chunk's
+    # lengths sorted and counted apart; 10 B with the level's positive
+    # lengths copied and sorted whole, 18.8 B with np.unique's own copy.
+    # A stream of chunks whose lengths are all distinct within each chunk
+    # (each a shuffle of one pool of _CHUNK lengths) takes 8.5 B: its
+    # histograms merge as they come.  (When the whole level's lengths are
+    # distinct, the result alone takes 16 B per word.)
+    def per_word(level):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _aggregate_lengths(level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / level.size
+
     lo, hi = cylinder_arrays(paper_example(), 18)
-    lens = hi - lo
-    del lo, hi
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _aggregate_lengths(lens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - base) / lens.size < 14.0
+    assert per_word(Level.of(lo, hi)) < 14.0
+    pool = np.random.default_rng(5).uniform(1e-9, 0.5, _CHUNK)
+    perms = np.random.default_rng(6)
+
+    def chunks(_out):
+        for _ in range(16):
+            yield np.zeros(_CHUNK), perms.permutation(pool)
+
+    assert per_word(Level(16 * _CHUNK, chunks)) < 14.0
 
 
 # --- natural_dimension ---------------------------------------------------------

@@ -779,8 +779,7 @@ def verify_breaking_code(F: Cplifs, b: float, prefix: Word, period: Word) -> Cod
     """Check, to ``_CODE_TOL``, that b is a breaking point and b = f_prefix(y)
     for the periodic point y of f_period, and that b stays inside the
     cylinders I_{prefix . period^j}, j = 1..3."""
-    points = [p for _, p in F.breaking_points()]
-    if not points or min(abs(b - p) for p in points) > _CODE_TOL:
+    if all(abs(b - p) > _CODE_TOL for _, p in F.breaking_points()):
         raise ValueError(f"{b} is not a breaking point of the system")
     code = BreakCode(point=b, prefix=tuple(prefix), period=tuple(period))
     try:
@@ -792,13 +791,8 @@ def verify_breaking_code(F: Cplifs, b: float, prefix: Word, period: Word) -> Cod
         ) from exc
     res_period = abs(_apply_word(F, code.period, y) - y)
     res_prefix = abs(_apply_word(F, code.prefix, y) - b)
-    gtol = F.geom_tol()
-    contained = True
-    for j in (1, 2, 3):
-        a, c = cylinder_interval(F, code.prefix + code.period * j)
-        if not (a - gtol <= b <= c + gtol):
-            contained = False
-            break
+    contained = all(_containing_words(F, b, 0, DEFAULT_BUDGET, code.prefix + code.period * j)
+                    for j in (1, 2, 3))
     ok = res_period <= _CODE_TOL and res_prefix <= _CODE_TOL and contained
     return CodeCheck(
         ok=ok, code=code, periodic_point=y, residual_period=res_period,

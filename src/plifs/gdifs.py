@@ -33,10 +33,8 @@ from .core import (
     check_iosc,
     cylinder_arrays,
     cylinder_enclosure,
-    image_interval,
     index_word,
     level_sweep,
-    level_words,
     periodic_point,
     regularity_diagnostic,
     sweep_error,
@@ -76,8 +74,14 @@ class GdifsNode:
 
     @property
     def label(self) -> str:
-        tag = self.side or "full"
-        return f"{word_str(self.word) or '-'}:{tag}"
+        return _label(self.word, self.side)
+
+
+_SIDES = (None, "left", "right")  # GdifsNode.side of each code in Gdifs.sides
+
+
+def _label(word: Word, side: str | None) -> str:
+    return f"{word_str(word) or '-'}:{side or 'full'}"
 
 
 @dataclass(frozen=True)
@@ -110,24 +114,34 @@ class EdgeMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Gdifs:
-    """A multigraph with one similarity per edge, held as edge arrays in the
-    layout of EdgeMatrix: edge e runs from node src[e] to node dst[e] and
-    carries x -> ratio[e] * x + offset[e]."""
+    """A multigraph with one similarity per edge, held as arrays.  Node i is
+    the cylinder of words[i] (a row of digits 1..m), whole (sides[i] = 0) or
+    its left (1) or right (2) half, with hull [lo[i], hi[i]]; edge e, as in
+    EdgeMatrix, runs from src[e] to dst[e] and carries ratio[e] x + offset[e]."""
 
-    nodes: tuple[GdifsNode, ...]
+    words: np.ndarray
+    sides: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     ratio: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("src", np.intp), ("dst", np.intp), ("ratio", float), ("offset", float)):
+        for name, dtype in (("words", np.intp), ("sides", np.intp), ("lo", float),
+                            ("hi", float), ("src", np.intp), ("dst", np.intp),
+                            ("ratio", float), ("offset", float)):
             a = np.array(getattr(self, name), dtype=dtype)  # a copy the caller cannot reach
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if not len(self.words) == self.sides.size == self.lo.size == self.hi.size:
+            raise ValueError("node arrays differ in length")
+        if ((self.sides < 0) | (self.sides > 2)).any():
+            raise ValueError("node side code not 0, 1 or 2")
         if not self.src.size == self.dst.size == self.ratio.size == self.offset.size:
             raise ValueError("edge arrays differ in length")
-        q, size = len(self.nodes), np.abs(self.ratio)
+        q, size = self.q, np.abs(self.ratio)
         out = (self.src < 0) | (self.src >= q) | (self.dst < 0) | (self.dst >= q)
         bad = np.flatnonzero(out | ~((0.0 < size) & (size < 1.0)))
         if bad.size and out[bad[0]]:
@@ -137,7 +151,14 @@ class Gdifs:
 
     @property
     def q(self) -> int:
-        return len(self.nodes)
+        return self.sides.size
+
+    @property
+    def nodes(self) -> tuple[GdifsNode, ...]:
+        """One record per node, in array order; built on each access."""
+        return tuple(map(GdifsNode, map(tuple, self.words.tolist()),
+                         [_SIDES[s] for s in self.sides.tolist()],
+                         zip(self.lo.tolist(), self.hi.tolist())))
 
     @property
     def edges(self) -> tuple[GdifsEdge, ...]:
@@ -537,11 +558,7 @@ def detect_fixed_point_family(F: Cplifs) -> DetRecursion | None:
         return None
     if not check_iosc(F).ok:
         return None
-    slopes = [maps[0].slopes[0]]
-    for f in maps[1:-1]:
-        slopes.extend(f.slopes)
-    slopes.append(maps[-1].slopes[0])
-    return DetRecursion(tuple(slopes))
+    return DetRecursion(tuple(s for f in maps for s in f.slopes))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +597,6 @@ def associate_from_periodic(
 
     P = math.lcm(*(len(c.period) for c in codes))
     lo, hi = cylinder_arrays(F, P, budget)
-    los, his = lo.tolist(), hi.tolist()
 
     # Cut words: level-P prefixes of purely periodic codes, when the coded
     # point is interior to the cylinder interval.  Every rotation of a code
@@ -597,13 +613,11 @@ def associate_from_periodic(
             phi = c.point if r == 0 else periodic_point(F, rot)
             w = rot * (P // p)
             i = word_index(w, F.m)
-            if los[i] + tol < phi < his[i] - tol:
-                prev = cuts.get(i)
-                if prev is not None and abs(prev - phi) > tol:
+            if lo[i] + tol < phi < hi[i] - tol:
+                if abs(cuts.setdefault(i, phi) - phi) > tol:
                     raise AmbiguousContainment(
                         f"two distinct cut points for cylinder {word_str(w)}"
                     )
-                cuts.setdefault(i, phi)
 
     # every other interval containment of a breaking point must either be
     # certified spurious or the construction does not apply
@@ -634,33 +648,35 @@ def associate_from_periodic(
                     f"at refinement depth {refine_depth}"
                 )
 
-    nodes: list[GdifsNode] = []
-    for i, w in enumerate(level_words(F.m, P)):
-        if i in cuts:
-            nodes.append(GdifsNode(word=w, side="left", hull=(los[i], cuts[i])))
-            nodes.append(GdifsNode(word=w, side="right", hull=(cuts[i], his[i])))
-        else:
-            nodes.append(GdifsNode(word=w, side=None, hull=(los[i], his[i])))
+    # nodes in word order, the left half of a cut word before its right half
+    ci = np.array(sorted(cuts), dtype=np.intp)
+    word_of = np.insert(np.arange(lo.size), ci, ci)  # word index of each node
+    left = ci + np.arange(ci.size)  # node of each cut word's left half
+    sides, nlo, nhi = np.zeros(word_of.size, dtype=np.intp), lo[word_of], hi[word_of]
+    sides[left], sides[left + 1] = 1, 2
+    nhi[left] = nlo[left + 1] = [cuts[i] for i in ci.tolist()]
+    words = word_of[:, None] // F.m ** np.arange(P - 1, -1, -1) % F.m + 1
 
     src, dst, ratio, offset = [], [], [], []
-    for i, node in enumerate(nodes):
-        phi = cuts.get(word_index(node.word, F.m))
-        for j, tgt in enumerate(nodes):
-            if node.side is not None:
-                verdict = _certify_side(F, node.word, node.side, tgt, phi, refine_depth, budget)
+    nodes = list(zip(map(tuple, words.tolist()), [_SIDES[s] for s in sides.tolist()],
+                     zip(nlo.tolist(), nhi.tolist()), word_of.tolist()))
+    for i, (w, side, _, wi) in enumerate(nodes):
+        for j, (tw, tside, hull, _) in enumerate(nodes):
+            if side is not None:
+                verdict = _certify_side(F, w, side, tw, hull, cuts[wi], refine_depth, budget)
                 if verdict is None:
                     raise AmbiguousContainment(
-                        f"edge {node.label} -> {tgt.label} undecidable at "
+                        f"edge {_label(w, side)} -> {_label(tw, tside)} undecidable at "
                         f"refinement depth {refine_depth}"
                     )
                 if not verdict:
                     continue
-            sim = affine_restriction(F, node.word, tgt.hull)
+            sim = affine_restriction(F, w, hull)
             src.append(i)
             dst.append(j)
             ratio.append(sim.ratio)
             offset.append(sim.offset)
-    return Gdifs(tuple(nodes), src, dst, ratio, offset)
+    return Gdifs(words, sides, nlo, nhi, src, dst, ratio, offset)
 
 
 def _push(F: Cplifs, w: Word, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -676,24 +692,25 @@ def _certify_side(
     F: Cplifs,
     w: Word,
     side: str,
-    tgt: GdifsNode,
+    tw: Word,
+    hull: Interval,
     phi: float,
     depth: int,
     budget: int,
 ) -> bool | None:
-    """Decide whether f_w maps the piece of tgt into the ``side`` half
-    ("left" or "right") of the cylinder of w cut at phi.
+    """Decide whether f_w maps the piece of I_tw within ``hull`` into the
+    ``side`` half ("left" or "right") of the cylinder of w cut at phi.
 
-    Level 0 covers the piece by tgt's hull; level d >= 1 by level d of the
-    sweep, read whole, chunk by chunk, pushed through f_{tgt.word} and
-    clipped to the hull, empty rows dropped (none left: False).  With
-    tol = ``F.geom_tol()``, a level is ``below`` when all its images under
-    f_w lie at or below phi + tol and ``above`` when all lie at or above
-    phi - tol.  The first level with either verdict decides: True when it
-    is the half's own (below for left, above for right), else False.  None
-    when no level up to ``depth`` decides.  The sweep stops at the deepest
-    d with m**d <= budget; BudgetExceeded when the verdict is still open
-    there, short of ``depth``.
+    Level d of the sweep, read whole, chunk by chunk, is pushed through f_tw
+    and clipped to the hull, empty rows dropped (none left: False); level 0
+    is I_tw clipped, the hull itself for each node the association builds.
+    With tol = ``F.geom_tol()``, a level is ``below`` when all its images
+    under f_w lie at or below phi + tol and ``above`` when all lie at or
+    above phi - tol.  The first level with either verdict decides: True
+    when it is the half's own (below for left, above for right), else False.
+    None when no level up to ``depth`` decides.  The sweep stops at the
+    deepest d with m**d <= budget; BudgetExceeded when the verdict is still
+    open there, short of ``depth``.
 
     A row at least tol inside the hull keeps its subrows, unclipped, at
     every deeper level, and their images stay within rounding of its own.
@@ -702,31 +719,27 @@ def _certify_side(
     would at ``depth``.
     """
     tol = F.geom_tol()
-    a, b = lo, hi = tgt.hull
-    for k in w[::-1]:  # level 0: the image of the hull
-        lo, hi = image_interval(F.map(k), (lo, hi))
+    a, b = hull
     n_max = depth
     while n_max > 0 and F.m**n_max > budget:
         n_max -= 1
-    deeper = itertools.islice(level_sweep(F, n_max, budget), 1, None)
-    for d in range(n_max + 1):
+    for level in level_sweep(F, n_max, budget):
+        lo, hi = math.inf, -math.inf
         low = high = False  # an inside row maps below phi - 2 tol, one above phi + 2 tol
-        if d:
-            lo, hi = math.inf, -math.inf
-            for clo, chi in next(deeper):
-                rlo, rhi = _push(F, tgt.word, clo, chi)
-                inside = (a + tol <= rlo) & (rhi <= b - tol)
-                rlo, rhi = np.maximum(rlo, a), np.minimum(rhi, b)
-                keep = rlo <= rhi
-                if not keep.any():
-                    continue
-                inside = inside[keep]
-                rlo, rhi = _push(F, w, rlo[keep], rhi[keep])
-                lo, hi = min(lo, rlo.min()), max(hi, rhi.max())
-                low = low or (rhi[inside] < phi - 2 * tol).any()
-                high = high or (rlo[inside] > phi + 2 * tol).any()
-            if lo > hi:  # no row left
-                return False
+        for clo, chi in level:
+            rlo, rhi = _push(F, tw, clo, chi)
+            inside = (a + tol <= rlo) & (rhi <= b - tol)
+            rlo, rhi = np.maximum(rlo, a), np.minimum(rhi, b)
+            keep = rlo <= rhi
+            if not keep.any():
+                continue
+            inside = inside[keep]
+            rlo, rhi = _push(F, w, rlo[keep], rhi[keep])
+            lo, hi = min(lo, rlo.min()), max(hi, rhi.max())
+            low = low or (rhi[inside] < phi - 2 * tol).any()
+            high = high or (rlo[inside] > phi + 2 * tol).any()
+        if lo > hi:  # no row left
+            return False
         below, above = hi <= phi + tol, lo >= phi - tol
         if below or above:
             return bool(below if side == "left" else above)
@@ -830,11 +843,8 @@ def punctured_level(F: Cplifs, k: int, budget: int = DEFAULT_BUDGET) -> Puncture
     on = inner & (labels[src] == best)
     words = kept[members]
     digits = words[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1
-    nodes = tuple(
-        GdifsNode(word=tuple(d), side=None, hull=(a, b))
-        for d, a, b in zip(digits.tolist(), lo[words].tolist(), hi[words].tolist())
-    )
-    graph = Gdifs(nodes, pos[src[on]], pos[dst[on]], ratio[on], offset[on])
+    graph = Gdifs(digits, np.zeros_like(words), lo[words], hi[words],
+                  pos[src[on]], pos[dst[on]], ratio[on], offset[on])
     return PuncturedLevel(
         level=k,
         value=_spectral_root(graph),  # one SCC of the graph: no second pass
@@ -886,7 +896,6 @@ def esc_diagnostic(
     if M**n > budget:
         raise BudgetExceeded(M**n, budget, "compositions")
     base_r = np.array([r for r, _ in pairs])
-    base_t = np.array([t for _, t in pairs])
     r = np.array([1.0])
     t = np.array([0.0])
     for _ in range(n):
@@ -919,8 +928,6 @@ class DimConfig:
     punctured_k: cylinder level k of the punctured approximation t_k.
     box_samples: chaos-game samples fed to the box count.
     seed: chaos-game sampling seed.
-    codes: breaking-point codes for the gdifs route; None reads them off the
-        containment witnesses of the breaks with ``auto_codes``.
     budget: cap on enumerated cylinder intervals.
     agreement_tol: largest |diff| accepted between natural, gdifs and determinant.
     """
@@ -930,7 +937,6 @@ class DimConfig:
     punctured_k: int = 6
     box_samples: int = 200_000
     seed: int = 20240801
-    codes: tuple[BreakCode, ...] | None = None
     budget: int = DEFAULT_BUDGET
     agreement_tol: float = 5e-2
 
@@ -1002,7 +1008,7 @@ def _natural(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
 
 
 def _gdifs(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
-    codes = c.codes if c.codes is not None else auto_codes(F)
+    codes = auto_codes(F)
     g = associate_from_periodic(F, codes, budget=c.budget)
     return alpha(g), f"{g.q} nodes, {g.src.size} edges, {len(codes)} codes", (g, codes)
 

@@ -106,10 +106,14 @@ def random_iosc_affine(rng: random.Random, m: int | None = None) -> Cplifs:
 
 
 def gdifs_of_edges(nodes, edges):
-    """A Gdifs from its nodes and a sequence of GdifsEdge records."""
+    """A Gdifs from a sequence of GdifsNode records and one of GdifsEdge
+    records."""
     from plifs.gdifs import Gdifs
 
-    return Gdifs(tuple(nodes), [e.src for e in edges], [e.dst for e in edges],
+    sides = {None: 0, "left": 1, "right": 2}
+    return Gdifs([n.word for n in nodes], [sides[n.side] for n in nodes],
+                 [n.hull[0] for n in nodes], [n.hull[1] for n in nodes],
+                 [e.src for e in edges], [e.dst for e in edges],
                  [e.ratio for e in edges], [e.offset for e in edges])
 
 
@@ -391,7 +395,7 @@ def reference_family_graph(fam):
     last cylinder, one edge per entry of the incidence matrix, each edge
     carrying the branch of its source node."""
     from plifs.core import check_iosc
-    from plifs.gdifs import Gdifs, GdifsNode
+    from plifs.gdifs import GdifsEdge, GdifsNode
 
     det, m, rho = fam.det, fam.det.m, fam.det.slopes
     full = (0.0,) + tuple(f.breaks[0] for f in fam.system.maps[1:-1]) + (1.0,)
@@ -412,7 +416,9 @@ def reference_family_graph(fam):
     offsets.append(1.0 - rho[-1])
 
     src, dst = np.nonzero(det.incidence())
-    return Gdifs(tuple(nodes), src, dst, np.array(rho)[src], np.array(offsets)[src])
+    ratio, offset = np.array(rho)[src], np.array(offsets)[src]
+    return gdifs_of_edges(nodes, tuple(map(GdifsEdge, src.tolist(), dst.tolist(),
+                                           ratio.tolist(), offset.tolist())))
 
 
 def assert_family_graph_matches_reference(fam) -> None:

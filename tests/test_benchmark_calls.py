@@ -5,6 +5,7 @@ read from the benchmark's own source: its traced functions
 X`` and every attribute read off a plifs module in ``perfbench/*.py``."""
 
 import ast
+import math
 import importlib
 import importlib.util
 import types
@@ -119,3 +120,34 @@ def test_benchmark_work_counts_read_the_call_results():
     assert set(counts) == set(calls)
     for name, (call, words) in calls.items():
         assert counts[name](call()) == words
+
+
+def test_traced_probe_reads_the_call_results(monkeypatch, tmp_path):
+    # the traced run reads values off what some calls return (the edges,
+    # spectral matrix and SCC size of a punctured level, the zero count of a
+    # level root), so a change to those results must fail here before it
+    # breaks the traced run: its probe runs once, at the tiny deep-sweep size
+    from plifs import format_spec
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import child
+    import tracing
+    import workloads as wl
+
+    systems = []
+    for name, F in wl.make_systems("deep-sweep", 0, tiny=True):
+        path = tmp_path / f"{name}.plifs"
+        path.write_text(format_spec(F), encoding="utf-8")
+        systems.append({"name": name, "file": str(path)})
+    _, S = child.setup({"systems": systems})
+    primary, family = wl.probe_systems("deep-sweep", list(S))
+    files = {s["name"]: s["file"] for s in systems}
+    tracer = tracing.Tracer()
+    with tracing.traced_layers(tracer):
+        counts = child.run_probe(tracer, S, files, primary, family,
+                                 wl.WORKLOADS["deep-sweep"].tiny_probe)
+    # t_4 of the paper example: 15 of its 16 level-4 cylinders kept, an SCC
+    # of 13 of them with 24 edges
+    assert counts == {"pressure.zero_lengths": 0, "gdifs.scc_nodes": 13, "gdifs.edges": 24}
+    metrics = child.layer_metrics(tracer.spans)
+    assert all(math.isfinite(v) and v >= 0 for v in metrics.values())

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import math
 import random
@@ -487,15 +488,19 @@ def test_scc_matches_kosaraju_on_punctured_graphs(monkeypatch, system, ks):
 def test_gdifs_arrays_are_read_only_copies():
     fam = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,))
     g = fam.graph
-    a = alpha(g)
-    for name in ("src", "dst", "ratio", "offset"):
+    a, nodes = alpha(g), g.nodes
+    for name in ("words", "sides", "lo", "hi", "src", "dst", "ratio", "offset"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(g, name)[0] = 1.5
-    assert alpha(g) == a
+    assert alpha(g) == a and g.nodes == nodes
+    words, sides = g.words[:2].copy(), np.array([1, 2])
+    lo, hi = np.array([0.1, 0.5]), np.array([0.5, 0.9])
     src = np.array([0, 1])
-    h = Gdifs(g.nodes[:2], src, [1, 0], [0.5, 0.5], [0.0, 0.0])
+    h = Gdifs(words, sides, lo, hi, src, [1, 0], [0.5, 0.5], [0.0, 0.0])
     src[:] = 0
+    words[:], sides[:], lo[:], hi[:] = 3, 0, 0.0, 1.0
     assert h.src.tolist() == [0, 1] and h.strongly_connected()
+    assert h.nodes == (GdifsNode((1,), "left", (0.1, 0.5)), GdifsNode((2,), "right", (0.5, 0.9)))
 
 
 @pytest.mark.parametrize(
@@ -517,7 +522,31 @@ def test_gdifs_rejects_bad_edges(src, dst, ratio, message):
 
 def test_gdifs_rejects_edge_arrays_of_unequal_length():
     with pytest.raises(ValueError, match="edge arrays differ in length"):
-        Gdifs((GdifsNode((1,), None, (0, 1)),), [0, 0], [0, 0], [0.5, 0.5], [0.0])
+        Gdifs([(1,)], [0], [0.0], [1.0], [0, 0], [0, 0], [0.5, 0.5], [0.0])
+    # the node arrays words, sides, lo, hi of two nodes, each in turn cut to one
+    for short in range(4):
+        arrays = [[(1,), (2,)], [0, 0], [0.0, 0.5], [0.5, 1.0]]
+        arrays[short] = arrays[short][:1]
+        with pytest.raises(ValueError, match="node arrays differ in length"):
+            Gdifs(*arrays, [0], [1], [0.5], [0.0])
+
+
+@pytest.mark.parametrize("side", [-1, 3])
+def test_gdifs_rejects_bad_side_codes(side):
+    # a side code indexes (whole, left, right): -1 would read as a right half
+    with pytest.raises(ValueError, match="node side code not 0, 1 or 2"):
+        Gdifs([(1,), (1,)], [1, side], [0.0, 0.5], [0.5, 1.0], [0], [1], [0.5], [0.0])
+
+
+def test_gdifs_of_edges_rebuilds_the_graph():
+    graphs = [associate_from_periodic(period_two(), [BreakCode(0.21 / 0.91, (), (1, 2))]),
+              punctured_level(paper_example(), 6).graph,
+              build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).graph]
+    for g in graphs:
+        h = gdifs_of_edges(g.nodes, g.edges)
+        for name in ("words", "sides", "lo", "hi", "src", "dst", "ratio", "offset"):
+            a, b = getattr(g, name), getattr(h, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 # --- determinant recursion -----------------------------------------------------
@@ -757,6 +786,30 @@ def test_associate_period_two_code():
     assert punctured_level(F, 6).value <= a + 1e-9
 
 
+# sha256 of export_text(), taken before nodes were held as arrays: node order,
+# words, sides, hulls and edges must not move
+PERIOD_TWO_ASSOCIATION_SHA = "a5bc76eddf853aab79879f8b91dda02d642c17a520006d301007cec5aade4ec1"
+PUNCTURED_6_SHA = {
+    "paper": "be4833db331d95ff4050902a2c6c2fbdf7f6a029f49a5a221ab25c449cf365e2",
+    "period-two": "e8874163e6b030d1c8da406ceb111a9226dcf0cfce23a7979dd01b475cac46d9",
+}
+
+
+def sha256_of_export(g) -> str:
+    return hashlib.sha256(g.export_text().encode()).hexdigest()
+
+
+def test_associate_period_two_export_is_pinned():
+    g = associate_from_periodic(period_two(), [BreakCode(0.21 / 0.91, (), (1, 2))])
+    assert (g.q, len(g.edges)) == (11, 99)
+    assert sha256_of_export(g) == PERIOD_TWO_ASSOCIATION_SHA
+
+
+@pytest.mark.parametrize("name, system", [("paper", paper_example), ("period-two", period_two)])
+def test_punctured_level_6_export_is_pinned(name, system):
+    assert sha256_of_export(punctured_level(system(), 6).graph) == PUNCTURED_6_SHA[name]
+
+
 def test_associate_noninjective_without_cuts():
     # folded map whose fold point misses every cylinder: association works
     # and reproduces the similarity root
@@ -863,8 +916,7 @@ def test_certify_side_clips_rows_to_target_hull():
     # cut at level 0, and at level 1 only I_34 = [0.505, 0.525] would, but
     # it lies outside the hull and is dropped
     F = straddle_system()
-    tgt = GdifsNode((3,), "left", (0.425, 0.503))
-    verdict = [_certify_side(F, (2,), "left", tgt, 0.5, d, 2**26) for d in (0, 1)]
+    verdict = [_certify_side(F, (2,), "left", (3,), (0.425, 0.503), 0.5, d, 2**26) for d in (0, 1)]
     assert verdict == [None, True]
 
 
@@ -877,11 +929,11 @@ def test_certify_side_refinement_levels_and_budget():
         )
     )
     lo, hi = cylinder_arrays(F, 1)
-    tgt = GdifsNode((1,), None, (float(lo[0]), float(hi[0])))
+    hull = (float(lo[0]), float(hi[0]))
     phi = 0.29295298171902795
 
     def verdict(depth, budget=2**26):
-        return _certify_side(F, (2,), "left", tgt, phi, depth, budget)
+        return _certify_side(F, (2,), "left", (1,), hull, phi, depth, budget)
 
     assert verdict(0) is None
     assert verdict(1) is True
@@ -908,7 +960,7 @@ def test_certify_side_over_chunks_matches_whole_levels(monkeypatch):
                     a, b = image_interval(F.map(k), (a, b))
                 for phi in np.linspace(a, b, 13):
                     for side in ("left", "right"):
-                        got = _certify_side(F, w, side, tgt, float(phi), 5, 2**26)
+                        got = _certify_side(F, w, side, tgt.word, tgt.hull, float(phi), 5, 2**26)
                         assert got == reference_certify_side(F, w, side, tgt, float(phi), 5)
                         verdicts.add(got)
     assert verdicts == {None, True, False}
@@ -1205,8 +1257,7 @@ def test_fixed_settings_are_constants_not_parameters():
 
 def test_dim_config_fields():
     assert [f.name for f in dataclasses.fields(DimConfig)] == [
-        "n_min", "n_max", "punctured_k", "box_samples", "seed", "codes", "budget",
-        "agreement_tol",
+        "n_min", "n_max", "punctured_k", "box_samples", "seed", "budget", "agreement_tol",
     ]
 
 

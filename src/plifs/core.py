@@ -336,9 +336,25 @@ def _image_into(
     first, then piece j over the entries at or past break j, breaks in
     increasing order.  The image is the min and max of the two endpoint
     values, folded with f(b) for each break b strictly inside [lo, hi].
-    Scratch: one float and one bool array of the input's size."""
-    ya, mask = np.empty_like(lo), np.empty(lo.shape, bool)
+    Scratch: one float and one bool array of the input's size.
+
+    When the smallest lo and the largest hi lie in one piece, no break is
+    inside any interval and monotone rounding keeps each pair of endpoint
+    values in order, so they are written straight into out_lo, out_hi
+    (swapped for a negative slope), the same bits with no scratch.  But
+    min and max both give a tie the second value's bits, and two zeros of
+    opposite signs tie; only a piece with intercept -0.0 yields -0.0, so
+    such a piece takes the full path."""
+    p = q = 0
+    if f.breaks:
+        p, q = bisect_right(f.breaks, lo.min()), bisect_right(f.breaks, hi.max())
     s, c = f.slopes, f._intercepts
+    if p == q and (c[p] or math.copysign(1.0, c[p]) > 0):  # one piece, intercept not -0.0
+        for x, y in ((lo, out_lo), (hi, out_hi)) if s[p] > 0 else ((hi, out_lo), (lo, out_hi)):
+            np.multiply(x, s[p], out=y)
+            np.add(y, c[p], out=y)
+        return
+    ya, mask = np.empty_like(lo), np.empty(lo.shape, bool)
     for x, y in ((lo, ya), (hi, out_hi)):
         np.multiply(x, s[0], out=y)
         np.add(y, c[0], out=y)
@@ -408,46 +424,44 @@ def level_sweep(F: Cplifs, n_max: int, budget: int = DEFAULT_BUDGET) -> Iterator
     the one before it; level 0 is the invariant interval.  The budget is
     checked once, for level n_max, before the first level is built.
 
-    A level is built when the consumer asks for it.  Levels below n_max
-    are built in full (map k writes its images straight into block k) and
-    their chunks are views; the sweep never writes them again, so a
-    consumer may keep them.  Level n_max is never allocated: each pass
-    over its chunks computes them afresh, map after map, as the images of
-    ``_CHUNK``-word slices of level n_max - 1.  So the peak while level
-    n < n_max is built is level n - 1, level n and one map's scratch
-    (`_image_into`), about 16/m + 16 + 9/m bytes per level-n word, and a
-    pass over level n_max holds level n_max - 1 and one chunk with its
-    scratch: 16/m bytes per level-n_max word."""
+    A level's chunks are each map's images of ``_CHUNK``-word slices of
+    the level before, map after map.  A level is built when the consumer
+    asks for it.  Levels below n_max are joined (`Level.join`), so their
+    chunks are views; the sweep never writes them again, so a consumer may
+    keep them.  Level n_max is never allocated: each pass over its chunks
+    computes them afresh.  So the peak while level n < n_max is built is
+    level n - 1, level n and one chunk's scratch, 16/m + 16 bytes per
+    level-n word and 320 KiB, and a pass over level n_max holds
+    level n_max - 1 and one chunk with its scratch: 16/m bytes per
+    level-n_max word."""
     if n_max < 0:
         raise ValueError("level must be >= 0")
     _check_budget(F.m, n_max, budget)
+
+    def images(lo: np.ndarray, hi: np.ndarray) -> Level:
+        def chunks(out: Chunk | None) -> Iterator[Chunk]:
+            j = 0  # where the next chunk starts in the level
+            for f in F.maps:
+                for i in range(0, lo.size, _CHUNK):
+                    clo, chi = lo[i:i + _CHUNK], hi[i:i + _CHUNK]
+                    if out is None:
+                        out_lo, out_hi = np.empty_like(clo), np.empty_like(chi)
+                    else:
+                        out_lo, out_hi = out[0][j:j + clo.size], out[1][j:j + clo.size]
+                    _image_into(f, clo, chi, out_lo, out_hi)
+                    yield out_lo, out_hi
+                    j += clo.size
+
+        return Level(F.m * lo.size, chunks)
+
     a, b = invariant_interval(F)
-    lo = np.array([a])
-    hi = np.array([b])
+    lo, hi = np.array([a]), np.array([b])
     yield Level.of(lo, hi)
     for _ in range(1, n_max):
-        q = lo.size
-        nlo, nhi = np.empty(F.m * q), np.empty(F.m * q)
-        for k, f in enumerate(F.maps):
-            _image_into(f, lo, hi, nlo[k * q:(k + 1) * q], nhi[k * q:(k + 1) * q])
-        lo, hi = nlo, nhi
+        lo, hi = images(lo, hi).join()
         yield Level.of(lo, hi)
-
-    def deepest(out: Chunk | None) -> Iterator[Chunk]:
-        j = 0  # where the next chunk starts in the level
-        for f in F.maps:
-            for i in range(0, lo.size, _CHUNK):
-                clo, chi = lo[i:i + _CHUNK], hi[i:i + _CHUNK]
-                if out is None:
-                    out_lo, out_hi = np.empty_like(clo), np.empty_like(chi)
-                else:
-                    out_lo, out_hi = out[0][j:j + clo.size], out[1][j:j + clo.size]
-                _image_into(f, clo, chi, out_lo, out_hi)
-                yield out_lo, out_hi
-                j += clo.size
-
     if n_max:
-        yield Level(F.m * lo.size, deepest)
+        yield images(lo, hi)
 
 
 def cylinder_arrays(

@@ -274,9 +274,11 @@ def _union_length(level: Level) -> float:
     the chunks are read in turn: the running maximum of hi and the first
     lo of the open run carry from one chunk to the next, and each run's
     length is written to one array that a single ``np.sum`` adds up, as
-    for the whole level at once.  At the first chunk out of order the
-    level is joined and stably sorted by lo, and its runs are read the
-    same way."""
+    for the whole level at once.  A chunk whose hi rises is its own
+    running maximum, and when every entry after the first opens a run the
+    lengths are one subtraction, with no index arrays.  At the first chunk
+    out of order the level is joined and stably sorted by lo, and its
+    runs are read the same way."""
     runs = np.empty(level.size)
     count = 0
     first = cmax = None  # first lo of the open run, largest hi so far
@@ -295,15 +297,26 @@ def _union_length(level: Level) -> float:
         acc = np.empty(lo.size + 1)  # acc[j]: the largest hi before entry j
         acc[0] = cmax
         acc[1:] = hi
-        np.maximum.accumulate(acc, out=acc)
-        starts = np.flatnonzero(lo > acc[:-1])  # entries that open a run
-        seg = runs[count:count + starts.size]
-        np.take(acc, starts, out=seg)  # each closes the run before it
-        seg[:1] -= first
-        seg[1:] -= lo[starts[:-1]]
-        count += starts.size
-        if starts.size:
-            first = lo[starts[-1]]
+        # a tie keeps the later value's bits, so a rising acc is its own maximum
+        if not (hi[0] >= cmax and (hi[1:] >= hi[:-1]).all()):
+            np.maximum.accumulate(acc, out=acc)
+        opens = lo > acc[:-1]  # entries that open a run, each closing the run before it
+        if opens[1:].all():  # runs open at entries k..
+            k = 0 if opens[0] else 1
+            seg = runs[count:count + lo.size - k]
+            np.subtract(acc[k + 1:-1], lo[k:-1], out=seg[1:])
+            seg[:1] = acc[k] - first
+            if seg.size:
+                first = lo[-1]
+        else:
+            starts = np.flatnonzero(opens)
+            seg = runs[count:count + starts.size]
+            np.take(acc, starts, out=seg)
+            seg[:1] -= first
+            seg[1:] -= lo[starts[:-1]]
+            if starts.size:
+                first = lo[starts[-1]]
+        count += seg.size
         cmax = acc[-1]
     runs[count] = cmax - first
     return float(np.sum(runs[:count + 1]))

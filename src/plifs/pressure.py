@@ -86,20 +86,21 @@ def _aggregate_lengths(level: Iterable[Chunk]) -> tuple[np.ndarray, np.ndarray, 
     total word counts; piecewise systems repeat few distinct length
     products, which makes the partition sum cheap at deep levels.
 
-    Each chunk's positive lengths are sorted and each run of equal lengths
-    counted.  The chunks' histograms merge into the level's, sorted
-    distinct lengths with exact integer counts, once they hold at least
-    2 ``_CHUNK`` entries and as many as the level's: the values and counts
-    are those of one sort of the whole level, and only the level's
-    histogram and a few chunks' are held at a time."""
+    Each chunk's lengths are sorted in place, the zeros (-0.0 among them)
+    dropped as the sorted prefix up to ``searchsorted(0.0, "right")``, and
+    each run of equal positive lengths counted.  The chunks' histograms
+    merge into the level's, sorted distinct lengths with exact integer
+    counts, once they hold at least 2 ``_CHUNK`` entries and as many as
+    the level's: the values and counts are those of one sort of the whole
+    level, and only the level's histogram and a few chunks' are held."""
     us, cs = [np.empty(0)], [np.empty(0, np.intp)]  # the level's histogram first
     held = total = 0  # entries of the chunks' histograms, words read
     room = 2 * _CHUNK  # held entries that start a merge
     for lo, hi in level:
         lens = hi - lo
         total += lens.size
-        lens = lens[lens > 0.0]
         lens.sort()
+        lens = lens[np.searchsorted(lens, 0.0, "right"):]
         u, c = _histogram(lens)
         us.append(u)
         cs.append(c)

@@ -5,13 +5,20 @@ read from the benchmark's own source: its traced functions
 X`` and every attribute read off a plifs module in ``perfbench/*.py``."""
 
 import ast
+import hashlib
+import json
 import math
 import importlib
 import importlib.util
 import types
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# sha256 of the deep-sweep answers as JSON, tiny and full size
+DEEP_SWEEP_ANSWERS = {True: "c784bcce3352f2188e9a9c9d3956e76ebbddabab25b5fd255530b2e24b7063e7",
+                      False: "b36afae9fe050fb1abbbca4f6b0b2241223e9ac5d24ff92617111663183ca42f"}
 
 
 def tracing_module() -> types.ModuleType:
@@ -151,3 +158,21 @@ def test_traced_probe_reads_the_call_results(monkeypatch, tmp_path):
     assert counts == {"pressure.zero_lengths": 0, "gdifs.scc_nodes": 13, "gdifs.edges": 24}
     metrics = child.layer_metrics(tracer.spans)
     assert all(math.isfinite(v) and v >= 0 for v in metrics.values())
+
+
+@pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
+def test_deep_sweep_answers_pass_their_checks_and_are_pinned(monkeypatch, tiny):
+    # one pass of the deep-sweep ops, built as the benchmark builds them:
+    # every check passes, and the answers (roots and bounds as JSON floats,
+    # which round-trip) are those taken before the level sweep and its
+    # consumers were sped up, to the bit; the full size reads levels of
+    # many chunks
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads as wl
+
+    S = dict(wl.make_systems("deep-sweep", 0, tiny))
+    ops = wl.build_ops("deep-sweep", S, {}, tiny)
+    answers = {op.name: op.call() for op in ops}
+    assert [op.check(answers[op.name], answers) for op in ops] == [None] * len(ops)
+    text = json.dumps(answers, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == DEEP_SWEEP_ANSWERS[tiny]

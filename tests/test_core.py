@@ -41,6 +41,7 @@ from plifs.core import (
 from plifs.errors import AmbiguousContainment, BudgetExceeded, NonContractive
 
 from helpers import (
+    _reference_image,
     cantor_pair,
     conjugate,
     paper_example,
@@ -146,9 +147,65 @@ def test_image_arrays_match_scalar():
         alo, ahi = np.empty(50), np.empty(50)
         _image_into(f, lo, hi, alo, ahi)
         for i in range(50):
-            slo, shi = image_interval(f, (lo[i], hi[i]))
-            assert alo[i] == pytest.approx(slo, abs=1e-14)
-            assert ahi[i] == pytest.approx(shi, abs=1e-14)
+            assert (alo[i], ahi[i]) == image_interval(f, (lo[i], hi[i]))
+
+
+def _one_piece_cases():
+    """(map, lo, hi, whether the chunk lies in one piece) for
+    `_image_into`: _CHUNK words, endpoints drawn around the break b = 0.5."""
+    rng = np.random.default_rng(9)
+    n, b = _CHUNK, 0.5
+    up = PLMap((b,), (0.8, 0.2), 0.0)  # the paper example's first map
+    down = PLMap((b,), (-0.6, 0.3), 0.7)  # folded: the slope below b is negative
+    neg = PLMap((b,), (-0.4, -0.3), 0.9)
+    zero_up, zero_down = PLMap((), (0.5,), -0.0), PLMap((), (-0.5,), -0.0)  # intercept -0.0
+
+    def draw(a, c):
+        lo = rng.uniform(a, c, n)
+        hi = np.minimum(lo + rng.uniform(0.0, 0.05, n), c)
+        hi[::7] = lo[::7]  # zero-length intervals
+        return lo, hi
+
+    below, above = draw(0.0, np.nextafter(b, 0.0)), draw(b, 1.0)
+    above[0][:3] = above[1][:3] = b  # lo == b, and zero-length at b
+    at_b = (below[0].copy(), below[1].copy())
+    at_b[1][5] = b  # hi == b: b is in the next piece
+    across = draw(0.0, 1.0)
+    zeros = (np.zeros(n), np.zeros(n))  # +-0.0 endpoints, zero lengths and ties
+    zeros[0][::2] = -0.0
+    zeros[1][::3] = -0.0
+    zeros[1][1::4] = rng.uniform(0.0, 1e-3, zeros[1][1::4].size)
+    cases = []
+    for name, f in (("up", up), ("down", down), ("neg", neg)):
+        cases += [pytest.param(f, *below, True, id=f"{name}-below"),
+                  pytest.param(f, *above, True, id=f"{name}-above"),
+                  pytest.param(f, *at_b, False, id=f"{name}-hi_at_break"),
+                  pytest.param(f, *across, False, id=f"{name}-across")]
+    for name, f, one_piece in (("up", up, True), ("down", down, True),
+                               ("zero_up", zero_up, False), ("zero_down", zero_down, False)):
+        cases.append(pytest.param(f, *zeros, one_piece, id=f"{name}-signed_zeros"))
+    return cases
+
+
+@pytest.mark.parametrize("f, lo, hi, one_piece", _one_piece_cases())
+def test_image_into_is_bit_identical_to_reference(f, lo, hi, one_piece):
+    # a chunk wholly inside one piece is imaged with no scratch, one that
+    # touches or straddles a break, or has a -0.0 intercept, on the full
+    # path; both give the reference's bytes, signed zeros included
+    from plifs.core import _image_into
+
+    assert (lo <= hi).all() and lo.size == _CHUNK
+    out_lo, out_hi = np.empty_like(lo), np.empty_like(hi)
+    _image_into(f, lo, hi, out_lo, out_hi)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        _image_into(f, lo, hi, out_lo, out_hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref_lo, ref_hi = _reference_image(f, lo, hi)
+    assert out_lo.tobytes() == ref_lo.tobytes() and out_hi.tobytes() == ref_hi.tobytes()
+    assert (peak < 1024) == one_piece  # the full path peaks at about 10 B per word
 
 
 # --- invariant interval ------------------------------------------------------
@@ -343,7 +400,8 @@ def test_sweep_builds_levels_lazily_and_never_the_deepest(monkeypatch):
     sweep = level_sweep(paper_example(), 18)
     for n in range(18):
         next(sweep)
-        assert sum(words) == 2 ** (n + 1) - 2  # levels 1..n, one call per map
+        assert sum(words) == 2 ** (n + 1) - 2  # levels 1..n, in calls of at most _CHUNK words
+    assert max(words) == _CHUNK
     deepest = next(sweep)
     assert sum(words) == 2**18 - 2 and deepest.size == 2**18
     for _ in range(2):
@@ -360,11 +418,13 @@ def test_sweep_builds_levels_lazily_and_never_the_deepest(monkeypatch):
 
 
 def test_sweep_peak_bytes_per_word():
-    # tracemalloc peak per word of the deepest level: 25.3 B, 23.1 B and
-    # 14.5 B with the deepest level read in chunks and never built; 29 B,
-    # 34 B and 32.9 B with it built whole, and 40 B and 88 B for the first
-    # two with per-map images, a concatenated copy and index arrays.  The
-    # bounds on the last two are the chunked figures plus 25%.
+    # tracemalloc peak per word of the deepest level: 25.3 B, 21.9 B and
+    # 14.3 B with the deepest level read in chunks and never built and the
+    # levels below it built a chunk at a time (23.1 B and 14.5 B for the
+    # last two with those built a map at a time); 29 B, 34 B and 32.9 B
+    # with it built whole, and 40 B and 88 B for the first two with per-map
+    # images, a concatenated copy and index arrays.  The bounds on the last
+    # two are the chunked figures plus 25%.
     from plifs.gdifs import build_fixed_point_family
 
     family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
@@ -382,8 +442,8 @@ def test_sweep_peak_bytes_per_word():
         return (peak - base) / words
 
     assert per_word(lambda: cylinder_arrays(paper, 18), 2**18) < 34.0
-    assert per_word(lambda: lebesgue_upper_bound(family, 11), 3**11) < 28.9
-    assert per_word(lambda: natural_dimension(paper, 6, 18), 2**18) < 18.1
+    assert per_word(lambda: lebesgue_upper_bound(family, 11), 3**11) < 27.4
+    assert per_word(lambda: natural_dimension(paper, 6, 18), 2**18) < 17.9
 
 
 def test_sweep_error_bounds_every_swept_endpoint():

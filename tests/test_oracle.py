@@ -417,6 +417,26 @@ def test_union_length_is_bit_identical_to_reference(monkeypatch):
     hi[3 * _CHUNK - 3] = lo[3 * _CHUNK + 1]
     cases += [(lo, hi)]
     assert reference_union_length(lo, hi) == 0.5 * lo.size + 1.5 + 2.0
+    # disjoint, three chunks, each later one opening by joining the run
+    # carried into it: past its first entry's hi (second chunk), and short
+    # of it (third chunk)
+    lo = 2.0 * np.arange(2 * _CHUNK + 3)
+    hi = lo + 1.0
+    hi[_CHUNK - 1] = lo[_CHUNK] + 0.5
+    hi[2 * _CHUNK - 1] = lo[2 * _CHUNK] + 1.25
+    cases += [(lo, hi)]
+    assert reference_union_length(lo, hi) == lo.size + 1.0 + 1.25
+    # sorted lo, hi nested and not rising: one entry covers the next three
+    lo = np.arange(_CHUNK + 9, dtype=float)
+    hi = lo + 0.5
+    hi[10] = lo[10] + 3.75
+    cases += [(lo, hi)]
+    lo, hi = cylinder_arrays(paper_example(), 20)  # zero-length cylinders touch
+    assert ((lo[1:] == hi[:-1]) & (lo[1:] == hi[1:])).any()
+    cases += [(lo, hi)]
+    lo, hi = cylinder_arrays(cantor_pair(), 17)  # four chunks, pairwise disjoint
+    assert (lo[1:] > hi[:-1]).all() and lo.size == 4 * _CHUNK
+    cases += [(lo, hi)]
     cases += [
         (np.array([0.0, 0.1, 0.2, 0.5]), np.array([1.0, 0.3, 0.4, 0.6])),  # nested
         (np.array([0.5, 0.0, 0.2, 0.7]), np.array([0.7, 0.2, 0.5, 0.9])),  # touching

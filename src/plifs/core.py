@@ -15,13 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import (
-    AmbiguousContainment,
-    BudgetExceeded,
-    ConvergenceFailure,
-    NonContractive,
-    ToleranceViolation,
-)
+from .errors import AmbiguousContainment, BudgetExceeded, ConvergenceFailure, NonContractive
 
 Interval = tuple[float, float]
 Word = tuple[int, ...]
@@ -131,26 +125,11 @@ class PLMap:
         return min(abs(s) for s in self.slopes)
 
     def fixed_point(self) -> float:
-        """The unique fixed point (the map is a global contraction)."""
-        best, best_res = None, math.inf
-        for i in range(self.pieces):
-            s, c = self.slopes[i], self._intercepts[i]
-            x = c / (1.0 - s)
-            lo, hi = self.piece_domain(i)
-            pad = 1e-12 * (1.0 + abs(x))
-            if lo - pad <= x <= hi + pad:
-                res = abs(self(x) - x)
-                if res < best_res:
-                    best, best_res = x, res
-        if best is None:  # rounding pushed the candidate off every piece
-            x = 0.0
-            for _ in range(100000):
-                nx = self(x)
-                if abs(nx - x) < 1e-15:
-                    break
-                x = nx
-            best = x
-        return best
+        """The unique fixed point (the map is a global contraction): each
+        piece's candidate c / (1 - s), chosen by ``_fixed_point`` with its
+        domain padded by 1e-12 (1 + |x|)."""
+        pieces = [(self.piece_domain(i), self.piece_affine(i)) for i in range(self.pieces)]
+        return _fixed_point(pieces, self, lambda x: 1e-12 * (1.0 + abs(x)))
 
     def piece_over(self, iv: Interval, tol: float) -> int | None:
         """Index of the linearity piece whose closure, widened by ``tol``,
@@ -180,6 +159,9 @@ class AffineMap:
     def image(self, iv: Interval) -> Interval:
         a, b = self(iv[0]), self(iv[1])
         return (a, b) if a <= b else (b, a)
+
+
+Branch = tuple[Interval, AffineMap]  # a domain and the similarity a composition equals there
 
 
 @dataclass(frozen=True)
@@ -773,17 +755,23 @@ def _apply_word(F: Cplifs, w: Word, x: float) -> float:
     return x
 
 
+def _fixed_point(branches: list[Branch], f: Callable, pad: Callable) -> float:
+    """The fixed point of the contraction f from the (domain, similarity)
+    branches it agrees with: of the candidates offset / (1 - ratio) that lie
+    in their domain widened by pad(y), the first with the least residual
+    |f(y) - y|; of all candidates when rounding leaves none in its domain."""
+    cands = [(sim.offset / (1.0 - sim.ratio), dom) for dom, sim in branches]
+    kept = [y for y, (lo, hi) in cands if lo - pad(y) <= y <= hi + pad(y)]
+    return min(kept or [y for y, _ in cands], key=lambda y: abs(f(y) - y))
+
+
 def periodic_point(F: Cplifs, period: Word) -> float:
-    """Fixed point of the composition f_{period} (a contraction)."""
-    lo, hi = invariant_interval(F)
-    x = 0.5 * (lo + hi)
-    back = None  # the iterate two steps back: rounding can settle into a 2-cycle
-    for _ in range(100000):
-        nx = _apply_word(F, period, x)
-        if abs(nx - x) < 1e-16 * (1.0 + abs(x)) or nx == back:
-            return nx
-        back, x = x, nx
-    raise ConvergenceFailure("periodic point iteration did not converge")
+    """Fixed point of the composition f_{period} (a contraction), in closed
+    form: ``_fixed_point`` over the branches of f_period on the invariant
+    interval, each domain widened by ``F.geom_tol()``."""
+    tol = F.geom_tol()
+    branches = _branches(F, period, invariant_interval(F))
+    return _fixed_point(branches, lambda y: _apply_word(F, period, y), lambda y: tol)
 
 
 _CODE_TOL = 1e-9  # largest distance and residuals that verify_breaking_code accepts
@@ -791,18 +779,13 @@ _CODE_TOL = 1e-9  # largest distance and residuals that verify_breaking_code acc
 
 def verify_breaking_code(F: Cplifs, b: float, prefix: Word, period: Word) -> CodeCheck:
     """Check, to ``_CODE_TOL``, that b is a breaking point and b = f_prefix(y)
-    for the periodic point y of f_period, and that b stays inside the
-    cylinders I_{prefix . period^j}, j = 1..3."""
+    for the periodic point y of f_period (in closed form, so no step can
+    fail to converge), and that b stays inside the cylinders
+    I_{prefix . period^j}, j = 1..3."""
     if all(abs(b - p) > _CODE_TOL for _, p in F.breaking_points()):
         raise ValueError(f"{b} is not a breaking point of the system")
     code = BreakCode(point=b, prefix=tuple(prefix), period=tuple(period))
-    try:
-        y = periodic_point(F, code.period)
-    except ConvergenceFailure as exc:
-        raise ToleranceViolation(
-            f"periodic point of {code.period} did not converge",
-            {"period": math.inf},
-        ) from exc
+    y = periodic_point(F, code.period)
     res_period = abs(_apply_word(F, code.period, y) - y)
     res_prefix = abs(_apply_word(F, code.prefix, y) - b)
     contained = all(_containing_words(F, b, 0, DEFAULT_BUDGET, code.prefix + code.period * j)
@@ -814,24 +797,45 @@ def verify_breaking_code(F: Cplifs, b: float, prefix: Word, period: Word) -> Cod
     )
 
 
-def affine_restriction(F: Cplifs, w: Word, iv: Interval) -> AffineMap:
-    """The similarity that f_w restricts to on ``iv``.
-
-    Folds right to left; fails if at some stage the running interval has a
-    breaking point of the next map more than ``F.geom_tol()`` inside it,
-    because then the composition is not affine there.
-    """
+def _branches(F: Cplifs, w: Word, iv: Interval) -> list[Branch]:
+    """The branches of f_w on ``iv``: (domain, similarity) pairs whose
+    domains tile iv in order, f_w agreeing with each on its domain up to
+    tol = ``F.geom_tol()`` at the breaks.  Folds right to left, taking at
+    each stage the next map's piece whose closure, widened by tol, covers
+    the running interval (``PLMap.piece_over``).  Where none does, that
+    interval is cut at the breaks more than tol inside it and the domain at
+    their preimages; each part takes the piece at its midpoint and folds on."""
     tol = F.geom_tol()
-    cur = iv
-    total = AffineMap(1.0, 0.0)
-    for k in w[::-1]:
-        f = F.map(k)
-        i = f.piece_over(cur, tol)
-        if i is None:
-            raise AmbiguousContainment(
-                f"map {k} breaks inside [{cur[0]}, {cur[1]}]; composition not affine"
-            )
-        piece = f.piece_affine(i)
-        total = piece.compose(total)
-        cur = piece.image(cur)
+    out: list[Branch] = []
+    stack = [(len(w), iv, AffineMap(1.0, 0.0), iv)]  # stages left, domain, map, image
+    while stack:
+        j, dom, total, cur = stack.pop()
+        for j in range(j, 0, -1):
+            f = F.map(w[j - 1])
+            if (i := f.piece_over(cur, tol)) is None:
+                break
+            piece = f.piece_affine(i)
+            total, cur = piece.compose(total), piece.image(cur)
+        else:
+            out.append((dom, total))
+            continue
+        cuts = [b for b in f.breaks if cur[0] + tol < b < cur[1] - tol]
+        parts = list(zip([cur[0], *cuts], [*cuts, cur[1]]))
+        xs = [min(max((b - total.offset) / total.ratio, dom[0]), dom[1]) for b in cuts]
+        if total.ratio < 0:
+            parts, xs = parts[::-1], xs[::-1]
+        for d, part in reversed(list(zip(zip([dom[0], *xs], [*xs, dom[1]]), parts))):
+            piece = f.piece_affine(f.piece_index(0.5 * (part[0] + part[1])))
+            stack.append((j - 1, d, piece.compose(total), piece.image(part)))
+    return out
+
+
+def affine_restriction(F: Cplifs, w: Word, iv: Interval) -> AffineMap:
+    """The similarity that f_w restricts to on ``iv``, its one branch
+    (``_branches``); AmbiguousContainment when a stage's running interval
+    has a break of the next map more than ``F.geom_tol()`` inside it, as
+    then the composition is not affine there."""
+    (_, total), *rest = _branches(F, w, iv)
+    if rest:
+        raise AmbiguousContainment(f"f_{word_str(w)} breaks inside [{iv[0]}, {iv[1]}]; not affine")
     return total

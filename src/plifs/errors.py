@@ -26,14 +26,6 @@ class ConvergenceFailure(PlifsError):
     """An iterative computation did not converge within its cap."""
 
 
-class ToleranceViolation(PlifsError):
-    """A numeric certification failed; carries the offending residuals."""
-
-    def __init__(self, message: str, residuals: dict | None = None):
-        super().__init__(message)
-        self.residuals = dict(residuals or {})
-
-
 class NotStronglyConnected(PlifsError):
     """The directed graph is not strongly connected."""
 

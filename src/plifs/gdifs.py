@@ -929,7 +929,7 @@ class DimConfig:
     box_samples: chaos-game samples fed to the box count.
     seed: chaos-game sampling seed.
     budget: cap on enumerated cylinder intervals.
-    agreement_tol: largest |diff| accepted between natural, gdifs and determinant.
+    agreement_tol: largest |diff| (finite, >= 0) accepted between natural, gdifs, determinant.
     """
 
     n_min: int = 6
@@ -945,6 +945,8 @@ class DimConfig:
             raise ValueError("need 1 <= n_min <= n_max")
         if self.punctured_k < 2:
             raise ValueError("punctured approximation needs level k >= 2")
+        if not 0.0 <= self.agreement_tol < math.inf:
+            raise ValueError(f"agreement tolerance {self.agreement_tol} is not finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -361,7 +361,9 @@ def measure_evidence(
     """Classify the last ``_WINDOW`` relative changes of the bound
     sequence: a plateau with dimension estimate above 1 supports positive
     measure, geometric decay with estimate below 1 supports a null
-    attractor."""
+    attractor.  ValueError unless plateau_tol is finite and > 0."""
+    if not 0.0 < plateau_tol < math.inf:
+        raise ValueError(f"plateau tolerance {plateau_tol} is not finite and > 0")
     b = [float(x) for x in bounds]
     if len(b) < _WINDOW + 1:
         raise ValueError(f"need at least {_WINDOW + 1} bound values")

@@ -8,7 +8,8 @@ import random
 import numpy as np
 
 from plifs import Cplifs, PLMap
-from plifs.core import invariant_interval
+from plifs.core import _apply_word, invariant_interval
+from plifs.errors import ConvergenceFailure
 from plifs.oracle import PointCloud, uniform_batch
 
 
@@ -148,6 +149,23 @@ def random_family_instance(rng: random.Random, m: int = 3):
             continue
 
 
+def code_batch() -> list[Cplifs]:
+    """705 systems for comparing codes and periodic points: 300 of two or
+    three `random_plmap` maps from Random(9), 300
+    `random_increasing_system` draws from Random(5), 100 family instances
+    from Random(0), then the paper example, the period-two system,
+    `three_break_mixed_signs`, the Cantor pair and `unit_cover`."""
+    rng = random.Random(9)
+    out = [Cplifs(tuple(random_plmap(rng) for _ in range(rng.randint(2, 3))))
+           for _ in range(300)]
+    rng = random.Random(5)
+    out += [random_increasing_system(rng) for _ in range(300)]
+    rng = random.Random(0)
+    out += [random_family_instance(rng).system for _ in range(100)]
+    return out + [paper_example(), period_two(), three_break_mixed_signs(), cantor_pair(),
+                  unit_cover()]
+
+
 def _packed_family_parameters(rng: random.Random) -> tuple[list[float], list[float]]:
     """Parameters of a 6-map family: four fixed points in [0.25, 0.75],
     each 0.15 from the next (0.05 of slack shared out at random), and
@@ -229,7 +247,24 @@ class SplitMix64:
 # reference implementations: the array code that `plifs.core.level_sweep`,
 # `plifs.oracle._union_length`, `plifs.gdifs._certify_side` and
 # `plifs.gdifs.perron_root` (without its side-only mode) must reproduce
-# bit for bit
+# bit for bit, and the iteration that `plifs.core.periodic_point` must
+# match within rounding
+
+
+def reference_periodic_point(F: Cplifs, period) -> float:
+    """Reference periodic point: f_period iterated from the middle of the
+    invariant interval until a step moves less than 1e-16 (1 + |x|), or
+    until rounding settles the iterates into a 2-cycle; ConvergenceFailure
+    after 100,000 steps."""
+    lo, hi = invariant_interval(F)
+    x = 0.5 * (lo + hi)
+    back = None  # the iterate two steps back: rounding can settle into a 2-cycle
+    for _ in range(100000):
+        nx = _apply_word(F, period, x)
+        if abs(nx - x) < 1e-16 * (1.0 + abs(x)) or nx == back:
+            return nx
+        back, x = x, nx
+    raise ConvergenceFailure("periodic point iteration did not converge")
 
 
 def _reference_image(f: PLMap, lo: np.ndarray, hi: np.ndarray):

@@ -255,11 +255,20 @@ def test_dim_all_unavailable_lines_golden(tmp_path, capsys):
         (PAPER, ["measure", "--n", "1..3"]),
         (PAPER, ["dim", "all", "--n", "0..5"]),
         (PAPER, ["dim", "all", "--level", "1"]),
+        (PAPER, ["dim", "all", "--tol", "-1"]),
+        (PAPER, ["dim", "all", "--tol", "nan"]),
+        (PAPER, ["dim", "all", "--tol", "inf"]),
+        (PAPER, ["measure", "--n", "1..6", "--tol", "-1"]),
+        (PAPER, ["measure", "--n", "1..6", "--tol", "0"]),
+        (PAPER, ["measure", "--n", "1..6", "--tol", "nan"]),
+        (PAPER, ["measure", "--n", "1..6", "--tol", "inf"]),
     ],
     ids=["n-not-a-range", "n-reversed", "level-below-2", "measure-n-zero", "folded-punctured",
          "render-depth-negative", "render-svg-depth-negative", "check-depth-negative",
          "check-depth-negative-no-breaks", "esc-level-0", "esc-level-0-cantor",
-         "measure-n-reversed", "measure-n-too-short", "all-n-zero", "all-level-below-2"],
+         "measure-n-reversed", "measure-n-too-short", "all-n-zero", "all-level-below-2",
+         "all-tol-negative", "all-tol-nan", "all-tol-inf", "measure-tol-negative",
+         "measure-tol-zero", "measure-tol-nan", "measure-tol-inf"],
 )
 def test_exit_code_2_on_bad_argument(tmp_path, capsys, system, argv):
     path = tmp_path / "system.plifs"

@@ -45,6 +45,7 @@ from helpers import (
     cantor_pair,
     conjugate,
     paper_example,
+    random_family_instance,
     random_increasing_system,
     random_plmap,
     reference_level_sweep,
@@ -614,10 +615,27 @@ def test_code_rejects_non_breaking_point():
 
 
 def test_periodic_point_settles_rounding_two_cycle():
-    # x -> 0.9 - 0.7x rounds into a 2-cycle of iterates wider than the
-    # 1e-16 relative stop, so the iteration ends on the repeat instead
+    # iterating x -> 0.9 - 0.7x rounds into a 2-cycle of iterates wider
+    # than a 1e-16 relative stop; the closed form has no iterates
     F = Cplifs((PLMap((), (-0.7,), 0.9),))
     assert periodic_point(F, (1,)) == pytest.approx(0.9 / 1.7, abs=1e-15)
+
+
+@pytest.mark.parametrize("s", [1 - 1e-15, 1 - 2**-52, -1 + 1e-15, -1 + 2**-53])
+@pytest.mark.parametrize("c", [0.3, -2.5e-16, 1e-300])
+def test_fixed_point_near_unit_slope_is_the_closed_form(s, c):
+    assert PLMap((), (s,), c).fixed_point() == c / (1.0 - s)
+
+
+def test_fixed_point_of_family_middle_map_is_its_break():
+    from plifs.gdifs import build_fixed_point_family
+
+    rng = random.Random(3)
+    families = [build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,))]
+    families += [random_family_instance(rng, m) for m in (3, 4, 5, 6) for _ in range(5)]
+    for fam in families:
+        for f in fam.system.maps[1:-1]:
+            assert abs(f.fixed_point() - f.breaks[0]) <= 1e-15
 
 
 # --- affine restrictions and generated system --------------------------------

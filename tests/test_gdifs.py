@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import math
 import random
 import time
@@ -16,6 +17,7 @@ from plifs.core import (
     cylinder_interval,
     image_interval,
     level_sweep,
+    periodic_point,
 )
 from plifs.errors import (
     AmbiguousContainment,
@@ -56,12 +58,14 @@ from plifs import natural_dimension, solve_level_root, upper_box_consistency
 from helpers import (
     assert_family_graph_matches_reference,
     cantor_pair,
+    code_batch,
     gdifs_of_edges,
     paper_example,
     period_two,
     random_family_instance,
     reference_certify_side,
     reference_perron_root,
+    reference_periodic_point,
     reference_scc,
     three_break_mixed_signs,
 )
@@ -984,24 +988,52 @@ def eventually_periodic_system():
     )
 
 
-@pytest.mark.parametrize(
-    "F, code",
-    [
-        (paper_example(), BreakCode(0.5, (1,), (2,))),
-        (three_break_mixed_signs(), BreakCode(0.2, (1,), (2,))),
-        (folded_system(PLMap((0.5,), (0.2, 0.3), 0.4)), BreakCode(0.5, (), (2,))),
-        (folded_system(PLMap((0.5,), (-0.2, -0.3), 0.6)), BreakCode(0.5, (), (2,))),
-        (straddle_system(), BreakCode(0.5, (), (2,))),
-        (period_two(), BreakCode(0.21 / 0.91, (), (1, 2))),
-        (negative_slope_system(), BreakCode(0.9 / 1.7, (), (2,))),
-        (eventually_periodic_system(), BreakCode(0.15, (1,), (3,))),
-    ],
-    ids=["paper", "three-break", "folded-up", "folded-down", "straddle", "period-two",
-         "negative-slope", "eventually-periodic"],
-)
+PINNED_CODES = {
+    "paper": (paper_example(), BreakCode(0.5, (1,), (2,))),
+    "three-break": (three_break_mixed_signs(), BreakCode(0.2, (1,), (2,))),
+    "folded-up": (folded_system(PLMap((0.5,), (0.2, 0.3), 0.4)), BreakCode(0.5, (), (2,))),
+    "folded-down": (folded_system(PLMap((0.5,), (-0.2, -0.3), 0.6)), BreakCode(0.5, (), (2,))),
+    "straddle": (straddle_system(), BreakCode(0.5, (), (2,))),
+    "period-two": (period_two(), BreakCode(0.21 / 0.91, (), (1, 2))),
+    "negative-slope": (negative_slope_system(), BreakCode(0.9 / 1.7, (), (2,))),
+    "eventually-periodic": (eventually_periodic_system(), BreakCode(0.15, (1,), (3,))),
+}
+
+
+@pytest.mark.parametrize("F, code", list(PINNED_CODES.values()), ids=list(PINNED_CODES))
 def test_auto_codes_pinned(F, code):
     # straddle: 0.5 has witnesses under maps 2 and 3; 2222 comes first
     assert auto_codes(F) == (code,)
+
+
+def test_auto_codes_pinned_on_a_batch_slice():
+    # sha256 of the codes of code_batch()[:100], the Random(9) systems,
+    # taken when periodic points were still iterated; it includes system
+    # 71, whose 343 code checks once spent 0.55 of 0.80 s iterating
+    codes = repr([auto_codes(F) for F in code_batch()[:100]])
+    assert hashlib.sha256(codes.encode()).hexdigest() == (
+        "086f1c5303049ad25da62bf44c3b09b7cf2e9de9e2758d3b01918d5941837281"
+    )
+
+
+@pytest.mark.parametrize(
+    "systems",
+    [[F for F, _ in PINNED_CODES.values()], code_batch()[::14][:50]],
+    ids=["pinned", "batch"],
+)
+def test_periodic_point_matches_reference_iteration(systems):
+    # every word of length L with m**L <= 81
+    for F in systems:
+        words = [w for L in range(1, 5) if F.m**L <= 81
+                 for w in itertools.product(range(1, F.m + 1), repeat=L)]
+        for w in words:
+            y, ref = periodic_point(F, w), reference_periodic_point(F, w)
+            assert abs(y - ref) <= 1e-12 * (1.0 + abs(ref)), (F, w)
+
+
+def test_periodic_point_of_period_two_rotation_is_pinned():
+    # bit for bit as the iteration found it
+    assert periodic_point(period_two(), (2, 1)) == float.fromhex("0x1.89d89d89d89d8p-1")
 
 
 def test_auto_codes_period_two_alpha():
@@ -1011,8 +1043,8 @@ def test_auto_codes_period_two_alpha():
 
 
 def test_auto_codes_negative_slope_gdifs_value():
-    # iterating f_2 for its fixed point rounds into a 2-cycle, which
-    # periodic_point must settle before the code can be verified
+    # f_2 breaks at its own fixed point, which iterating f_2 only reached
+    # as a rounding 2-cycle; the closed form reads it off one branch
     value, _, _ = METHODS["gdifs"](negative_slope_system(), DimConfig())
     assert value == pytest.approx(0.7868740, abs=1e-7)
 
@@ -1272,6 +1304,13 @@ def test_dim_config_fields():
 def test_dim_config_rejects_bad_levels(kwargs, message):
     with pytest.raises(ValueError, match=message):
         DimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_dim_config_rejects_agreement_tol_not_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="agreement tolerance .* is not finite and >= 0"):
+        DimConfig(agreement_tol=tol)
+    assert DimConfig(agreement_tol=0.0).agreement_tol == 0.0
 
 
 def test_dim_report_box_flag_is_upper_box_consistency(monkeypatch):

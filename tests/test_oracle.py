@@ -476,3 +476,11 @@ def test_measure_evidence_null():
 def test_measure_evidence_inconclusive():
     v = measure_evidence([1.0, 0.9, 0.8, 0.7], 1.5)
     assert v.classification == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_measure_evidence_rejects_plateau_tol_not_finite_and_positive(tol):
+    bounds = lebesgue_upper_bound(cantor_pair(), 8)
+    with pytest.raises(ValueError, match="plateau tolerance .* is not finite and > 0"):
+        measure_evidence(bounds, LOG23, plateau_tol=tol)
+    assert measure_evidence(bounds, LOG23, plateau_tol=5e-324).plateau_tol == 5e-324

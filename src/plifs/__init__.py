@@ -5,7 +5,6 @@ from .core import (
     AffineMap,
     BreakCode,
     Cplifs,
-    CylinderSet,
     GeneratedSimilarity,
     PLMap,
     check_iosc,

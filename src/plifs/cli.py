@@ -23,9 +23,9 @@ from .core import (
     check_small,
     cylinder_arrays,
     generated_ifs,
+    index_word,
     invariant_interval,
     level_sweep,
-    level_words,
     regularity_diagnostic,
     word_str,
 )
@@ -206,8 +206,8 @@ def cmd_measure(F: Cplifs, budget: int, args) -> int:
 def _render_csv(F: Cplifs, depth: int, budget: int) -> str:
     lines = ["word,left,right"]
     lo, hi = cylinder_arrays(F, depth, budget)
-    for w, a, b in zip(level_words(F.m, depth), lo.tolist(), hi.tolist()):
-        lines.append(f"{word_str(w)},{fmt(a)},{fmt(b)}")
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        lines.append(f"{word_str(index_word(i, F.m, depth))},{fmt(a)},{fmt(b)}")
     return "\n".join(lines) + "\n"
 
 
@@ -282,10 +282,13 @@ def main(argv: list[str] | None = None) -> int:
         F = parse_spec_file(args.file)
         budget = _budget(args)
         # values that the command would meet only after printing some lines
+        # or sweeping its levels
         if args.command == "check" and args.depth < 0:
             raise ValueError(f"--depth={args.depth} is negative")
         if args.command == "esc" and args.level < 1:
             raise ValueError(f"--level={args.level} is below 1")
+        if args.command == "measure":
+            oracle.check_plateau_tol(args.tol)
         return _DISPATCH[args.command](F, budget, args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
         # ValueError: a bad argument, caught here or by the library

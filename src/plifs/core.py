@@ -5,7 +5,6 @@ diagnostics."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -254,14 +253,9 @@ def invariant_interval(F: Cplifs) -> Interval:
 # cylinder intervals
 
 
-def level_words(m: int, n: int) -> Iterator[Word]:
-    """All words of length n in lexicographic order."""
-    return itertools.product(range(1, m + 1), repeat=n)
-
-
 def word_index(w: Word, m: int) -> int:
     """Base-m index of a word over {1..m}, first symbol most significant;
-    indices run in the lexicographic order of ``level_words``."""
+    indices run in the lexicographic order of the words."""
     i = 0
     for k in w:
         i = i * m + k - 1
@@ -275,29 +269,6 @@ def index_word(i: int, m: int, n: int) -> Word:
         i, r = divmod(i, m)
         w[j] = r + 1
     return tuple(w)
-
-
-@dataclass(frozen=True, eq=False)
-class CylinderSet:
-    """All level-n cylinder intervals as endpoint arrays in lexicographic
-    word order; ``cyl[w]`` reads the entry at ``word_index(w, m)``."""
-
-    level: int
-    m: int
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.lo)
-
-    def __getitem__(self, w: Word) -> Interval:
-        if len(w) != self.level or not all(1 <= k <= self.m for k in w):
-            raise KeyError(w)
-        i = word_index(w, self.m)
-        return (float(self.lo[i]), float(self.hi[i]))
-
-    def items(self) -> Iterator[tuple[Word, Interval]]:
-        return zip(level_words(self.m, self.level), zip(self.lo.tolist(), self.hi.tolist()))
 
 
 def _check_budget(m: int, n: int, budget: int) -> int:
@@ -365,111 +336,93 @@ Chunk = tuple[np.ndarray, np.ndarray]
 
 
 class Level:
-    """One level of cylinder intervals as a re-iterable sequence of
-    (lo, hi) chunks, each at most ``_CHUNK`` words, in lexicographic word
-    order; ``size`` is the number of words.  ``chunks(out)`` yields the
-    chunks; given ``out``, a pair of ``size``-word arrays, it writes each
-    chunk straight into its slices of ``out`` and yields those."""
+    """One level of cylinder intervals in lexicographic word order, read as
+    a re-iterable sequence of (lo, hi) chunks of at most ``_CHUNK`` words;
+    ``size`` is the number of words.
 
-    def __init__(self, size: int, chunks: Callable[[Chunk | None], Iterator[Chunk]]):
-        self.size = size
-        self._chunks = chunks
+    With no maps the level is the arrays lo, hi: its chunks are views of
+    them and ``join()`` returns them, uncopied.  With maps it is their
+    images of the parent level lo, hi, map after map, each pass imaging the
+    parent's ``_CHUNK``-word slices afresh; ``join()`` writes the images
+    into one preallocated pair of arrays."""
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, maps: tuple[PLMap, ...] = ()):
+        self.lo, self.hi, self.maps = lo, hi, maps
+        self.size = lo.size * len(maps) if maps else lo.size
+
+    def _slices(self) -> Iterator[Chunk]:
+        for i in range(0, self.lo.size, _CHUNK):
+            yield self.lo[i:i + _CHUNK], self.hi[i:i + _CHUNK]
 
     def __iter__(self) -> Iterator[Chunk]:
-        return self._chunks(None)
-
-    @classmethod
-    def of(cls, lo: np.ndarray, hi: np.ndarray) -> "Level":
-        """The level held in the arrays lo, hi; its chunks are views."""
-
-        def chunks(out: Chunk | None) -> Iterator[Chunk]:
-            if out is not None:
-                out[0][:], out[1][:] = lo, hi
-            src_lo, src_hi = (lo, hi) if out is None else out
-            for i in range(0, lo.size, _CHUNK):
-                yield src_lo[i:i + _CHUNK], src_hi[i:i + _CHUNK]
-
-        return cls(lo.size, chunks)
+        if not self.maps:
+            yield from self._slices()
+            return
+        for f in self.maps:
+            for lo, hi in self._slices():
+                out = np.empty_like(lo), np.empty_like(hi)
+                _image_into(f, lo, hi, *out)
+                yield out
 
     def join(self) -> Chunk:
-        """The whole level as one preallocated pair of arrays that its
-        chunks are written into."""
-        out = np.empty(self.size), np.empty(self.size)
-        for _ in self._chunks(out):
-            pass
-        return out
+        """The whole level as one pair of arrays."""
+        if not self.maps:
+            return self.lo, self.hi
+        out_lo, out_hi = np.empty(self.size), np.empty(self.size)
+        j = 0  # where the next slice's images start in the level
+        for f in self.maps:
+            for lo, hi in self._slices():
+                _image_into(f, lo, hi, out_lo[j:j + lo.size], out_hi[j:j + lo.size])
+                j += lo.size
+        return out_lo, out_hi
 
 
 def level_sweep(F: Cplifs, n_max: int, budget: int = DEFAULT_BUDGET) -> Iterator[Level]:
-    """The level-n cylinder intervals as a `Level` of chunks for
-    n = 0..n_max, each level in lexicographic word order and built from
-    the one before it; level 0 is the invariant interval.  The budget is
-    checked once, for level n_max, before the first level is built.
+    """The level-n cylinder intervals as a `Level` for n = 0..n_max, each
+    in lexicographic word order and built from the one before it; level 0
+    is the invariant interval.  The budget is checked once, for level
+    n_max, before the first level is built.
 
-    A level's chunks are each map's images of ``_CHUNK``-word slices of
-    the level before, map after map.  A level is built when the consumer
-    asks for it.  Levels below n_max are joined (`Level.join`), so their
-    chunks are views; the sweep never writes them again, so a consumer may
-    keep them.  Level n_max is never allocated: each pass over its chunks
-    computes them afresh.  So the peak while level n < n_max is built is
-    level n - 1, level n and one chunk's scratch, 16/m + 16 bytes per
-    level-n word and 320 KiB, and a pass over level n_max holds
+    A level is built when the consumer asks for it.  Levels below n_max
+    are held as arrays (``Level(lo, hi)``), so their chunks are views; the
+    sweep never writes them again, so a consumer may keep them but must not
+    write them.  Level n_max is never allocated: it is
+    ``Level(lo, hi, F.maps)`` over level n_max - 1, and each pass over its
+    chunks computes them afresh.  So the peak while level n < n_max is
+    built is level n - 1, level n and one chunk's scratch, 16/m + 16 bytes
+    per level-n word and 320 KiB, and a pass over level n_max holds
     level n_max - 1 and one chunk with its scratch: 16/m bytes per
     level-n_max word."""
     if n_max < 0:
         raise ValueError("level must be >= 0")
     _check_budget(F.m, n_max, budget)
-
-    def images(lo: np.ndarray, hi: np.ndarray) -> Level:
-        def chunks(out: Chunk | None) -> Iterator[Chunk]:
-            j = 0  # where the next chunk starts in the level
-            for f in F.maps:
-                for i in range(0, lo.size, _CHUNK):
-                    clo, chi = lo[i:i + _CHUNK], hi[i:i + _CHUNK]
-                    if out is None:
-                        out_lo, out_hi = np.empty_like(clo), np.empty_like(chi)
-                    else:
-                        out_lo, out_hi = out[0][j:j + clo.size], out[1][j:j + clo.size]
-                    _image_into(f, clo, chi, out_lo, out_hi)
-                    yield out_lo, out_hi
-                    j += clo.size
-
-        return Level(F.m * lo.size, chunks)
-
     a, b = invariant_interval(F)
     lo, hi = np.array([a]), np.array([b])
-    yield Level.of(lo, hi)
+    yield Level(lo, hi)
     for _ in range(1, n_max):
-        lo, hi = images(lo, hi).join()
-        yield Level.of(lo, hi)
+        lo, hi = Level(lo, hi, F.maps).join()
+        yield Level(lo, hi)
     if n_max:
-        yield images(lo, hi)
+        yield Level(lo, hi, F.maps)
+
+
+def cylinders(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Level:
+    """The level-n cylinder intervals I_w = f_{w_1} o ... o f_{w_n} (I^F):
+    the last level of ``level_sweep(F, n)``, for n >= 1 never allocated
+    whole.  The interval of word w is entry ``word_index(w, F.m)``."""
+    for level in level_sweep(F, n, budget):
+        pass
+    return level
 
 
 def cylinder_arrays(
     F: Cplifs, n: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of all level-n cylinder intervals in lexicographic
-    word order (first symbol most significant): the deepest level of the
-    sweep, each map's images of level n - 1 written chunk by chunk
+    word order (first symbol most significant): ``cylinders(F, n)``
+    joined, each map's images of level n - 1 written chunk by chunk
     straight into one preallocated pair of arrays."""
-    return deepest_level(F, n, budget).join()
-
-
-def deepest_level(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Level:
-    """The level-n cylinder intervals as chunks: the last level of
-    ``level_sweep(F, n)``, never allocated whole."""
-    for level in level_sweep(F, n, budget):
-        pass
-    return level
-
-
-def cylinders(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> CylinderSet:
-    """Level-n cylinder intervals I_w = f_{w_1} o ... o f_{w_n} (I^F)."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    lo, hi = cylinder_arrays(F, n, budget)
-    return CylinderSet(level=n, m=F.m, lo=lo, hi=hi)
+    return cylinders(F, n, budget).join()
 
 
 def cylinder_interval(F: Cplifs, w: Word) -> Interval:

@@ -290,7 +290,7 @@ def _union_length(level: Level) -> float:
             order = np.argsort(lo, kind="stable")
             lo, hi = lo[order], hi[order]
             del order
-            return _union_length(Level.of(lo, hi))
+            return _union_length(Level(lo, hi))
         last_lo = lo[-1]
         if first is None:  # the level's first interval opens the first run
             first, cmax = lo[0], hi[0]
@@ -355,6 +355,12 @@ class MeasureVerdict:
     plateau_tol: float
 
 
+def check_plateau_tol(plateau_tol: float) -> None:
+    """ValueError unless plateau_tol is finite and > 0."""
+    if not 0.0 < plateau_tol < math.inf:
+        raise ValueError(f"plateau tolerance {plateau_tol} is not finite and > 0")
+
+
 def measure_evidence(
     bounds: Sequence[float], dim_estimate: float, plateau_tol: float = PLATEAU_TOL
 ) -> MeasureVerdict:
@@ -362,8 +368,7 @@ def measure_evidence(
     sequence: a plateau with dimension estimate above 1 supports positive
     measure, geometric decay with estimate below 1 supports a null
     attractor.  ValueError unless plateau_tol is finite and > 0."""
-    if not 0.0 < plateau_tol < math.inf:
-        raise ValueError(f"plateau tolerance {plateau_tol} is not finite and > 0")
+    check_plateau_tol(plateau_tol)
     b = [float(x) for x in bounds]
     if len(b) < _WINDOW + 1:
         raise ValueError(f"need at least {_WINDOW + 1} bound values")

@@ -10,7 +10,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import _CHUNK, Chunk, Cplifs, DEFAULT_BUDGET, deepest_level, level_sweep
+from .core import _CHUNK, Chunk, Cplifs, DEFAULT_BUDGET, cylinders, level_sweep
 from .errors import ConvergenceFailure, DegenerateAttractor
 
 WINDOW = 3  # last roots s_n that the natural estimate takes the maximum of
@@ -125,7 +125,7 @@ def pressure_at(F: Cplifs, s: float, n: int, budget: int = DEFAULT_BUDGET) -> fl
         raise ValueError("s must be >= 0")
     if n < 1:
         raise ValueError("level must be >= 1")
-    logu, logc, _, _ = _aggregate_lengths(deepest_level(F, n, budget))
+    logu, logc, _, _ = _aggregate_lengths(cylinders(F, n, budget))
     if logu.size == 0:
         raise DegenerateAttractor("all level-%d cylinders have zero length" % n)
     return _logsumexp(s * logu + logc) / n
@@ -213,7 +213,7 @@ def solve_level_root(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Pressur
     root is 0 by convention.
     """
     t0 = time.perf_counter()
-    logu, logc, zero, count = _aggregate_lengths(deepest_level(F, n, budget))
+    logu, logc, zero, count = _aggregate_lengths(cylinders(F, n, budget))
     root = _root_from_logs(logu, logc)
     return PressureProfile(level=n, root=root, word_count=count, zero_count=zero,
                            elapsed=time.perf_counter() - t0)

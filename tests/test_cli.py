@@ -55,6 +55,17 @@ def test_check_paper_example(paper_file, capsys):
     assert "12222222" in out
 
 
+def test_check_certifies_a_break_off_the_attractor(tmp_path, capsys):
+    # the break 0.5 of map 1 lies in the gap (1/3, 2/3) between the first
+    # cylinders of this Cantor-like system
+    path = tmp_path / "gap.plifs"
+    path.write_text("map tau=0 slopes=0.3333333333333333,0.25 breaks=0.5\n"
+                    "map tau=0.6666666666666666 slopes=0.3333333333333333\n")
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("break 0.5 (map 1): CERTIFIED_OFF_ATTRACTOR at depth 8\n")
+
+
 def test_check_cantor_trivially_regular(cantor_file, capsys):
     assert main(["check", cantor_file]) == 0
     out = capsys.readouterr().out
@@ -279,6 +290,19 @@ def test_exit_code_2_on_bad_argument(tmp_path, capsys, system, argv):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
     assert "line 0" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_measure_rejects_bad_tol_before_any_sweep(paper_file, capsys, monkeypatch, tol):
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before --tol was checked")
+
+    monkeypatch.setattr(oracle, "lebesgue_upper_bound", sweep)
+    monkeypatch.setattr(cli, "natural_dimension", sweep)
+    assert main(["measure", paper_file, "--n", "1..22", "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: plateau tolerance {float(tol)} is not finite and > 0\n"
 
 
 @pytest.mark.parametrize("text", ["# nothing\n", ""])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -25,6 +26,7 @@ from plifs.core import (
     CERTIFIED_OFF_ATTRACTOR,
     UNDECIDED_AT_DEPTH,
     _CHUNK,
+    Level,
     _containing_words,
     affine_restriction,
     cylinder_arrays,
@@ -32,7 +34,6 @@ from plifs.core import (
     cylinder_interval,
     index_word,
     level_sweep,
-    level_words,
     periodic_point,
     sweep_error,
     word_index,
@@ -251,26 +252,32 @@ def test_invariant_interval_minimality():
 
 # --- cylinders ---------------------------------------------------------------
 
+def words(m, n):
+    """All words of length n over {1..m} in lexicographic order."""
+    return itertools.product(range(1, m + 1), repeat=n)
+
+
 def test_cantor_level2_cylinders():
-    cyl = cylinders(cantor_pair(), 2)
+    lo, hi = cylinder_arrays(cantor_pair(), 2)
     expected = {
         (1, 1): (0.0, 1 / 9),
         (1, 2): (2 / 9, 1 / 3),
         (2, 1): (2 / 3, 7 / 9),
         (2, 2): (8 / 9, 1.0),
     }
-    assert len(cyl) == 4
+    assert lo.size == hi.size == 4
     for w, iv in expected.items():
-        assert cyl[w] == pytest.approx(iv, abs=1e-12)
+        i = word_index(w, 2)
+        assert (lo[i], hi[i]) == pytest.approx(iv, abs=1e-12)
 
 
 def test_level1_cylinders_are_map_images(paper=paper_example()):
-    cyl = cylinders(paper, 1)
+    lo, hi = cylinder_arrays(paper, 1)
     iv = invariant_interval(paper)
     for k, f in enumerate(paper.maps, 1):
-        assert cyl[(k,)] == pytest.approx(image_interval(f, iv), abs=1e-15)
-    assert cyl[(1,)] == pytest.approx((0.0, 0.5), abs=1e-12)
-    assert cyl[(2,)] == pytest.approx((0.9, 1.0), abs=1e-12)
+        assert (lo[k - 1], hi[k - 1]) == pytest.approx(image_interval(f, iv), abs=1e-15)
+    assert (lo[0], hi[0]) == pytest.approx((0.0, 0.5), abs=1e-12)
+    assert (lo[1], hi[1]) == pytest.approx((0.9, 1.0), abs=1e-12)
 
 
 def test_cylinder_nesting_and_shrinking():
@@ -280,11 +287,12 @@ def test_cylinder_nesting_and_shrinking():
         lo, hi = invariant_interval(F)
         width = hi - lo
         rho = F.max_ratio
-        prev = cylinders(F, 1)
+        prev = cylinder_arrays(F, 1)
         for n in range(2, 9):
-            cur = cylinders(F, n)
-            for w, (a, b) in cur.items():
-                pa, pb = prev[w[:-1]]
+            cur = cylinder_arrays(F, n)
+            for w in words(F.m, n):
+                a, b = (x[word_index(w, F.m)] for x in cur)
+                pa, pb = (x[word_index(w[:-1], F.m)] for x in prev)
                 assert a >= pa - 1e-12 and b <= pb + 1e-12
                 assert b - a <= rho**n * width + 1e-12
             prev = cur
@@ -298,22 +306,39 @@ def test_cylinder_budget():
 def test_cylinder_arrays_match_dict():
     F = paper_example()
     lo, hi = cylinder_arrays(F, 5)
-    cyl = cylinders(F, 5)
-    for i, (w, (a, b)) in enumerate(cyl.items()):
-        assert lo[i] == pytest.approx(a, abs=0.0)
-        assert hi[i] == pytest.approx(b, abs=0.0)
+    jlo, jhi = cylinders(F, 5).join()
+    for i, w in enumerate(words(F.m, 5)):
+        assert word_index(w, F.m) == i
+        assert (lo[i], hi[i]) == (jlo[i], jhi[i]) == cylinder_interval(F, w)
 
 
 def test_cylinder_set_is_a_view_over_the_arrays():
     F = paper_example()
-    cyl = cylinders(F, 3)
+    level = cylinders(F, 3)
     lo, hi = cylinder_arrays(F, 3)
-    assert len(cyl) == 8
-    assert [w for w, _ in cyl.items()] == list(level_words(2, 3))
-    assert cyl[(2, 1, 2)] == (lo[5], hi[5])  # 212 -> index 0b101
-    for bad in [(1, 2), (1, 2, 1, 1), (1, 2, 3), (0, 1, 1)]:
-        with pytest.raises(KeyError):
-            cyl[bad]
+    assert level.size == lo.size == 8
+    assert [index_word(i, 2, 3) for i in range(8)] == list(words(2, 3))
+    i = word_index((2, 1, 2), 2)
+    assert i == 0b101 and (lo[i], hi[i]) == cylinder_interval(F, (2, 1, 2))
+
+
+def test_cylinders_join_to_cylinder_arrays_and_arrays_join_uncopied():
+    # the lazy last level joins to the arrays byte for byte, on each of
+    # two joins; a level held as arrays joins to those arrays themselves,
+    # and its chunks are views of them
+    for F, n in ((paper_example(), 17), (cantor_pair(), 3), (paper_example(), 0)):
+        level, (lo, hi) = cylinders(F, n), cylinder_arrays(F, n)
+        assert level.size == lo.size == F.m**n
+        for _ in range(2):
+            jlo, jhi = level.join()
+            assert jlo.tobytes() == lo.tobytes() and jhi.tobytes() == hi.tobytes()
+    lo, hi = cylinder_arrays(paper_example(), 17)
+    held = Level(lo, hi)
+    jlo, jhi = held.join()
+    assert jlo is lo and jhi is hi and held.size == lo.size
+    chunks = list(held)
+    assert len(chunks) == 4
+    assert all(np.shares_memory(c, lo) and np.shares_memory(d, hi) for c, d in chunks)
 
 
 # --- level sweep and word indices --------------------------------------------
@@ -330,7 +355,7 @@ def test_level_sweep_matches_cylinder_arrays():
         # array position = word index, checked against the scalar fold
         for n in range(4):
             lo, hi = levels[n]
-            for w in level_words(F.m, n):
+            for w in words(F.m, n):
                 assert (lo[word_index(w, F.m)], hi[word_index(w, F.m)]) == cylinder_interval(F, w)
 
 
@@ -460,7 +485,7 @@ def test_sweep_error_bounds_every_swept_endpoint():
         E = Fraction(sweep_error(F))
         assert 0 < E < 1e-13
         lo, hi = cylinder_arrays(F, 5)
-        for i, w in enumerate(level_words(F.m, 5)):
+        for i, w in enumerate(words(F.m, 5)):
             inner, outer = cylinder_enclosure(F, w)
             assert outer[0] - E <= Fraction(lo[i]) and Fraction(hi[i]) <= outer[1] + E
             if inner is not None:
@@ -470,7 +495,7 @@ def test_sweep_error_bounds_every_swept_endpoint():
 @pytest.mark.parametrize("m", [2, 3])
 def test_word_index_round_trip_in_lexicographic_order(m):
     for n in range(5):
-        for i, w in enumerate(level_words(m, n)):
+        for i, w in enumerate(words(m, n)):
             assert word_index(w, m) == i
             assert index_word(i, m, n) == w
 

@@ -1160,6 +1160,15 @@ def test_punctured_unsettled_containment_raises():
     assert 0.0 < punctured_level(F, 4).value < 1.0
 
 
+def test_punctured_paper_level_17_breaks_inside_a_kept_cylinder():
+    # the binary paper system puts the break 0.5 of map 1 about 3.4e-17
+    # inside I_1; at level 17 the kept cylinder 1 2^15 1 spans
+    # [0.5 - 1.1e-16, 0.5] in floats, so the piece lookup of f_1 puts its
+    # two ends in different pieces
+    with pytest.raises(AmbiguousContainment, match="map 1 breaks inside kept cylinder "):
+        punctured_level(paper_example(), 17)
+
+
 def test_punctured_diagnostics():
     pl = punctured_level(paper_example(), 3)
     assert pl.kept == 7
@@ -1343,6 +1352,21 @@ def test_detect_fixed_point_family():
     assert det.slopes == (0.25, 0.2, 0.3, 0.25)
     assert detect_fixed_point_family(cantor_pair()) is None
     assert detect_fixed_point_family(paper_example()) is None
+
+
+@pytest.mark.parametrize("index, f", [
+    (0, PLMap((0.1,), (0.25, 0.2), 0.0)),  # the first map breaks (and fixes 0)
+    (2, PLMap((0.9,), (0.25, 0.2), 0.755)),  # the last map breaks (and fixes 1)
+    (1, PLMap((0.5, 0.7), (0.2, 0.3, 0.25), 0.4)),  # a middle map has two breaks
+    (1, PLMap((0.5,), (0.2, 0.3), 0.45)),  # a middle break is not its fixed point
+    (0, PLMap((), (0.5,), 0.0)),  # f_1(J) = [0, 0.5] overlaps f_2(J) = [0.4, 0.65]
+], ids=["first-breaks", "last-breaks", "middle-two-breaks", "break-not-fixed",
+        "first-cylinders-overlap"])
+def test_detect_fixed_point_family_rejects_perturbed_shapes(index, f):
+    maps = list(build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system.maps)
+    assert detect_fixed_point_family(Cplifs(tuple(maps))) is not None
+    maps[index] = f
+    assert detect_fixed_point_family(Cplifs(tuple(maps))) is None
 
 
 def test_export_text_of_the_paper_graph_is_unchanged():

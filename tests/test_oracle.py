@@ -394,7 +394,7 @@ def test_lebesgue_bounds_are_the_union_of_each_level():
         bounds = lebesgue_upper_bound(F, 8)
         assert len(bounds) == 8
         for n in range(1, 9):
-            assert bounds[n - 1] == _union_length(Level.of(*cylinder_arrays(F, n)))
+            assert bounds[n - 1] == _union_length(Level(*cylinder_arrays(F, n)))
 
 
 def test_union_length_is_bit_identical_to_reference(monkeypatch):
@@ -445,7 +445,7 @@ def test_union_length_is_bit_identical_to_reference(monkeypatch):
     ]
     for lo, hi in cases:
         del joined[:]
-        got = _union_length(Level.of(lo, hi))
+        got = _union_length(Level(lo, hi))
         assert got.hex() == reference_union_length(lo, hi).hex()
         assert joined == ([] if (lo[1:] >= lo[:-1]).all() else [lo.size])
 

@@ -13,7 +13,7 @@ from plifs import (
     solve_level_root,
     upper_box_consistency,
 )
-from plifs.core import _CHUNK, Level, cylinder_arrays, deepest_level
+from plifs.core import _CHUNK, Level, cylinder_arrays, cylinders
 from plifs.errors import DegenerateAttractor
 from plifs.gdifs import build_fixed_point_family
 from plifs.pressure import _aggregate_lengths, bisect_decreasing
@@ -190,15 +190,15 @@ def test_aggregate_lengths_equals_unique_reference():
     for size in (1, 2, 7, 1000, 4096, 3 * _CHUNK + 7):
         distinct = rng.uniform(1e-9, 0.5, size=rng.integers(1, 20))
         lens = rng.choice(np.concatenate([distinct, [0.0, -0.0]]), size=size)
-        check(np.zeros(size), lens, Level.of(np.zeros(size), lens))
+        check(np.zeros(size), lens, Level(np.zeros(size), lens))
     lens = rng.permutation(np.concatenate([rng.uniform(1e-9, 0.5, 2 * _CHUNK), [0.0, -0.0]]))
-    check(np.zeros(lens.size), lens, Level.of(np.zeros(lens.size), lens))
+    check(np.zeros(lens.size), lens, Level(np.zeros(lens.size), lens))
     pool = rng.uniform(1e-9, 0.5, _CHUNK)
     lens = np.concatenate([rng.permutation(pool) for _ in range(5)])
-    check(np.zeros(lens.size), lens, Level.of(np.zeros(lens.size), lens))
+    check(np.zeros(lens.size), lens, Level(np.zeros(lens.size), lens))
     family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
     for F, n in ((paper_example(), 10), (paper_example(), 17), (family, 11)):
-        check(*cylinder_arrays(F, n), deepest_level(F, n))
+        check(*cylinder_arrays(F, n), cylinders(F, n))
 
 
 def test_all_zero_levels_across_chunks():
@@ -208,7 +208,7 @@ def test_all_zero_levels_across_chunks():
     F = Cplifs((PLMap((), (0.5,), 0.25), PLMap((), (-0.5,), 0.75)))
     lo, hi = cylinder_arrays(F, 17)
     assert not (hi - lo).any()
-    logu, logc, zero, total = _aggregate_lengths(deepest_level(F, 17))
+    logu, logc, zero, total = _aggregate_lengths(cylinders(F, 17))
     assert logu.size == logc.size == 0 and zero == total == 2**17
     with pytest.raises(DegenerateAttractor):
         pressure_at(F, 0.5, 17)
@@ -236,15 +236,18 @@ def test_aggregate_lengths_peak_bytes_per_word():
         return (peak - base) / level.size
 
     lo, hi = cylinder_arrays(paper_example(), 18)
-    assert per_word(Level.of(lo, hi)) < 14.0
+    assert per_word(Level(lo, hi)) < 14.0
     pool = np.random.default_rng(5).uniform(1e-9, 0.5, _CHUNK)
     perms = np.random.default_rng(6)
 
-    def chunks(_out):
-        for _ in range(16):
-            yield np.zeros(_CHUNK), perms.permutation(pool)
+    class Stream:  # a level of 16 chunks, each made as it is read
+        size = 16 * _CHUNK
 
-    assert per_word(Level(16 * _CHUNK, chunks)) < 14.0
+        def __iter__(self):
+            for _ in range(16):
+                yield np.zeros(_CHUNK), perms.permutation(pool)
+
+    assert per_word(Stream()) < 14.0
 
 
 # --- natural_dimension ---------------------------------------------------------

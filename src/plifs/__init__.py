@@ -5,7 +5,6 @@ from .core import (
     AffineMap,
     BreakCode,
     Cplifs,
-    GeneratedSimilarity,
     PLMap,
     check_iosc,
     check_small,
@@ -36,7 +35,6 @@ from .gdifs import (
     q_root,
 )
 from .oracle import (
-    PointCloud,
     box_dimension,
     chaos_game,
     lebesgue_upper_bound,

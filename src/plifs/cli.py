@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("measure", help="cylinder-union measure bounds and verdict")
     common(m)
-    m.add_argument("--n", default="1..12", help="level range A..B for the bound sequence")
+    m.add_argument("--n", default="1..12",
+                   help="level range A..B (A >= 1) of the roots s_A..s_B; the bounds run L_1..L_B")
     m.add_argument("--tol", type=float, default=oracle.PLATEAU_TOL, help="plateau threshold")
 
     r = sub.add_parser("render", help="cylinder intervals as CSV rows or an SVG strip chart")
@@ -193,8 +194,10 @@ def cmd_dim(F: Cplifs, budget: int, args) -> int:
 
 def cmd_measure(F: Cplifs, budget: int, args) -> int:
     n_min, n_max = _parse_range(args.n)
+    if n_min < 1:
+        raise ValueError("need 1 <= n_min <= n_max")
     bounds = oracle.lebesgue_upper_bound(F, n_max, budget)
-    est = natural_dimension(F, max(1, n_min), n_max, budget=budget)
+    est = natural_dimension(F, n_min, n_max, budget=budget)
     verdict = oracle.measure_evidence(bounds, est.estimate, plateau_tol=args.tol)
     for n, v in enumerate(bounds, 1):
         print(f"L_{n} = {fmt(v)}")

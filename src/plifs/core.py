@@ -164,16 +164,6 @@ Branch = tuple[Interval, AffineMap]  # a domain and the similarity a composition
 
 
 @dataclass(frozen=True)
-class GeneratedSimilarity:
-    """Affine extension of one linearity piece of one map of a system."""
-
-    ratio: float
-    offset: float
-    map_index: int  # 1-based
-    piece_index: int  # 1-based
-
-
-@dataclass(frozen=True)
 class Cplifs:
     """An ordered, nonempty list of piecewise linear contractions."""
 
@@ -598,14 +588,10 @@ def check_small(F: Cplifs) -> SmallnessReport:
     return SmallnessReport(ok=ok, sum_rho=sum(rhos), sum_ok=sum_ok, per_map=tuple(per_map))
 
 
-def generated_ifs(F: Cplifs) -> tuple[GeneratedSimilarity, ...]:
-    """The self-similar system of all affine pieces of all maps."""
-    out = []
-    for k, f in enumerate(F.maps, 1):
-        for i in range(f.pieces):
-            aff = f.piece_affine(i)
-            out.append(GeneratedSimilarity(aff.ratio, aff.offset, k, i + 1))
-    return tuple(out)
+def generated_ifs(F: Cplifs) -> tuple[AffineMap, ...]:
+    """The self-similar system of all affine pieces of all maps: map by
+    map, and each map's pieces left to right."""
+    return tuple(f.piece_affine(i) for f in F.maps for i in range(f.pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .core import (
     BreakCode,
     Cplifs,
     DEFAULT_BUDGET,
-    GeneratedSimilarity,
     Interval,
     PLMap,
     Word,
@@ -326,8 +325,8 @@ def alpha(g: Gdifs) -> float:
     return _spectral_root(g)
 
 
-def _root_rho(at: Callable[[float], EdgeMatrix], q: int) -> Callable[..., float]:
-    """rho(s) of the q x q matrices ``at(s)`` for a root solve: each call is
+def _root_rho(M: EdgeMatrix) -> Callable[..., float]:
+    """rho(s) of the matrices ``M.at(s)`` for a root solve: each call is
     one side-only `perron_root` solve, certified on its side of 1 (or
     closed to ``_PERRON_TOL`` near 1), or with ``side_only=False`` a solve
     closed to ``_PERRON_TOL``. The first solve starts from the
@@ -344,8 +343,8 @@ def _root_rho(at: Callable[[float], EdgeMatrix], q: int) -> Callable[..., float]
             u = u1 + ((s - s1) / (s1 - s0)) * (u1 - u0)
             v = np.exp(np.maximum(u - np.max(u), _LOG_FLOOR))
         else:
-            v = np.exp(last[0][1]) if last else np.ones(q)
-        r = perron_root(at(s), start=v, side_only=side_only)
+            v = np.exp(last[0][1]) if last else np.ones(M.q)
+        r = perron_root(M.at(s), start=v, side_only=side_only)
         # a last iterate may hold an underflowed 0, which the floor keeps finite
         last[:] = [*last[-1:], (s, np.log(np.maximum(v, np.finfo(float).tiny)))]
         return r
@@ -356,7 +355,7 @@ def _root_rho(at: Callable[[float], EdgeMatrix], q: int) -> Callable[..., float]
 def _spectral_root(g: Gdifs) -> float:
     """`alpha` of a graph already known to be strongly connected: the root
     of log rho(s), each rho(s) from a side-only solve (`_root_rho`)."""
-    rho = _root_rho(g.spectral_matrix().at, g.q)
+    rho = _root_rho(g.spectral_matrix())
     r0 = rho(0.0)
     if r0 < 1.0 - 1e-12:
         raise ConvergenceFailure("spectral radius below 1 at s = 0")
@@ -406,42 +405,36 @@ class DetRecursion:
             A[2 * k - 2, 2 * k - 2 :] = 1  # right branch, 1-based row 2k-1
         return A
 
-    def spectral(self, s: float) -> EdgeMatrix:
-        """The incidence entries of row i weighted by slope i to the power s."""
+    def spectral_matrix(self) -> EdgeMatrix:
+        """The incidence edges weighted by the slope of their row, as in
+        `Gdifs.spectral_matrix`; ``.at(s)`` is C(s)."""
         src, dst = np.nonzero(self.incidence())
-        return EdgeMatrix(len(self.slopes), src, dst, np.array(self.slopes)[src] ** s)
+        return EdgeMatrix(len(self.slopes), src, dst, np.array(self.slopes)[src])
 
     def matrix(self, s: float) -> np.ndarray:
-        """The spectral matrix minus the identity; its determinant is the
-        determinant function evaluated at s."""
-        return self.spectral(s).dense() - np.eye(len(self.slopes))
-
-    def q_and_minors(self, s: float) -> tuple[float, list[float]]:
-        """Value of the determinant function together with the bordered
-        minors of the current size, built bottom-up from the 2 x 2 block.
-
-        Each growth step expands by the second row from below; a bordered
-        minor erases one column and appends the top of the next size's
-        last column.
-        """
-        u = [sl**s for sl in self.slopes]
-        q = 1.0 - u[0] - u[1]
-        minors = [u[0] * (1.0 - u[1]), -u[0] * u[1]]
-        size = 2
-        while size < len(self.slopes):
-            w, v = u[size], u[size + 1]
-            alt = sum((-1) ** (i + 1) * minors[i] for i in range(size))
-            q_next = (1.0 - v - w) * q + v * alt
-            next_minors = [(1.0 - v) * mi for mi in minors]
-            next_minors.append(w * (1.0 - v) * q)
-            next_minors.append(v * (alt - w * q))
-            q, minors, size = q_next, next_minors, size + 2
-        return q, minors
+        """C(s) minus the identity; its determinant is the determinant
+        function evaluated at s."""
+        return self.spectral_matrix().at(s).dense() - np.eye(len(self.slopes))
 
 
 def q_recursion(d: DetRecursion, s: float) -> float:
-    """Determinant function via the two-row recursion (no dense matrix)."""
-    return d.q_and_minors(s)[0]
+    """Determinant function det(C(s) - Id) with no dense matrix, built
+    bottom-up from the 2 x 2 block together with the bordered minors of
+    the current size.
+
+    Each growth step expands by the second row from below; a bordered
+    minor erases one column and appends the top of the next size's last
+    column.
+    """
+    u = [sl**s for sl in d.slopes]
+    q = 1.0 - u[0] - u[1]
+    minors = [u[0] * (1.0 - u[1]), -u[0] * u[1]]
+    for size in range(2, len(u), 2):
+        w, v = u[size], u[size + 1]
+        alt = sum((-1) ** (i + 1) * minors[i] for i in range(size))
+        minors = [(1.0 - v) * mi for mi in minors] + [w * (1.0 - v) * q, v * (alt - w * q)]
+        q = (1.0 - v - w) * q + v * alt
+    return q
 
 
 def q_root(d: DetRecursion) -> float:
@@ -462,7 +455,7 @@ def q_root(d: DetRecursion) -> float:
     full solve at the root, started like the root solves from their last
     eigenvectors, whose rho must lie within 1e-10 of 1.
     """
-    rho = _root_rho(d.spectral, len(d.slopes))
+    rho = _root_rho(d.spectral_matrix())
 
     def g(s: float) -> float:
         r = rho(s)
@@ -568,7 +561,6 @@ def detect_fixed_point_family(F: Cplifs) -> DetRecursion | None:
 def associate_from_periodic(
     F: Cplifs,
     codes: Sequence[BreakCode] = (),
-    refine_depth: int = 12,
     budget: int = DEFAULT_BUDGET,
 ) -> Gdifs:
     """Associate a self-similar graph system with F, given verified
@@ -582,7 +574,7 @@ def associate_from_periodic(
     one image-space test against the cut point (``_certify_side``): the
     images of ever finer covers of A' from the level sweep must all lie on
     A's side.  Folded maps need no special case.  AmbiguousContainment
-    when no level up to ``refine_depth`` decides an edge.
+    when no level up to ``_REFINE_DEPTH`` decides an edge.
     """
     tol = F.geom_tol()
     codes = tuple(codes)
@@ -632,7 +624,7 @@ def associate_from_periodic(
                 for c in bcodes
             ):
                 continue
-            if _containing_words(F, b, refine_depth, budget, w):
+            if _containing_words(F, b, _REFINE_DEPTH, budget, w):
                 if bcodes and all(not c.purely_periodic for c in bcodes):
                     raise NonPeriodicCode(
                         f"breaking point {b} sits inside cylinder {word_str(w)} and "
@@ -645,7 +637,7 @@ def associate_from_periodic(
                     )
                 raise AmbiguousContainment(
                     f"cannot certify that {b} avoids the piece of {word_str(w)} "
-                    f"at refinement depth {refine_depth}"
+                    f"at refinement depth {_REFINE_DEPTH}"
                 )
 
     # nodes in word order, the left half of a cut word before its right half
@@ -663,11 +655,11 @@ def associate_from_periodic(
     for i, (w, side, _, wi) in enumerate(nodes):
         for j, (tw, tside, hull, _) in enumerate(nodes):
             if side is not None:
-                verdict = _certify_side(F, w, side, tw, hull, cuts[wi], refine_depth, budget)
+                verdict = _certify_side(F, w, side, tw, hull, cuts[wi], _REFINE_DEPTH, budget)
                 if verdict is None:
                     raise AmbiguousContainment(
                         f"edge {_label(w, side)} -> {_label(tw, tside)} undecidable at "
-                        f"refinement depth {refine_depth}"
+                        f"refinement depth {_REFINE_DEPTH}"
                     )
                 if not verdict:
                     continue
@@ -874,34 +866,23 @@ class EscReport:
     compositions: int
 
 
-def esc_diagnostic(
-    sims: Sequence[GeneratedSimilarity | AffineMap | tuple[float, float]],
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-) -> EscReport:
+def esc_diagnostic(sims: Sequence[AffineMap], n: int, budget: int = DEFAULT_BUDGET) -> EscReport:
     """Delta_n = min over distinct composition pairs of the similarity
     distance: infinite when the ratios differ, the offset gap otherwise."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    pairs = []
-    for s in sims:
-        if isinstance(s, (GeneratedSimilarity, AffineMap)):
-            pairs.append((s.ratio, s.offset))
-        else:
-            r, t = s
-            pairs.append((float(r), float(t)))
-    M = len(pairs)
+    M = len(sims)
     if M == 0:
         raise ValueError("need at least one similarity")
     if M**n > budget:
         raise BudgetExceeded(M**n, budget, "compositions")
-    base_r = np.array([r for r, _ in pairs])
+    base_r = np.array([f.ratio for f in sims])
     r = np.array([1.0])
     t = np.array([0.0])
     for _ in range(n):
         r, t = (
             np.concatenate([rk * r for rk in base_r]),
-            np.concatenate([rk * t + tk for rk, tk in pairs]),
+            np.concatenate([f.ratio * t + f.offset for f in sims]),
         )
     order = np.lexsort((t, r))
     r, t = r[order], t[order]
@@ -973,6 +954,10 @@ class DimReport:
 #: Length of the containment witnesses that ``auto_codes`` reads codes off:
 #: |prefix| + |period| <= 12 / 3.
 _CODE_DEPTH = 4
+
+#: Deepest level at which ``associate_from_periodic`` decides a containment
+#: or an edge of a cut cylinder.
+_REFINE_DEPTH = 12
 
 
 def auto_codes(F: Cplifs) -> tuple[BreakCode, ...]:

@@ -12,7 +12,6 @@ import numpy as np
 
 from .core import Cplifs, DEFAULT_BUDGET, Level, PLMap, invariant_interval, level_sweep
 from .errors import InsufficientScales
-from .specfile import fmt
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -39,24 +38,6 @@ def uniform_batch(seed: int, count: int) -> np.ndarray:
     z = splitmix64_batch(seed, count)
     z >>= np.uint64(11)
     return z * 2.0**-53
-
-
-@dataclass(frozen=True, eq=False)
-class PointCloud:
-    """Chaos-game samples, deterministic for a fixed seed."""
-
-    samples: np.ndarray
-    seed: int
-    burn_in: int
-    weights: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def to_csv(self) -> str:
-        lines = ["index,x"]
-        lines.extend(f"{i},{fmt(x)}" for i, x in enumerate(self.samples))
-        return "\n".join(lines) + "\n"
 
 
 # Steps per lockstep block at least, and the fewest blocks for which
@@ -143,10 +124,11 @@ def chaos_game(
     seed: int = 0,
     burn_in: int = 100,
     weights: Sequence[float] | None = None,
-) -> PointCloud:
+) -> np.ndarray:
     """Iterate x <- f_k(x) from the middle of the invariant interval, with
-    k drawn by the seeded generator, keeping `count` samples after the
-    burn-in.
+    k drawn by the seeded generator; the read-only array of the `count`
+    samples after the burn-in.  ValueError unless the weights, if given,
+    are one per map, finite and nonnegative, with a finite positive sum.
 
     The map code of a uniform u is the number of entries of the cumulative
     weights ``cum[:-1]`` at or below u, counted one threshold at a time;
@@ -162,9 +144,12 @@ def chaos_game(
         w = np.full(F.m, 1.0 / F.m)
     else:
         w = np.asarray(weights, dtype=float)
-        if len(w) != F.m or (w < 0).any() or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative, one per map")
-        w = w / w.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = w.sum()
+        if len(w) != F.m or not ((0.0 <= w) & (w < math.inf)).all() or not 0.0 < total < math.inf:
+            raise ValueError("weights must be one per map, finite and nonnegative, "
+                             "with a finite positive sum")
+        w = w / total
     cum = np.cumsum(w)
     cum[-1] = 1.0
     n = burn_in + count
@@ -181,7 +166,7 @@ def chaos_game(
         _scalar_orbit(F.maps, codes, x0, orbit)
     out = orbit[burn_in:n]
     out.flags.writeable = False
-    return PointCloud(samples=out, seed=seed, burn_in=burn_in, weights=tuple(w))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +189,10 @@ def default_box_scales(F: Cplifs) -> tuple[float, ...]:
     return tuple(width * 3.0**-j for j in range(2, 10))
 
 
-def box_dimension(cloud: PointCloud | np.ndarray, scales: Sequence[float]) -> BoxCountFit:
-    """Box-count regression over the given scales; needs at least four of
-    them spanning two decades, and a sample that is a number.
+def box_dimension(samples: np.ndarray, scales: Sequence[float]) -> BoxCountFit:
+    """Box-count regression of the samples over the given scales; needs at
+    least four finite positive scales spanning two decades, and a sample
+    that is a number.
 
     N(e) counts the distinct floor(x / e), NaNs counted as one box as
     np.unique counts them.  The samples are sorted once and floored in
@@ -214,15 +200,14 @@ def box_dimension(cloud: PointCloud | np.ndarray, scales: Sequence[float]) -> Bo
     first and last sample of each finest box, which is exact when no
     finest box spans more than two boxes of that scale (checked per scale;
     where it fails, that scale is counted on all samples)."""
-    xs = cloud.samples if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     eps = sorted(float(e) for e in scales)
-    if len(eps) < 4 or eps[0] <= 0:
-        raise InsufficientScales("need >= 4 positive scales")
+    if len(eps) < 4 or not all(0 < e < math.inf for e in eps):
+        raise InsufficientScales("need >= 4 finite positive scales")
     if eps[-1] / eps[0] < 100.0:
         raise InsufficientScales("scales must span at least two decades")
     # x -> floor(x / e) is nondecreasing, so one sort serves every scale:
     # the boxes hit are the runs of equal floors.  The sort puts NaNs last.
-    xs = np.sort(xs, axis=None)
+    xs = np.sort(samples, axis=None)
     nans = int(np.isnan(xs).sum())
     xs = xs[: xs.size - nans]
     if not xs.size:

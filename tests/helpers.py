@@ -10,7 +10,7 @@ import numpy as np
 from plifs import Cplifs, PLMap
 from plifs.core import _apply_word, invariant_interval
 from plifs.errors import ConvergenceFailure
-from plifs.oracle import PointCloud, uniform_batch
+from plifs.oracle import uniform_batch
 
 
 def paper_example() -> Cplifs:
@@ -197,7 +197,7 @@ def conjugate(F: Cplifs, a: float, b: float) -> Cplifs:
 
 
 def chaos_game(F: Cplifs, count: int, seed: int = 0, burn_in: int = 100,
-               weights=None) -> PointCloud:
+               weights=None) -> np.ndarray:
     """Reference chaos game: one scalar map step per sample, the orbit that
     `plifs.oracle.chaos_game` must reproduce bit for bit."""
     if weights is None:
@@ -217,7 +217,7 @@ def chaos_game(F: Cplifs, count: int, seed: int = 0, burn_in: int = 100,
         x = maps[k](x)
         if i >= burn_in:
             out[i - burn_in] = x
-    return PointCloud(samples=out, seed=seed, burn_in=burn_in, weights=tuple(w))
+    return out
 
 
 # ---------------------------------------------------------------------------

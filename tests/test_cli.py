@@ -305,6 +305,19 @@ def test_measure_rejects_bad_tol_before_any_sweep(paper_file, capsys, monkeypatc
     assert err == f"error: plateau tolerance {float(tol)} is not finite and > 0\n"
 
 
+def test_measure_rejects_level_zero_before_any_sweep(paper_file, capsys, monkeypatch):
+    # as for dim, a range from level 0 is an argument error, not levels 1..6
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before --n was checked")
+
+    monkeypatch.setattr(oracle, "lebesgue_upper_bound", sweep)
+    monkeypatch.setattr(cli, "natural_dimension", sweep)
+    assert main(["measure", paper_file, "--n", "0..6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need 1 <= n_min <= n_max\n"
+
+
 @pytest.mark.parametrize("text", ["# nothing\n", ""])
 def test_file_without_maps_exits_2_without_a_line_number(tmp_path, capsys, text):
     path = tmp_path / "empty.plifs"

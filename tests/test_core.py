@@ -681,8 +681,10 @@ def test_affine_restriction_rejects_straddling_break():
 
 
 def test_generated_ifs_pieces():
-    sims = generated_ifs(paper_example())
-    assert [(s.map_index, s.piece_index) for s in sims] == [(1, 1), (1, 2), (2, 1)]
+    F = paper_example()
+    sims = generated_ifs(F)
+    assert sims == tuple(f.piece_affine(i) for f in F.maps for i in range(f.pieces))
+    assert len(sims) == 3
     assert sims[1].ratio == pytest.approx(0.2)
     assert sims[1].offset == pytest.approx(0.3)
 

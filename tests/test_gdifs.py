@@ -12,6 +12,7 @@ import pytest
 
 from plifs import BreakCode, Cplifs, PLMap
 from plifs.core import (
+    AffineMap,
     affine_restriction,
     cylinder_arrays,
     cylinder_interval,
@@ -279,7 +280,7 @@ def test_root_solve_start_is_clipped_to_the_log_floor(monkeypatch):
         return perron_root(M, cap, start, side_only)
 
     monkeypatch.setattr("plifs.gdifs.perron_root", spy)
-    rho = _root_rho(E.at, E.q)
+    rho = _root_rho(E)
     values = [rho(s) for s in (0.0, 1.0, 300.0)]
     far = starts[-1]
     assert np.all(np.isfinite(far)) and np.all(far > 0.0)
@@ -375,7 +376,7 @@ def test_edge_matrix_at_adds_repeated_pairs_after_the_power():
         d = DetRecursion(tuple(rng.uniform(0.05, 0.95) for _ in range(2 * m - 2)))
         for s in (0.0, 0.37, 1.5):
             rows = d.incidence() * np.array(d.slopes)[:, None] ** s
-            assert np.array_equal(d.spectral(s).dense(), rows)
+            assert np.array_equal(d.spectral_matrix().at(s).dense(), rows)
 
 
 def test_alpha_family_all_quarter():
@@ -643,7 +644,7 @@ def test_q_root_high_alpha(slopes, value):
     r = q_root(d)
     assert r == pytest.approx(value, abs=1e-5)
     assert q_recursion(d, r - 1e-12) < 0 < q_recursion(d, r + 1e-12)
-    assert abs(perron_root(d.spectral(r)) - 1) <= 1e-10
+    assert abs(perron_root(d.spectral_matrix().at(r)) - 1) <= 1e-10
 
 
 # --- family builder --------------------------------------------------------------
@@ -737,6 +738,12 @@ def test_associate_paper_example_level1():
 def test_associate_rejects_unverified_code():
     with pytest.raises(UnverifiedCode):
         associate_from_periodic(paper_example(), [BreakCode(0.5, (), (1,))])
+
+
+def test_associate_rejects_an_attractor_break_without_a_code():
+    with pytest.raises(UnverifiedCode, match=r"appears to lie on the attractor \(cylinder 1\) "
+                       "but has no code"):
+        associate_from_periodic(period_two(), ())
 
 
 def test_associate_family_matches_direct_graph():
@@ -845,7 +852,7 @@ def test_associate_noninjective_cut_is_ambiguous():
     )
     code = BreakCode(0.0, (), (1,))
     with pytest.raises(AmbiguousContainment):
-        associate_from_periodic(F, [code], refine_depth=6)
+        associate_from_periodic(F, [code])
 
 
 def folded_system(second):
@@ -889,11 +896,10 @@ def straddle_system():
 
 def test_associate_straddling_target_is_flagged():
     # no half of cylinder 2 holds the image of the piece of map 3, so the
-    # edge is flagged, not dropped; the default depth 12 gives the same
-    # verdict (next test)
+    # edge is flagged, not dropped, at depth 12 (next test)
     F = straddle_system()
     with pytest.raises(AmbiguousContainment, match="edge 2:left -> 3:full"):
-        associate_from_periodic(F, auto_codes(F), refine_depth=8)
+        associate_from_periodic(F, auto_codes(F))
 
 
 def test_associate_straddling_target_stops_at_level_two(monkeypatch):
@@ -1223,14 +1229,26 @@ def test_esc_distinct_ratios_infinite_at_level_one():
     # the ratio-mismatch clause: distinct ratios make the distance infinite.
     # from level 2 on, permuted compositions share the same product ratio,
     # so the minimum is finite again.
-    rep = esc_diagnostic([(0.5, 0.0), (0.3, 0.5)], 1)
+    sims = [AffineMap(0.5, 0.0), AffineMap(0.3, 0.5)]
+    rep = esc_diagnostic(sims, 1)
     assert rep.delta == math.inf
-    assert esc_diagnostic([(0.5, 0.0), (0.3, 0.5)], 2).delta < math.inf
+    assert esc_diagnostic(sims, 2).delta < math.inf
 
 
 def test_esc_exact_overlap_zero():
-    rep = esc_diagnostic([(0.5, 0.0), (0.5, 0.0)], 1)
+    rep = esc_diagnostic([AffineMap(0.5, 0.0), AffineMap(0.5, 0.0)], 1)
     assert rep.delta == 0.0
+
+
+def test_esc_rejects_level_zero_no_similarity_and_a_level_over_budget():
+    sims = [AffineMap(0.5, 0.0), AffineMap(0.3, 0.5)]
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        esc_diagnostic(sims, 0)
+    with pytest.raises(ValueError, match="need at least one similarity"):
+        esc_diagnostic([], 1)
+    with pytest.raises(BudgetExceeded, match="compositions"):
+        esc_diagnostic(sims, 5, budget=2**5 - 1)
+    assert esc_diagnostic(sims, 5, budget=2**5).compositions == 2**5
 
 
 # --- aggregate report ---------------------------------------------------------------
@@ -1268,7 +1286,7 @@ def test_fixed_settings_are_constants_not_parameters():
     # each solver, window and slack runs at one named module constant, so
     # neither the signature nor the result record carries it
     from plifs import core, oracle, pressure
-    from plifs.gdifs import _spectral_root
+    from plifs.gdifs import _root_rho, _spectral_root
 
     def params(fn):
         return list(inspect.signature(fn).parameters)
@@ -1279,6 +1297,10 @@ def test_fixed_settings_are_constants_not_parameters():
     assert params(perron_root) == ["M", "cap", "start", "side_only"]
     assert params(alpha) == params(_spectral_root) == ["g"]
     assert params(q_root) == ["d"]
+    assert params(_root_rho) == ["M"]
+    assert params(associate_from_periodic) == ["F", "codes", "budget"]
+    assert params(oracle.box_dimension) == ["samples", "scales"]
+    assert params(esc_diagnostic) == ["sims", "n", "budget"]
     assert params(pressure._root_from_logs) == ["logu", "logc"]
     assert params(core.verify_breaking_code) == ["F", "b", "prefix", "period"]
     assert params(pressure.natural_dimension) == ["F", "n_min", "n_max", "budget"]

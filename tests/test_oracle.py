@@ -13,7 +13,6 @@ from plifs.oracle import (
     CONSISTENT_NULL,
     CONSISTENT_POSITIVE,
     INCONCLUSIVE,
-    PointCloud,
     _union_length,
     box_dimension,
     chaos_game,
@@ -70,19 +69,19 @@ def test_rng_uniform_range():
 
 def test_chaos_cantor_avoids_middle_gap():
     cloud = chaos_game(cantor_pair(), 10000, seed=3)
-    assert not ((cloud.samples > 1 / 3) & (cloud.samples < 2 / 3)).any()
+    assert not ((cloud > 1 / 3) & (cloud < 2 / 3)).any()
 
 
 def test_chaos_single_map_collapses_to_fixed_point():
     F = Cplifs((PLMap((), (0.5,), 0.25),))
     cloud = chaos_game(F, 500, seed=1)
-    assert np.max(np.abs(cloud.samples - 0.5)) <= 1e-12
+    assert np.max(np.abs(cloud - 0.5)) <= 1e-12
 
 
 def test_chaos_paper_example_in_first_cylinders():
     cloud = chaos_game(paper_example(), 100_000, seed=5)
-    inside = ((cloud.samples >= -1e-9) & (cloud.samples <= 0.5 + 1e-9)) | (
-        (cloud.samples >= 0.9 - 1e-9) & (cloud.samples <= 1 + 1e-9)
+    inside = ((cloud >= -1e-9) & (cloud <= 0.5 + 1e-9)) | (
+        (cloud >= 0.9 - 1e-9) & (cloud <= 1 + 1e-9)
     )
     assert inside.all()
 
@@ -91,8 +90,8 @@ def test_chaos_deterministic_per_seed():
     a = chaos_game(cantor_pair(), 2000, seed=11)
     b = chaos_game(cantor_pair(), 2000, seed=11)
     c = chaos_game(cantor_pair(), 2000, seed=12)
-    assert (a.samples == b.samples).all()
-    assert not (a.samples == c.samples).all()
+    assert (a == b).all()
+    assert not (a == c).all()
 
 
 def test_chaos_samples_within_invariant_interval():
@@ -103,8 +102,8 @@ def test_chaos_samples_within_invariant_interval():
 
         lo, hi = invariant_interval(F)
         cloud = chaos_game(F, 5000, seed=rng.randrange(2**32))
-        assert (cloud.samples >= lo - 1e-9).all()
-        assert (cloud.samples <= hi + 1e-9).all()
+        assert (cloud >= lo - 1e-9).all()
+        assert (cloud <= hi + 1e-9).all()
 
 
 def test_chaos_samples_lie_in_cylinder_union():
@@ -113,12 +112,12 @@ def test_chaos_samples_lie_in_cylinder_union():
     lo, hi = cylinder_arrays(F, 10)
     order = np.argsort(lo)
     lo, hi = lo[order], hi[order]
-    idx = np.searchsorted(lo, cloud.samples, side="right") - 1
+    idx = np.searchsorted(lo, cloud, side="right") - 1
     # a sample is covered if some cylinder starting at or before it reaches it
-    covered = np.zeros(len(cloud.samples), dtype=bool)
+    covered = np.zeros(len(cloud), dtype=bool)
     cmax = np.maximum.accumulate(hi)
     valid = idx >= 0
-    covered[valid] = cloud.samples[valid] <= cmax[idx[valid]] + 1e-9
+    covered[valid] = cloud[valid] <= cmax[idx[valid]] + 1e-9
     assert covered.all()
 
 
@@ -126,7 +125,7 @@ def test_chaos_weighted_selection():
     F = cantor_pair()
     cloud = chaos_game(F, 20_000, seed=2, weights=(1.0, 0.0))
     # only the first map fires: everything collapses to its fixed point
-    assert np.max(np.abs(cloud.samples - 0.0)) <= 1e-12
+    assert np.max(np.abs(cloud - 0.0)) <= 1e-12
 
 
 # --- lockstep blocks against the sequential orbit -----------------------------
@@ -148,7 +147,7 @@ def middle_break_at_fixed_point():
 def same_samples(F, count, **kw):
     fast = chaos_game(F, count, **kw)
     slow = sequential_chaos_game(F, count, **kw)
-    return fast.samples.tobytes() == slow.samples.tobytes() and fast.weights == slow.weights
+    return fast.tobytes() == slow.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -177,7 +176,7 @@ def test_three_break_orbit_visits_every_piece():
     # guards the power of the "three_breaks" case above: a lookup that
     # stopped short of some break would only show on a piece the orbit enters
     F = three_break_mixed_signs()
-    samples = sequential_chaos_game(F, 200_000, seed=6).samples
+    samples = sequential_chaos_game(F, 200_000, seed=6)
     pieces = np.searchsorted(F.maps[0].breaks, samples, side="right")
     assert set(pieces.tolist()) == {0, 1, 2, 3}
 
@@ -244,21 +243,31 @@ def test_chaos_rejects_negative_burn_in():
         chaos_game(cantor_pair(), 10, burn_in=-1)
 
 
+def test_chaos_rejects_zero_count():
+    with pytest.raises(ValueError, match="count"):
+        chaos_game(cantor_pair(), 0)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1.0,), (1.0, 1.0, 1.0), (-0.5, 1.0), (0.0, 0.0), (math.nan, 1.0), (math.inf, 1.0),
+     (math.inf, -math.inf), (1e308, 1e308)],
+    ids=["short", "long", "negative", "all_zero", "nan", "inf", "inf_minus_inf", "sum_overflows"],
+)
+def test_chaos_rejects_bad_weights(weights):
+    # unchecked, a nan or inf weight picks one map for every sample, and an
+    # overflowing sum only warns
+    with pytest.raises(ValueError, match="weights must be one per map"):
+        chaos_game(cantor_pair(), 10, weights=weights)
+
+
 def test_point_cloud_csv_is_unchanged():
-    # sha256 of the CSV text of this cloud as written with the inline
-    # "{x:.17g}" format that specfile.fmt now provides
-    text = chaos_game(paper_example(), 1000, seed=3).to_csv()
+    # sha256 of the index,x rows of these samples written with "{x:.17g}"
+    samples = chaos_game(paper_example(), 1000, seed=3)
+    text = "".join(["index,x\n", *(f"{i},{x:.17g}\n" for i, x in enumerate(samples))])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "259f5987ad73ca015a63da70a5b71f75c80f0a2926803cd685efaf3ee183fc6f"
     )
-
-
-def test_point_cloud_csv():
-    cloud = PointCloud(samples=np.array([0.5, 1 / 3]), seed=0, burn_in=0, weights=(1.0,))
-    text = cloud.to_csv()
-    assert text.splitlines()[0] == "index,x"
-    assert text.splitlines()[1] == "0,0.5"
-    assert text.splitlines()[2] == "1,0.33333333333333331"
 
 
 # --- box counting ----------------------------------------------------------------
@@ -316,7 +325,7 @@ def test_box_counts_equal_distinct_floors(monkeypatch):
         assert all(type(c) is int for c in counts)
     family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
     for F in (paper_example(), cantor_pair(), family, period_two()):
-        xs = chaos_game(F, 100_000, seed=12).samples
+        xs = chaos_game(F, 100_000, seed=12)
         scales = sorted(oracle.default_box_scales(F))
         counts, full = box_counts_and_full_passes(monkeypatch, xs, scales)
         assert counts == distinct_floors(xs, scales)
@@ -357,6 +366,17 @@ def test_box_dimension_scale_validation():
         box_dimension(np.zeros(10), [0.1, 0.2, 0.3])
     with pytest.raises(InsufficientScales):
         box_dimension(np.zeros(10), [0.1, 0.2, 0.3, 0.4])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_box_dimension_rejects_a_scale_that_is_not_finite(capfd, bad):
+    # unchecked, either reaches the least-squares fit, which fails in LAPACK
+    # with "SVD did not converge" and writes its own lines to stderr
+    F = cantor_pair()
+    scales = [*oracle.default_box_scales(F), bad]
+    with pytest.raises(InsufficientScales, match="finite positive scales"):
+        box_dimension(chaos_game(F, 1000, seed=1), scales)
+    assert capfd.readouterr().err == ""
 
 
 # --- measure bounds ----------------------------------------------------------------

@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n", default=f"{cfg.n_min}..{cfg.n_max}",
                    help="level range A..B for the root sequence")
     d.add_argument("--level", type=int, default=cfg.punctured_k, help="punctured cylinder level")
-    d.add_argument("--seed", type=int, default=cfg.seed, help="sampling seed")
     d.add_argument("--tol", type=float, default=cfg.agreement_tol,
                    help="cross-method agreement tolerance")
     d.add_argument("--csv", default=None, help="write method,param,value rows to this path")
@@ -148,8 +147,8 @@ def _write_csv(path: str | None, rows: list[tuple[str, str, str]]) -> None:
 def cmd_dim(F: Cplifs, budget: int, args) -> int:
     n_min, n_max = _parse_range(args.n)
     cfg = gd.DimConfig(
-        n_min=n_min, n_max=n_max, punctured_k=args.level, seed=args.seed,
-        budget=budget, agreement_tol=args.tol,
+        n_min=n_min, n_max=n_max, punctured_k=args.level, budget=budget,
+        agreement_tol=args.tol,
     )
     rows: list[tuple[str, str, str]] = []
     if args.method == "all":
@@ -186,16 +185,15 @@ def cmd_dim(F: Cplifs, budget: int, args) -> int:
         print(f"determinant root = {fmt(value)}")
         rows.append(("determinant", str(solved.m), fmt(value)))
     else:  # box
-        print(f"box estimate = {fmt(value)} (raw {fmt(solved.raw_slope)}, rss {fmt(solved.residual)})")
-        rows.append(("box", str(cfg.box_samples), fmt(value)))
+        fit = solved.fit
+        print(f"box estimate = {fmt(value)} (raw {fmt(fit.raw_slope)}, rss {fmt(fit.residual)})")
+        rows.append(("box", str(solved.nodes), fmt(value)))
     _write_csv(args.csv, rows)
     return 0
 
 
 def cmd_measure(F: Cplifs, budget: int, args) -> int:
-    n_min, n_max = _parse_range(args.n)
-    if n_min < 1:
-        raise ValueError("need 1 <= n_min <= n_max")
+    n_min, n_max = args.levels
     bounds = oracle.lebesgue_upper_bound(F, n_max, budget)
     est = natural_dimension(F, n_min, n_max, budget=budget)
     verdict = oracle.measure_evidence(bounds, est.estimate, plateau_tol=args.tol)
@@ -292,6 +290,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--level={args.level} is below 1")
         if args.command == "measure":
             oracle.check_plateau_tol(args.tol)
+            args.levels = n_min, n_max = _parse_range(args.n)
+            if n_min < 1:
+                raise ValueError("need 1 <= n_min <= n_max")
+            oracle.check_bound_count(n_max)
         return _DISPATCH[args.command](F, budget, args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
         # ValueError: a bad argument, caught here or by the library

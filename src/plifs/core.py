@@ -454,6 +454,13 @@ def _invariant_interval_error(F: Cplifs) -> Fraction:
     return d / (1 - Fraction(F.max_ratio))
 
 
+def _intercept_error(F: Cplifs) -> Fraction:
+    """The largest rounding of an intercept: |float - exact| over every
+    piece of every map."""
+    return max(abs(Fraction(x) - y)
+               for f in F.maps for x, y in zip(f._intercepts, f._exact_intercepts))
+
+
 def _up(x: Fraction) -> float:
     """The least float >= x."""
     y = float(x)
@@ -475,11 +482,7 @@ def sweep_error(F: Cplifs) -> float:
     a, b = invariant_interval(F)
     u, r = Fraction(1, 2**53), Fraction(F.max_ratio)
     e0 = _invariant_interval_error(F)
-    c_err = max(
-        abs(Fraction(x) - y)
-        for f in F.maps
-        for x, y in zip(f._intercepts, f._exact_intercepts)
-    )
+    c_err = _intercept_error(F)
     M = Fraction(max(abs(a), abs(b)))
     den = 1 - r - u * (1 + r)  # not positive only for r within 2u of 1: no bound
     return _up((c_err + u * (1 + r) * (M + e0) + (1 - r) * e0) / den) if den > 0 else math.inf
@@ -501,6 +504,146 @@ def cylinder_enclosure(
         if inner is not None:
             inner = _exact_image(f, *inner)
     return inner, outer
+
+
+# ---------------------------------------------------------------------------
+# refinement frontier
+
+
+@lru_cache(maxsize=512)
+def _piece_table(F: Cplifs) -> tuple[np.ndarray, ...]:
+    """Slope, intercept and domain clipped to the invariant interval of
+    every linearity piece of every map, map by map and each map's pieces
+    left to right."""
+    a, b = invariant_interval(F)
+    rows = [(f.slopes[i], f._intercepts[i], *f.piece_domain(i))
+            for f in F.maps for i in range(f.pieces)]
+    s, c, plo, phi = (np.array(col) for col in zip(*rows))
+    return s, c, np.maximum(plo, a), np.minimum(phi, b)
+
+
+@dataclass(frozen=True, eq=False)
+class Frontier:
+    """Branches of compositions f_w, one per entry: on the domain
+    [dlo, dhi] inside the invariant interval J, f_w is the similarity
+    x -> ratio x + offset.  The branches of all words of one length tile J
+    (with zero-width domains at some cuts), so their images cover the
+    level's cylinders."""
+
+    dlo: np.ndarray
+    dhi: np.ndarray
+    ratio: np.ndarray
+    offset: np.ndarray
+
+    @classmethod
+    def root(cls, F: Cplifs) -> "Frontier":
+        """The empty word: J and the identity."""
+        a, b = invariant_interval(F)
+        return cls(np.array([a]), np.array([b]), np.ones(1), np.zeros(1))
+
+    @property
+    def size(self) -> int:
+        return self.dlo.size
+
+    def image(self) -> tuple[np.ndarray, np.ndarray]:
+        """The images [lo, hi] of the domains."""
+        ya, yb = self.ratio * self.dlo + self.offset, self.ratio * self.dhi + self.offset
+        return np.minimum(ya, yb), np.maximum(ya, yb)
+
+    def select(self, keep: np.ndarray) -> "Frontier":
+        return Frontier(self.dlo[keep], self.dhi[keep], self.ratio[keep], self.offset[keep])
+
+    def parts(self) -> list["Frontier"]:
+        """Slices of at most ``_CHUNK`` nodes, in order."""
+        return [self.select(slice(i, i + _CHUNK)) for i in range(0, self.size, _CHUNK)]
+
+    @staticmethod
+    def join(parts: list["Frontier"]) -> "Frontier":
+        if len(parts) == 1:
+            return parts[0]
+        return Frontier(*(np.concatenate(col) for col in
+                          zip(*((p.dlo, p.dhi, p.ratio, p.offset) for p in parts))))
+
+    def attractor_images(self, F: Cplifs) -> np.ndarray:
+        """f_w(p) for each point p of ``_attractor_points`` and each node
+        whose domain holds it: attractor points, at every depth."""
+        p = _attractor_points(F)[0]
+        node, k = np.nonzero((self.dlo[:, None] <= p) & (p <= self.dhi[:, None]))
+        return self.ratio[node] * p[k] + self.offset[node]
+
+    def children(self, F: Cplifs) -> "Frontier":
+        """Every branch of every f_{wk}, node by node: for the branch
+        (D, A) of f_w and each piece (P, B) of each f_k, the domain
+        P ∩ B^-1(D) within J, when not empty, with the similarity A o B.
+        Made ``_CHUNK`` nodes at a time, so the scratch of a node times a
+        piece stays bounded."""
+        if self.size > _CHUNK:
+            return Frontier.join([part.children(F) for part in self.parts()])
+        s, c, plo, phi = _piece_table(F)
+        t0, t1 = (self.dlo[:, None] - c) / s, (self.dhi[:, None] - c) / s
+        lo = np.maximum(np.minimum(t0, t1), plo)
+        hi = np.minimum(np.maximum(t0, t1), phi)
+        keep = lo <= hi
+        node, piece = np.nonzero(keep)
+        ratio = self.ratio[node]
+        return Frontier(lo[keep], hi[keep], ratio * s[piece], ratio * c[piece] + self.offset[node])
+
+
+@lru_cache(maxsize=512)
+def _attractor_points(F: Cplifs) -> tuple[np.ndarray, Fraction]:
+    """Each map's fixed point p_k and its images f_j(p_k), attractor points
+    all, rounded and moved into the computed J, and the largest distance
+    from the exact points.  p_k is the piece candidate c / (1 - s) of the
+    exact map that lies in its piece's closed domain (one does: the map is
+    a contraction)."""
+    a, b = invariant_interval(F)
+    fixed = [next(p for i, c in enumerate(f._exact_intercepts)
+                  for p in [c / (1 - Fraction(f.slopes[i]))]
+                  if f.piece_domain(i)[0] <= p <= f.piece_domain(i)[1])
+             for f in F.maps]
+    exact = sorted(set(fixed + [_exact_image(f, p, p)[0] for f in F.maps for p in fixed]))
+    pts = [min(max(float(p), a), b) for p in exact]
+    return np.array(pts), max(abs(Fraction(x) - p) for x, p in zip(pts, exact))
+
+
+def frontier_error(F: Cplifs, depth: int) -> float:
+    """Bound r on |computed - exact| for the values that a frontier node of
+    depth <= ``depth`` gives: its image ends ``image()`` against the exact
+    f_w at the exact ends of its domain, and ``attractor_images()``
+    against the exact attractor points f_w(p).
+
+    With u = 2^-53, N = depth, g = N u / (1 - N u) >= (1 + u)^N - 1,
+    q = F.max_ratio, M the larger endpoint modulus of the computed J, C the
+    largest float intercept modulus, c_err the largest intercept rounding
+    and e0 the error of J's ends (``_invariant_interval_error``), in the
+    exact arithmetic of ``sweep_error`` (no underflow assumed):
+    a ratio, a product of N slopes, is within g |ratio| of the exact one;
+    an offset fl(fl(ratio c) + offset) gains (1 + u)(g C + c_err +
+    u (1 + g) C) q^(n-1) at level n and u B, B = (C + c_err) / (1 - q)
+    bounding every exact offset, so it is within
+    E_O = (1 + g) (((1 + u)(g C + c_err + u (1 + g) C)) / (1 - q) + N u B);
+    a domain end is either a break, exact, or J's end, within e0, or
+    fl(fl(d - c) / s), whose error times the ratio is the parent's plus
+    (c_err + (2u + u^2)(M + C)) q^(n-1), so in image space it is within
+    E_D = e0 + (c_err + (2u + u^2)(M + C)) / (1 - q); and
+    fl(fl(ratio x) + offset) at a float x in J is within
+    E_V = (1 + u)((g + u (1 + g)) M + E_O) + u (M + B) of ratio x + offset.
+    An image end is then within E_V + E_D.  An attractor image is within
+    E_V + 2 E_D + e_p, e_p the rounding of the point (f_w is
+    1-Lipschitz): 2 E_D because a point of the computed domain outside the
+    exact one lies within E_D / |ratio| of the cut that the node shares
+    with its neighbour, where both similarities agree.  r is the larger."""
+    a, b = invariant_interval(F)
+    u, q, N = Fraction(1, 2**53), Fraction(F.max_ratio), depth
+    g = N * u / (1 - N * u)
+    M = Fraction(max(abs(a), abs(b)))
+    C = Fraction(float(np.abs(_piece_table(F)[1]).max()))
+    c_err, e0, e_p = _intercept_error(F), _invariant_interval_error(F), _attractor_points(F)[1]
+    B = (C + c_err) / (1 - q)
+    E_O = (1 + g) * ((1 + u) * (g * C + c_err + u * (1 + g) * C) / (1 - q) + N * u * B)
+    E_D = e0 + (c_err + (2 * u + u * u) * (M + C)) / (1 - q)
+    E_V = (1 + u) * ((g + u * (1 + g)) * M + E_O) + u * (M + B)
+    return _up(E_V + 2 * E_D + e_p)
 
 
 # ---------------------------------------------------------------------------

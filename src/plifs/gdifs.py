@@ -907,17 +907,13 @@ class DimConfig:
     n_max: highest level n of the partition-sum roots s_n; the natural
         estimate is the maximum over the last ``pressure.WINDOW``.
     punctured_k: cylinder level k of the punctured approximation t_k.
-    box_samples: chaos-game samples fed to the box count.
-    seed: chaos-game sampling seed.
-    budget: cap on enumerated cylinder intervals.
+    budget: cap on enumerated cylinder intervals and frontier nodes.
     agreement_tol: largest |diff| (finite, >= 0) accepted between natural, gdifs, determinant.
     """
 
     n_min: int = 6
     n_max: int = 11
     punctured_k: int = 6
-    box_samples: int = 200_000
-    seed: int = 20240801
     budget: int = DEFAULT_BUDGET
     agreement_tol: float = 5e-2
 
@@ -1014,9 +1010,13 @@ def _determinant(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
 
 
 def _box(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
-    cloud = oracle.chaos_game(F, c.box_samples, seed=c.seed)
-    fit = oracle.box_dimension(cloud, oracle.default_box_scales(F))
-    return fit.slope, f"{c.box_samples} samples, residual {fit.residual:.2e}", fit
+    box = oracle.frontier_box_count(F, c.budget)
+    fit = box.fit
+    gaps = [hi - lo for lo, hi in zip(box.lower, fit.counts)]
+    exact = f"counts exact at {gaps.count(0)} scales"
+    if any(gaps):
+        exact = f"counts exact at {gaps.count(0)} of {len(gaps)} scales, largest gap {max(gaps)}"
+    return fit.slope, f"frontier {box.nodes} nodes, {exact}, residual {fit.residual:.2e}", box
 
 
 # Each method maps (F, config) to (value, report detail, solved object).

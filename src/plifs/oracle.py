@@ -10,8 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Cplifs, DEFAULT_BUDGET, Level, PLMap, invariant_interval, level_sweep
-from .errors import InsufficientScales
+from .core import (
+    Cplifs, DEFAULT_BUDGET, Frontier, Level, PLMap, frontier_error, invariant_interval, level_sweep,
+)
+from .errors import AmbiguousContainment, BudgetExceeded, InsufficientScales
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -182,11 +184,17 @@ class BoxCountFit:
     ci95: tuple[float, float]
 
 
+_FINEST = 9  # box sizes |J| 3^-j run over j = 2.._FINEST
+# cap on a frontier round's candidates (a node times a piece): the round's
+# nodes and the children made from them, 32 bytes each, stay within 128 MB
+_ROUND_CAP = 2**21
+
+
 def default_box_scales(F: Cplifs) -> tuple[float, ...]:
     """Box sizes |J| 3^-j for j = 2..9 over the invariant interval J."""
     lo, hi = invariant_interval(F)
     width = max(hi - lo, 1e-9)
-    return tuple(width * 3.0**-j for j in range(2, 10))
+    return tuple(width * 3.0**-j for j in range(2, _FINEST + 1))
 
 
 def box_dimension(samples: np.ndarray, scales: Sequence[float]) -> BoxCountFit:
@@ -228,7 +236,11 @@ def box_dimension(samples: np.ndarray, scales: Sequence[float]) -> BoxCountFit:
         if not (g[1::2] <= g[::2] + 1.0).all():
             g = np.floor(xs / e)
         counts.append(1 + int(np.count_nonzero(g[1:] != g[:-1])))
-    counts = [c + (nans > 0) for c in counts]
+    return _fit(eps, [c + (nans > 0) for c in counts])
+
+
+def _fit(eps: Sequence[float], counts: Sequence[int]) -> BoxCountFit:
+    """Least-squares line through (log 1/e, log N(e)), scales ascending."""
     logs = np.log(1.0 / np.array(eps))
     logn = np.log(np.array(counts, dtype=float))
     A = np.stack([logs, np.ones_like(logs)], axis=1)
@@ -248,6 +260,111 @@ def box_dimension(samples: np.ndarray, scales: Sequence[float]) -> BoxCountFit:
         residual=rss,
         ci95=(float(slope) - 1.96 * se, float(slope) + 1.96 * se),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class FrontierBoxCount:
+    """Box counts read off the refinement frontier at
+    ``default_box_scales``, finest first.  ``lower`` counts the boxes of
+    the attractor points f_w(p), p a map's fixed point or its image under
+    a map; ``fit`` regresses the upper counts, which add the boxes that the
+    leaves' images meet.  ``nodes`` counts the frontier nodes made."""
+
+    lower: tuple[int, ...]
+    fit: BoxCountFit
+    nodes: int
+
+
+def frontier_box_count(F: Cplifs, budget: int = DEFAULT_BUDGET) -> FrontierBoxCount:
+    """Box counts of the attractor from ``core.Frontier``, refined round by
+    round until no node is left.
+
+    The grid at scale |J| 3^-j has its boxes centred on a + k |J| 3^-j,
+    k = 0..3^j.  As 3^(9-j) is odd, each is the union of 3^(9-j) finest
+    boxes, and finest box q lies in box (q + (3^(9-j) - 1) / 2) // 3^(9-j):
+    every point's box is decided once, at the finest scale.  The edge rule:
+    boxes are closed, and a computed value y stands for [y - r, y + r], r
+    the rounding bound ``core.frontier_error`` (AmbiguousContainment unless
+    r <= e / 8, e the finest scale).  So a value within r of an edge counts
+    in both boxes, whichever side rounding put it on, and reflecting or
+    rescaling the system leaves the counts as they are.
+
+    Each round, every node marks the boxes of f_w(p) for the maps' fixed
+    points p and their images under each map that its domain holds
+    (``Frontier.attractor_images``): attractor points, whatever the maps.
+    A node whose image meets only marked boxes is dropped: its descendants'
+    images lie inside its own, so they would add no box to either count.
+    Any other node whose image is no longer than r, or that has reached the
+    depth N where no exact image is longer than 2^-53 |J|, is a leaf, as
+    refining it can no longer change the boxes it meets, and they join the
+    upper count.  The rest make the next round.  A round is taken in
+    ``core._CHUNK``-node parts, the marks of every part first.
+    BudgetExceeded when the nodes made and the next round's candidates (a
+    node times a piece) pass the budget, or the candidates pass
+    ``_ROUND_CAP``."""
+    a, b = invariant_interval(F)
+    scales = default_box_scales(F)
+    e, top = scales[-1], 3**_FINEST  # finest scale, last finest box
+    # at depth N every exact image is at most 2^-53 |J| long; when J is one
+    # point the root is the only node
+    N = math.ceil(53 * math.log(2) / -math.log(F.max_ratio)) if b > a else 0
+    r = frontier_error(F, N)
+    if not r <= e / 8:
+        raise AmbiguousContainment(f"rounding bound {r:.3g} is not within an eighth of "
+                                   f"the finest box {e:.3g}")
+    pieces, pad = sum(f.pieces for f in F.maps), r / e
+
+    def box(y: np.ndarray, side: float) -> np.ndarray:
+        """The finest box of y + side r: of y - r with side -1, the first
+        that [y - r, y + r] meets, and of y + r with side 1, the last."""
+        return np.clip(np.floor((y - a) / e + (0.5 + side * pad)), 0, top).astype(np.intp)
+
+    marked, met = np.zeros(top + 1, bool), np.zeros(top + 1, bool)
+    node, nodes = Frontier.root(F), 1
+    for depth in range(N + 1):
+        if not node.size:
+            break
+        parts = node.parts()
+        for part in parts:
+            y = part.attractor_images(F)
+            marked[box(y, -1)] = marked[box(y, 1)] = True  # 2 r < e: at most two boxes
+        done, grown, kids = None, 0, []
+        for part in parts:
+            lo, hi = part.image()
+            q0, q1 = box(lo, -1), box(hi, 1)
+            # a node is open while its image meets a box not marked; the probes
+            # at both ends and the middle decide every range of up to three boxes
+            open_ = ~(marked[q0] & marked[q1] & marked[(q0 + q1) // 2])
+            unsure = ~open_ & (q1 - q0 > 2)
+            if unsure.any():
+                if done is None:
+                    done = np.concatenate(([0], np.cumsum(marked)))
+                u0, u1 = q0[unsure], q1[unsure]
+                open_[unsure] = done[u1 + 1] - done[u0] <= u1 - u0
+            # a leaf's widened image is shorter than 6 r < e: at most two boxes
+            leaf = open_ & ((hi - lo <= r) | (depth == N))
+            met[q0[leaf]] = met[q1[leaf]] = True
+            grow = open_ & ~leaf
+            grown += int(np.count_nonzero(grow)) * pieces
+            if nodes + grown > budget:
+                raise BudgetExceeded(nodes + grown, budget, "box frontier nodes")
+            if grown > _ROUND_CAP:
+                raise BudgetExceeded(grown, _ROUND_CAP, "box frontier round")
+            kids.append(part.select(grow).children(F))
+        node = Frontier.join(kids)
+        nodes += node.size
+
+    def counts(hit: np.ndarray) -> list[int]:
+        q = np.flatnonzero(hit)
+        out = []
+        for j in range(_FINEST, 1, -1):
+            g = 3 ** (_FINEST - j)
+            k = (q + (g - 1) // 2) // g
+            out.append(1 + int(np.count_nonzero(k[1:] != k[:-1])))
+        return out
+
+    fit = _fit(sorted(scales), counts(marked | met))
+    return FrontierBoxCount(lower=tuple(counts(marked)), fit=fit, nodes=nodes)
 
 
 def _union_length(level: Level) -> float:
@@ -346,17 +463,23 @@ def check_plateau_tol(plateau_tol: float) -> None:
         raise ValueError(f"plateau tolerance {plateau_tol} is not finite and > 0")
 
 
+def check_bound_count(count: int) -> None:
+    """ValueError unless ``measure_evidence`` gets enough bound values."""
+    if count < _WINDOW + 1:
+        raise ValueError(f"need at least {_WINDOW + 1} bound values")
+
+
 def measure_evidence(
     bounds: Sequence[float], dim_estimate: float, plateau_tol: float = PLATEAU_TOL
 ) -> MeasureVerdict:
     """Classify the last ``_WINDOW`` relative changes of the bound
     sequence: a plateau with dimension estimate above 1 supports positive
     measure, geometric decay with estimate below 1 supports a null
-    attractor.  ValueError unless plateau_tol is finite and > 0."""
+    attractor.  ValueError unless plateau_tol is finite and > 0 and there
+    are at least ``_WINDOW`` + 1 bounds."""
     check_plateau_tol(plateau_tol)
     b = [float(x) for x in bounds]
-    if len(b) < _WINDOW + 1:
-        raise ValueError(f"need at least {_WINDOW + 1} bound values")
+    check_bound_count(len(b))
     tail = b[-(_WINDOW + 1):]
     changes = []
     for prev, cur in zip(tail, tail[1:]):

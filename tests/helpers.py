@@ -196,6 +196,15 @@ def conjugate(F: Cplifs, a: float, b: float) -> Cplifs:
     return Cplifs(tuple(maps))
 
 
+def reflect(F: Cplifs) -> Cplifs:
+    """The system of maps x -> -f(-x): breaks negated in reverse order,
+    and each map's slopes in reverse order."""
+    return Cplifs(tuple(
+        PLMap(tuple(-x for x in reversed(f.breaks)), tuple(reversed(f.slopes)), -f(0.0))
+        for f in F.maps
+    ))
+
+
 def chaos_game(F: Cplifs, count: int, seed: int = 0, burn_in: int = 100,
                weights=None) -> np.ndarray:
     """Reference chaos game: one scalar map step per sample, the orbit that

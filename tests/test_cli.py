@@ -226,7 +226,7 @@ VALUE_PREFIX = {
 def test_dim_method_matches_line_of_all(tmp_path, capsys, method):
     family = tmp_path / "family.plifs"
     family.write_text(format_spec(build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system))
-    opts = ["--n", "4..8", "--level", "5", "--seed", "3"]
+    opts = ["--n", "4..8", "--level", "5"]
     assert main(["dim", str(family), method, *opts]) == 0
     value = capsys.readouterr().out.split(VALUE_PREFIX[method])[1].split()[0]
     assert main(["dim", str(family), "all", *opts]) == 0
@@ -318,6 +318,34 @@ def test_measure_rejects_level_zero_before_any_sweep(paper_file, capsys, monkeyp
     assert err == "error: need 1 <= n_min <= n_max\n"
 
 
+@pytest.mark.parametrize("levels", ["1..3", "2..2"])
+def test_measure_rejects_too_few_bounds_before_any_sweep(paper_file, capsys, monkeypatch, levels):
+    # the verdict reads four bounds L_1..L_B, so B < 4 is an argument error
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before --n was checked")
+
+    monkeypatch.setattr(oracle, "lebesgue_upper_bound", sweep)
+    monkeypatch.setattr(cli, "natural_dimension", sweep)
+    assert main(["measure", paper_file, "--n", levels]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need at least 4 bound values\n"
+
+
+def test_dim_all_box_unavailable_under_a_tiny_budget(paper_file, capsys):
+    assert main(["dim", paper_file, "all", "--budget", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "box: unavailable (BudgetExceeded: box frontier nodes: 122 needed, budget is 100)" \
+        in lines
+
+
+def test_dim_box_csv_row_counts_the_frontier_nodes(paper_file, tmp_path, capsys):
+    path = tmp_path / "box.csv"
+    assert main(["dim", paper_file, "box", "--csv", str(path)]) == 0
+    value = capsys.readouterr().out.split("box estimate = ")[1].split()[0]
+    assert path.read_text().splitlines() == ["method,param,value", f"box,1588,{value}"]
+
+
 @pytest.mark.parametrize("text", ["# nothing\n", ""])
 def test_file_without_maps_exits_2_without_a_line_number(tmp_path, capsys, text):
     path = tmp_path / "empty.plifs"
@@ -385,11 +413,11 @@ def test_dim_parser_reads_the_library_table_and_defaults():
     assert args.n == f"{cfg.n_min}..{cfg.n_max}"
     assert args.level == cfg.punctured_k
     assert args.tol == cfg.agreement_tol
-    assert args.seed == cfg.seed
+    assert not hasattr(args, "seed")
     assert sub.choices["measure"].parse_args(["system.plifs"]).tol == oracle.PLATEAU_TOL
 
 
-def test_dim_box_default_seed_matches_dim_report(paper_file, capsys):
+def test_dim_box_matches_dim_report(paper_file, capsys):
     assert main(["dim", paper_file, "box"]) == 0
     value = capsys.readouterr().out.split("box estimate = ")[1].split()[0]
     assert float(value) == dim_report(parse_spec(PAPER)).value("box")

@@ -1254,7 +1254,7 @@ def test_esc_rejects_level_zero_no_similarity_and_a_level_over_budget():
 # --- aggregate report ---------------------------------------------------------------
 
 def test_dim_report_cantor_all_methods_agree():
-    cfg = DimConfig(n_min=4, n_max=8, punctured_k=4, box_samples=20000)
+    cfg = DimConfig(n_min=4, n_max=8, punctured_k=4)
     rep = dim_report(cantor_pair(), cfg)
     for method in ("natural", "gdifs", "punctured"):
         assert rep.value(method) == pytest.approx(LOG23, abs=1e-6), method
@@ -1264,7 +1264,7 @@ def test_dim_report_cantor_all_methods_agree():
 
 
 def test_dim_report_paper_example():
-    cfg = DimConfig(n_min=6, n_max=11, punctured_k=8, box_samples=20000)
+    cfg = DimConfig(n_min=6, n_max=11, punctured_k=8)
     rep = dim_report(paper_example(), cfg)
     assert rep.value("gdifs") == pytest.approx(0.60304963, abs=1e-6)
     assert rep.value("punctured") == pytest.approx(0.60301162, abs=1e-6)
@@ -1274,7 +1274,7 @@ def test_dim_report_paper_example():
 
 def test_dim_report_family_three_way():
     fam = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,))
-    cfg = DimConfig(n_min=8, n_max=12, punctured_k=5, box_samples=20000)
+    cfg = DimConfig(n_min=8, n_max=12, punctured_k=5)
     rep = dim_report(fam.system, cfg)
     a = rep.value("gdifs")
     assert rep.value("determinant") == pytest.approx(a, abs=1e-9)
@@ -1320,7 +1320,7 @@ def test_fixed_settings_are_constants_not_parameters():
 
 def test_dim_config_fields():
     assert [f.name for f in dataclasses.fields(DimConfig)] == [
-        "n_min", "n_max", "punctured_k", "box_samples", "seed", "budget", "agreement_tol",
+        "n_min", "n_max", "punctured_k", "budget", "agreement_tol",
     ]
 
 

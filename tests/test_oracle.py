@@ -1,14 +1,18 @@
 import hashlib
+import itertools
 import math
 import random
+from bisect import bisect_right
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plifs import Cplifs, PLMap, natural_dimension, oracle
-from plifs.core import _CHUNK, Level, cylinder_arrays
-from plifs.errors import InsufficientScales
-from plifs.gdifs import build_fixed_point_family
+from plifs.core import _CHUNK, Frontier, Level, cylinder_arrays, frontier_error, sweep_error
+from plifs.errors import BudgetExceeded, InsufficientScales
+from plifs.gdifs import METHODS, DimConfig, build_fixed_point_family
 from plifs.oracle import (
     CONSISTENT_NULL,
     CONSISTENT_POSITIVE,
@@ -16,6 +20,7 @@ from plifs.oracle import (
     _union_length,
     box_dimension,
     chaos_game,
+    frontier_box_count,
     lebesgue_upper_bound,
     measure_evidence,
     splitmix64_batch,
@@ -26,9 +31,11 @@ from helpers import (
     SplitMix64,
     cantor_pair,
     chaos_game as sequential_chaos_game,
+    code_batch,
     paper_example,
     period_two,
     random_increasing_system,
+    random_iosc_affine,
     reference_union_length,
     three_break_mixed_signs,
     unit_cover,
@@ -377,6 +384,169 @@ def test_box_dimension_rejects_a_scale_that_is_not_finite(capfd, bad):
     with pytest.raises(InsufficientScales, match="finite positive scales"):
         box_dimension(chaos_game(F, 1000, seed=1), scales)
     assert capfd.readouterr().err == ""
+
+
+# --- frontier box counts ---------------------------------------------------------
+
+PAPER_ALPHA = 0.6030503229870102  # gdifs root of the paper example
+
+
+def frontier_levels(F, n):
+    """The frontier of every word of length 0..n, no node dropped."""
+    node = Frontier.root(F)
+    out = [node]
+    for _ in range(n):
+        node = node.children(F)
+        out.append(node)
+    return out
+
+
+@pytest.mark.parametrize("system", [paper_example, period_two, three_break_mixed_signs,
+                                    unit_cover])
+def test_frontier_images_cover_each_level(system):
+    # the branches of the words of length n image onto the level-n
+    # cylinders: their union has the same length
+    F = system()
+    for n, node in enumerate(frontier_levels(F, 6)):
+        lo, hi = node.image()
+        assert (node.dlo <= node.dhi).all() and (lo <= hi).all()
+        order = np.argsort(lo, kind="stable")
+        length = reference_union_length(lo[order], hi[order])
+        if n:
+            assert length == pytest.approx(lebesgue_upper_bound(F, n)[-1], abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_frontier_error_bounds_the_cylinder_ends(seed):
+    # with affine increasing maps each word has one branch, over all of J,
+    # and its image is the cylinder that the level sweep gives
+    F = random_iosc_affine(random.Random(seed))
+    for n, node in enumerate(frontier_levels(F, 7)):
+        lo, hi = node.image()
+        clo, chi = cylinder_arrays(F, n) if n else (lo, hi)
+        bound = frontier_error(F, n) + sweep_error(F)
+        assert np.abs(lo - clo).max() <= bound and np.abs(hi - chi).max() <= bound
+
+
+def test_frontier_cantor_counts_two_boxes_per_cylinder():
+    # the Cantor cylinders of level j end on box centres: two boxes each
+    box = frontier_box_count(cantor_pair())
+    counts = tuple(2 * 2**j for j in range(9, 1, -1))
+    assert box.lower == box.fit.counts == counts
+    assert box.fit.slope == pytest.approx(LOG23, abs=1e-9)
+
+
+def test_frontier_box_of_the_paper_example_is_near_alpha():
+    F = paper_example()
+    value, _, _ = METHODS["box"](F, DimConfig())
+    assert abs(value - PAPER_ALPHA) < 0.02
+
+
+def test_frontier_lower_equals_upper(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads as wl
+
+    systems = [paper_example(), cantor_pair(), period_two()]
+    systems += [F for _, F in wl.generated_systems(2101, 4)]
+    for F in systems:
+        box = frontier_box_count(F)
+        assert box.lower == box.fit.counts
+
+
+def test_frontier_unit_cover_counts_every_box_and_prunes():
+    # the attractor is J = [0, 1], which meets the 3^j + 1 boxes centred on
+    # k 3^-j; both maps cover every image, so without dropping the nodes
+    # that meet only marked boxes each round would double the last
+    box = frontier_box_count(unit_cover())
+    counts = tuple(3**j + 1 for j in range(9, 1, -1))
+    assert box.lower == box.fit.counts == counts
+    assert box.nodes <= 35_000
+
+
+@pytest.mark.parametrize("F", [
+    Cplifs((PLMap((), (0.5,), 0.0),)),
+    Cplifs((PLMap((), (0.5,), 0.25), PLMap((), (-0.3,), 0.65))),
+])
+def test_frontier_one_point_attractor_is_box_zero(F):
+    box = frontier_box_count(F)
+    assert box.lower == box.fit.counts == (1,) * 8
+    assert box.fit.slope == 0.0 and box.nodes <= 3
+
+
+def test_frontier_budget():
+    with pytest.raises(BudgetExceeded, match="box frontier nodes"):
+        frontier_box_count(paper_example(), budget=100)
+
+
+def test_frontier_round_cap(monkeypatch):
+    # a round's candidates are capped whatever the budget, so its arrays
+    # stay bounded in bytes
+    monkeypatch.setattr(oracle, "_ROUND_CAP", 100)
+    with pytest.raises(BudgetExceeded, match="box frontier round"):
+        frontier_box_count(paper_example())
+
+
+def folded_system():
+    """f1 = 0.1 x and a tent f2 with its peak f2(0.5) = 1: J = [0, 1], but
+    the attractor lies in [0, 0.875], as 0.5 is not on it."""
+    return Cplifs((PLMap((), (0.1,), 0.0), PLMap((0.5,), (0.5, -0.5), 0.75)))
+
+
+def test_frontier_counts_no_box_off_a_folded_attractor():
+    # the end 1.0 of J is the image of a point off the attractor; its box
+    # (the ninth at j = 2) holds no attractor point and is not counted
+    F = folded_system()
+    box = frontier_box_count(F)
+    xs = chaos_game(F, 200_000, seed=1)
+    assert xs.max() < 0.875 + 1e-12
+    assert box.lower == box.fit.counts
+    assert box.fit.counts[-1] == np.unique(np.floor(xs * 9 + 0.5)).size == 4
+
+
+def exact_attractor_images(F, n):
+    """f_w(p_k) in rational arithmetic for every word w of length n or
+    n + 1 and every map's fixed point p_k (the piece candidate in its
+    domain)."""
+    def at(f, x):
+        i = bisect_right(f.breaks, x)
+        return Fraction(f.slopes[i]) * x + f._exact_intercepts[i]
+
+    fixed = []
+    for f in F.maps:
+        for i, c in enumerate(f._exact_intercepts):
+            p = c / (1 - Fraction(f.slopes[i]))
+            lo, hi = f.piece_domain(i)
+            if lo <= p <= hi:
+                fixed.append(p)
+                break
+    points = []
+    for w in itertools.chain(itertools.product(F.maps, repeat=n),
+                             itertools.product(F.maps, repeat=n + 1)):
+        for p in fixed:
+            for f in reversed(w):
+                p = at(f, p)
+            points.append(float(p))
+    return np.array(points)
+
+
+@pytest.mark.parametrize("system", [paper_example, period_two, three_break_mixed_signs,
+                                    folded_system])
+def test_attractor_images_lie_within_the_bound_of_attractor_points(system):
+    F = system()
+    for n, node in enumerate(frontier_levels(F, 5)):
+        marks = node.attractor_images(F)
+        exact = np.sort(exact_attractor_images(F, n))
+        i = np.clip(np.searchsorted(exact, marks), 1, exact.size - 1)
+        gap = np.minimum(np.abs(marks - exact[i - 1]), np.abs(marks - exact[i]))
+        assert marks.size >= F.m**n and gap.max() <= frontier_error(F, n)
+
+
+def test_frontier_node_count_of_an_overlapping_system():
+    # three maps with eleven pieces whose attractor is an interval: a work
+    # count that guards the pruning of overlapping, many-piece systems
+    box = frontier_box_count(code_batch()[136])
+    assert box.lower == box.fit.counts
+    assert box.nodes <= 450_000
 
 
 # --- measure bounds ----------------------------------------------------------------

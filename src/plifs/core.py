@@ -6,7 +6,7 @@ diagnostics."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -129,16 +129,6 @@ class PLMap:
         domain padded by 1e-12 (1 + |x|)."""
         pieces = [(self.piece_domain(i), self.piece_affine(i)) for i in range(self.pieces)]
         return _fixed_point(pieces, self, lambda x: 1e-12 * (1.0 + abs(x)))
-
-    def piece_over(self, iv: Interval, tol: float) -> int | None:
-        """Index of the linearity piece whose closure, widened by ``tol``,
-        covers ``iv``; None if no single piece does (a break is interior)."""
-        a, b = iv
-        for i in range(self.pieces):
-            lo, hi = self.piece_domain(i)
-            if a >= lo - tol and b <= hi + tol:
-                return i
-        return None
 
 
 @dataclass(frozen=True)
@@ -557,13 +547,6 @@ class Frontier:
         """Slices of at most ``_CHUNK`` nodes, in order."""
         return [self.select(slice(i, i + _CHUNK)) for i in range(0, self.size, _CHUNK)]
 
-    @staticmethod
-    def join(parts: list["Frontier"]) -> "Frontier":
-        if len(parts) == 1:
-            return parts[0]
-        return Frontier(*(np.concatenate(col) for col in
-                          zip(*((p.dlo, p.dhi, p.ratio, p.offset) for p in parts))))
-
     def attractor_images(self, F: Cplifs) -> np.ndarray:
         """f_w(p) for each point p of ``_attractor_points`` and each node
         whose domain holds it: attractor points, at every depth."""
@@ -575,10 +558,8 @@ class Frontier:
         """Every branch of every f_{wk}, node by node: for the branch
         (D, A) of f_w and each piece (P, B) of each f_k, the domain
         P ∩ B^-1(D) within J, when not empty, with the similarity A o B.
-        Made ``_CHUNK`` nodes at a time, so the scratch of a node times a
-        piece stays bounded."""
-        if self.size > _CHUNK:
-            return Frontier.join([part.children(F) for part in self.parts()])
+        Callers pass at most ``_CHUNK`` nodes (``parts``), so the scratch
+        of a node times a piece stays bounded."""
         s, c, plo, phi = _piece_table(F)
         t0, t1 = (self.dlo[:, None] - c) / s, (self.dhi[:, None] - c) / s
         lo = np.maximum(np.minimum(t0, t1), plo)
@@ -882,11 +863,12 @@ def verify_breaking_code(F: Cplifs, b: float, prefix: Word, period: Word) -> Cod
 def _branches(F: Cplifs, w: Word, iv: Interval) -> list[Branch]:
     """The branches of f_w on ``iv``: (domain, similarity) pairs whose
     domains tile iv in order, f_w agreeing with each on its domain up to
-    tol = ``F.geom_tol()`` at the breaks.  Folds right to left, taking at
-    each stage the next map's piece whose closure, widened by tol, covers
-    the running interval (``PLMap.piece_over``).  Where none does, that
-    interval is cut at the breaks more than tol inside it and the domain at
-    their preimages; each part takes the piece at its midpoint and folds on."""
+    tol = ``F.geom_tol()`` at the breaks.  Folds right to left, cutting the
+    running interval [c0, c1] at the next map's breaks more than tol inside
+    it.  With no cut, it takes that map's first piece whose right end,
+    widened by tol, reaches c1 (its left end then lies within tol of c0 or
+    below it).  Otherwise the domain is cut at the cuts' preimages, and
+    each part takes the piece at its midpoint and folds on."""
     tol = F.geom_tol()
     out: list[Branch] = []
     stack = [(len(w), iv, AffineMap(1.0, 0.0), iv)]  # stages left, domain, map, image
@@ -894,14 +876,13 @@ def _branches(F: Cplifs, w: Word, iv: Interval) -> list[Branch]:
         j, dom, total, cur = stack.pop()
         for j in range(j, 0, -1):
             f = F.map(w[j - 1])
-            if (i := f.piece_over(cur, tol)) is None:
+            if cuts := [b for b in f.breaks if cur[0] + tol < b < cur[1] - tol]:
                 break
-            piece = f.piece_affine(i)
+            piece = f.piece_affine(bisect_left(f.breaks, cur[1] - tol))
             total, cur = piece.compose(total), piece.image(cur)
         else:
             out.append((dom, total))
             continue
-        cuts = [b for b in f.breaks if cur[0] + tol < b < cur[1] - tol]
         parts = list(zip([cur[0], *cuts], [*cuts, cur[1]]))
         xs = [min(max((b - total.offset) / total.ratio, dom[0]), dom[1]) for b in cuts]
         if total.ratio < 0:

@@ -571,10 +571,11 @@ def associate_from_periodic(
     point (the fixed point of its composition) into a left and a right
     half.  There is an edge (A, A') exactly when f_{word(A)} maps the
     piece A' into A.  For an uncut A this always holds; for a half it is
-    one image-space test against the cut point (``_certify_side``): the
-    images of ever finer covers of A' from the level sweep must all lie on
-    A's side.  Folded maps need no special case.  AmbiguousContainment
-    when no level up to ``_REFINE_DEPTH`` decides an edge.
+    one image-space test against the cut point (``_certify_side``), made
+    once per cut and A' for both halves: the images of ever finer covers
+    of A' from the level sweep must all lie on A's side.  Folded maps need
+    no special case.  AmbiguousContainment when no level up to
+    ``_REFINE_DEPTH`` decides an edge.
     """
     tol = F.geom_tol()
     codes = tuple(codes)
@@ -649,20 +650,20 @@ def associate_from_periodic(
     nhi[left] = nlo[left + 1] = [cuts[i] for i in ci.tolist()]
     words = word_of[:, None] // F.m ** np.arange(P - 1, -1, -1) % F.m + 1
 
-    src, dst, ratio, offset = [], [], [], []
-    nodes = list(zip(map(tuple, words.tolist()), [_SIDES[s] for s in sides.tolist()],
+    src, dst, ratio, offset, halves = [], [], [], [], {}
+    nodes = list(zip(map(tuple, words.tolist()), sides.tolist(),
                      zip(nlo.tolist(), nhi.tolist()), word_of.tolist()))
     for i, (w, side, _, wi) in enumerate(nodes):
         for j, (tw, tside, hull, _) in enumerate(nodes):
-            if side is not None:
-                verdict = _certify_side(F, w, side, tw, hull, cuts[wi], _REFINE_DEPTH, budget)
-                if verdict is None:
+            if side == 1:  # the left half comes first: one verdict for both halves
+                if (got := _certify_side(F, w, tw, hull, cuts[wi], _REFINE_DEPTH, budget)) is None:
                     raise AmbiguousContainment(
-                        f"edge {_label(w, side)} -> {_label(tw, tside)} undecidable at "
+                        f"edge {_label(w, 'left')} -> {_label(tw, _SIDES[tside])} undecidable at "
                         f"refinement depth {_REFINE_DEPTH}"
                     )
-                if not verdict:
-                    continue
+                halves[j] = got
+            if side and side not in halves[j]:
+                continue
             sim = affine_restriction(F, w, hull)
             src.append(i)
             dst.append(j)
@@ -683,26 +684,25 @@ def _push(F: Cplifs, w: Word, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
 def _certify_side(
     F: Cplifs,
     w: Word,
-    side: str,
     tw: Word,
     hull: Interval,
     phi: float,
     depth: int,
     budget: int,
-) -> bool | None:
-    """Decide whether f_w maps the piece of I_tw within ``hull`` into the
-    ``side`` half ("left" or "right") of the cylinder of w cut at phi.
+) -> tuple[int, ...] | None:
+    """The halves of the cylinder of w cut at phi that f_w maps the piece
+    of I_tw within ``hull`` into, by their codes in ``Gdifs.sides``: 1 the
+    left, 2 the right.
 
     Level d of the sweep, read whole, chunk by chunk, is pushed through f_tw
-    and clipped to the hull, empty rows dropped (none left: False); level 0
+    and clipped to the hull, empty rows dropped (none left: ``()``); level 0
     is I_tw clipped, the hull itself for each node the association builds.
     With tol = ``F.geom_tol()``, a level is ``below`` when all its images
     under f_w lie at or below phi + tol and ``above`` when all lie at or
-    above phi - tol.  The first level with either verdict decides: True
-    when it is the half's own (below for left, above for right), else False.
-    None when no level up to ``depth`` decides.  The sweep stops at the
-    deepest d with m**d <= budget; BudgetExceeded when the verdict is still
-    open there, short of ``depth``.
+    above phi - tol.  The first level with either verdict decides: (1,)
+    below, (2,) above, (1, 2) both.  None when no level up to ``depth``
+    decides.  The sweep stops at the deepest d with m**d <= budget;
+    BudgetExceeded when the verdict is still open there, short of ``depth``.
 
     A row at least tol inside the hull keeps its subrows, unclipped, at
     every deeper level, and their images stay within rounding of its own.
@@ -731,10 +731,10 @@ def _certify_side(
             low = low or (rhi[inside] < phi - 2 * tol).any()
             high = high or (rlo[inside] > phi + 2 * tol).any()
         if lo > hi:  # no row left
-            return False
+            return ()
         below, above = hi <= phi + tol, lo >= phi - tol
         if below or above:
-            return bool(below if side == "left" else above)
+            return (1,) * bool(below) + (2,) * bool(above)
         if low and high:
             break
     if n_max < depth:

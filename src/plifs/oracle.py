@@ -297,8 +297,8 @@ def frontier_box_count(F: Cplifs, budget: int = DEFAULT_BUDGET) -> FrontierBoxCo
     Any other node whose image is no longer than r, or that has reached the
     depth N where no exact image is longer than 2^-53 |J|, is a leaf, as
     refining it can no longer change the boxes it meets, and they join the
-    upper count.  The rest make the next round.  A round is taken in
-    ``core._CHUNK``-node parts, the marks of every part first.
+    upper count.  The children of the rest make the next round, held as
+    ``core._CHUNK``-node parts, and a round marks every part first.
     BudgetExceeded when the nodes made and the next round's candidates (a
     node times a piece) pass the budget, or the candidates pass
     ``_ROUND_CAP``."""
@@ -320,11 +320,10 @@ def frontier_box_count(F: Cplifs, budget: int = DEFAULT_BUDGET) -> FrontierBoxCo
         return np.clip(np.floor((y - a) / e + (0.5 + side * pad)), 0, top).astype(np.intp)
 
     marked, met = np.zeros(top + 1, bool), np.zeros(top + 1, bool)
-    node, nodes = Frontier.root(F), 1
+    parts, nodes = [Frontier.root(F)], 1
     for depth in range(N + 1):
-        if not node.size:
+        if not parts:
             break
-        parts = node.parts()
         for part in parts:
             y = part.attractor_images(F)
             marked[box(y, -1)] = marked[box(y, 1)] = True  # 2 r < e: at most two boxes
@@ -350,9 +349,9 @@ def frontier_box_count(F: Cplifs, budget: int = DEFAULT_BUDGET) -> FrontierBoxCo
                 raise BudgetExceeded(nodes + grown, budget, "box frontier nodes")
             if grown > _ROUND_CAP:
                 raise BudgetExceeded(grown, _ROUND_CAP, "box frontier round")
-            kids.append(part.select(grow).children(F))
-        node = Frontier.join(kids)
-        nodes += node.size
+            kids += part.select(grow).children(F).parts()
+        parts = kids
+        nodes += sum(part.size for part in parts)
 
     def counts(hit: np.ndarray) -> list[int]:
         q = np.flatnonzero(hit)

@@ -1,5 +1,6 @@
 import argparse
 import inspect
+import math
 
 import pytest
 
@@ -337,6 +338,21 @@ def test_dim_all_box_unavailable_under_a_tiny_budget(paper_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "box: unavailable (BudgetExceeded: box frontier nodes: 122 needed, budget is 100)" \
         in lines
+
+
+def test_dim_all_box_unavailable_far_from_the_origin(tmp_path, capsys):
+    # the Cantor pair moved to [1e9, 1e9 + 1]: the frontier's rounding bound
+    # grows with the endpoints, past an eighth of the finest box
+    path = tmp_path / "far.plifs"
+    path.write_text("map tau=666666666.6666666 slopes=0.3333333333333333\n"
+                    "map tau=666666667.3333333 slopes=0.3333333333333333\n")
+    assert main(["dim", str(path), "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "box: unavailable (AmbiguousContainment: rounding bound 1.32e-05 is not within " \
+        "an eighth of the finest box 5.08e-05)" in lines
+    for method in ("natural", "gdifs", "punctured"):
+        line = next(line for line in lines if line.startswith(f"{method}: "))
+        assert abs(float(line.split()[1]) - math.log(2) / math.log(3)) < 1e-4
 
 
 def test_dim_box_csv_row_counts_the_frontier_nodes(paper_file, tmp_path, capsys):

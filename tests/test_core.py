@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from plifs import (
+    BreakCode,
     Cplifs,
     PLMap,
     check_iosc,
@@ -39,7 +40,10 @@ from plifs.core import (
     word_index,
     word_str,
 )
-from plifs.errors import AmbiguousContainment, BudgetExceeded, NonContractive
+from plifs.errors import AmbiguousContainment, BudgetExceeded, NonContractive, ParseError
+from plifs.gdifs import DetRecursion
+from plifs.pressure import pressure_at
+from plifs.specfile import parse_spec
 
 from helpers import (
     _reference_image,
@@ -51,6 +55,7 @@ from helpers import (
     random_plmap,
     reference_level_sweep,
     three_break_mixed_signs,
+    unit_cover,
 )
 
 
@@ -67,6 +72,30 @@ def test_plmap_validation():
         PLMap((0.5,), (0.3, 0.3), 0.0)  # adjacent slopes equal
     with pytest.raises(ValueError):
         PLMap((0.5,), (0.3, 0.0), 0.0)  # zero slope
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Cplifs(()), ValueError, "a system needs at least one map"),
+    (lambda: image_interval(cantor_pair().map(1), (0.5, 0.1)), ValueError, "empty interval"),
+    (lambda: BreakCode(0.5, (1,), ()), ValueError, "period must be nonempty"),
+    (lambda: DetRecursion((0.1, 0.2, 0.3)), ValueError, "need an even number of slopes"),
+    (lambda: DetRecursion((0.1, 0.2, 0.3, 1.0)), ValueError, "slopes must lie in"),
+    (lambda: lebesgue_upper_bound(cantor_pair(), 0), ValueError, "n_max must be >= 1"),
+    (lambda: pressure_at(cantor_pair(), 0.5, 0), ValueError, "level must be >= 1"),
+    (lambda: _containing_words(unit_cover(), 0.5, 6, 7), BudgetExceeded,
+     "containment frontier: 8 needed, budget is 7"),
+    (lambda: parse_spec("map tau0 slopes=0.5"), ParseError, "line 1: expected key=value"),
+], ids=["no-map", "empty-interval", "empty-period", "three-slopes", "slope-one",
+        "lebesgue-level-0", "pressure-level-0", "containment-budget", "token-without-equals"])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_check_small_fails_only_the_sum_clause():
+    # each ratio 0.4 is below the injective bound 1/2, their sum is not below 1
+    F = Cplifs(tuple(PLMap((), (0.4,), c) for c in (0.0, 0.3, 0.6)))
+    assert check_small(F).failing_clauses() == ("a",)
 
 
 def test_continuity_at_breaks():

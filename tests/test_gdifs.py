@@ -412,6 +412,12 @@ def test_alpha_pure_cycle_is_zero():
     assert alpha(g) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_alpha_of_a_node_without_edges_has_no_root():
+    g = gdifs_of_edges(nodes=(GdifsNode((1,), None, (0.0, 1.0)),), edges=())
+    with pytest.raises(ConvergenceFailure, match="spectral radius below 1 at s = 0"):
+        alpha(g)
+
+
 def test_spectral_monotone_decreasing(monkeypatch):
     fallbacks = []
     eigvals = np.linalg.eigvals
@@ -926,8 +932,8 @@ def test_certify_side_clips_rows_to_target_hull():
     # cut at level 0, and at level 1 only I_34 = [0.505, 0.525] would, but
     # it lies outside the hull and is dropped
     F = straddle_system()
-    verdict = [_certify_side(F, (2,), "left", (3,), (0.425, 0.503), 0.5, d, 2**26) for d in (0, 1)]
-    assert verdict == [None, True]
+    verdict = [_certify_side(F, (2,), (3,), (0.425, 0.503), 0.5, d, 2**26) for d in (0, 1)]
+    assert verdict == [None, (1,)]
 
 
 def test_certify_side_refinement_levels_and_budget():
@@ -943,11 +949,11 @@ def test_certify_side_refinement_levels_and_budget():
     phi = 0.29295298171902795
 
     def verdict(depth, budget=2**26):
-        return _certify_side(F, (2,), "left", (1,), hull, phi, depth, budget)
+        return _certify_side(F, (2,), (1,), hull, phi, depth, budget)
 
     assert verdict(0) is None
-    assert verdict(1) is True
-    assert verdict(12, budget=3) is True  # the sweep stops at level 1, where it decides
+    assert verdict(1) == (1,)
+    assert verdict(12, budget=3) == (1,)  # the sweep stops at level 1, where it decides
     with pytest.raises(BudgetExceeded):
         verdict(12, budget=2)
 
@@ -969,11 +975,36 @@ def test_certify_side_over_chunks_matches_whole_levels(monkeypatch):
                 for k in w[::-1]:
                     a, b = image_interval(F.map(k), (a, b))
                 for phi in np.linspace(a, b, 13):
-                    for side in ("left", "right"):
-                        got = _certify_side(F, w, side, tgt.word, tgt.hull, float(phi), 5, 2**26)
-                        assert got == reference_certify_side(F, w, side, tgt, float(phi), 5)
-                        verdicts.add(got)
+                    got = _certify_side(F, w, tgt.word, tgt.hull, float(phi), 5, 2**26)
+                    for side, half in (("left", 1), ("right", 2)):
+                        want = reference_certify_side(F, w, side, tgt, float(phi), 5)
+                        assert (None if got is None else half in got) == want
+                        verdicts.add(want)
     assert verdicts == {None, True, False}
+
+
+def test_certify_side_target_in_a_gap_gives_no_half():
+    # the hull (0.12, 0.2) lies in the gap (1/9, 2/9) between the level-2
+    # cylinders of I_1: level 0 maps across phi, and from level 1 on no row
+    # of I_1 meets the hull
+    F = cantor_pair()
+    phi = F.map(1)(0.16)
+    verdict = [_certify_side(F, (1,), (1,), (0.12, 0.2), phi, d, 2**26) for d in range(4)]
+    assert verdict == [None, (), (), ()]
+
+
+def test_association_certifies_each_cut_once_per_target(monkeypatch):
+    # period-two cuts the cylinders 12 and 21: 2 cut words times 11 targets,
+    # one call for both halves of each
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:4])  # w, tw and the target hull
+        return _certify_side(*args)
+
+    monkeypatch.setattr("plifs.gdifs._certify_side", spy)
+    g = associate_from_periodic(period_two(), [BreakCode(0.21 / 0.91, (), (1, 2))])
+    assert len(calls) == len(set(calls)) == 2 * g.q == 22
 
 
 # --- codes read off the containment witnesses -------------------------------------

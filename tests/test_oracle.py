@@ -486,6 +486,26 @@ def test_frontier_round_cap(monkeypatch):
         frontier_box_count(paper_example())
 
 
+def test_frontier_counts_do_not_depend_on_the_part_size(monkeypatch):
+    # every value is computed per node, so 5-node parts give the counts and
+    # node counts of 2^15-node parts, and no part grows past 5 nodes
+    systems = [paper_example(), cantor_pair(), period_two()]
+    whole = [frontier_box_count(F) for F in systems]
+    sizes = []
+    children = Frontier.children
+
+    def spy(node, F):
+        sizes.append(node.size)
+        return children(node, F)
+
+    monkeypatch.setattr("plifs.core._CHUNK", 5)
+    monkeypatch.setattr(Frontier, "children", spy)
+    for F, want in zip(systems, whole):
+        got = frontier_box_count(F)
+        assert (got.lower, got.fit.counts, got.nodes) == (want.lower, want.fit.counts, want.nodes)
+    assert max(sizes) == 5
+
+
 def folded_system():
     """f1 = 0.1 x and a tent f2 with its peak f2(0.5) = 1: J = [0, 1], but
     the attractor lies in [0, 0.875], as 0.5 is not on it."""

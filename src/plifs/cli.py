@@ -271,12 +271,14 @@ _DISPATCH = {
     "render": cmd_render,
     "esc": cmd_esc,
 }
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call, then reused
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

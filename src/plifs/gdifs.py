@@ -53,6 +53,7 @@ from .errors import (
     NonPeriodicCode,
     NotApplicable,
     NotStronglyConnected,
+    PlifsError,
     RootMismatch,
     UnverifiedCode,
 )
@@ -375,9 +376,8 @@ class DetRecursion:
     """Determinant function of the family whose middle maps break at their
     own fixed points, parameterized by the ordered slope list.
 
-    Slope i (1-based) belongs to node i of the associated graph: node 1 is
-    the first map, nodes 2k-2 / 2k-1 are the left / right branches of
-    middle map k, node 2m-2 is the last map.
+    Slope i (1-based) belongs to the i-th node of the associated graph in
+    hull order, numbered as in `build_fixed_point_family`.
     """
 
     slopes: tuple[float, ...]
@@ -527,31 +527,53 @@ def build_fixed_point_family(
     return FixedPointFamily(system, associate_from_periodic(system, codes), det)
 
 
-def detect_fixed_point_family(F: Cplifs) -> DetRecursion | None:
-    """Recognize a system of the fixed-point-breaking shape and pull out
-    its ordered slope list; None when the shape does not match."""
+def detect_fixed_point_family(F: Cplifs, budget: int = DEFAULT_BUDGET) -> DetRecursion | None:
+    """The determinant recursion of F when its association is the graph of
+    the fixed-point-breaking family, else None.  In hull order, the nodes of
+    ``associate_from_periodic(F, auto_codes(F), budget)`` must have, each
+    compared exactly:
+    - disjoint hulls, but for the cut that two halves share;
+    - one ratio on the edges from each node, its row ratio;
+    - the maps' slopes as the multiset of the row ratios;
+    - ``DetRecursion(row ratios).incidence()`` as the 0/1 edge matrix.
+    None before any association unless m >= 3, two maps have no break and
+    the others one, and every slope is positive; None when the association
+    fails, but for BudgetExceeded, which is raised."""
     if F.m < 3:
         return None
-    maps = F.maps
-    if any(any(s <= 0 for s in f.slopes) for f in maps):
+    if sorted(len(f.breaks) for f in F.maps) != [0, 0] + [1] * (F.m - 2):
         return None
-    if maps[0].breaks or maps[-1].breaks:
+    slopes = sorted(s for f in F.maps for s in f.slopes)
+    if slopes[0] <= 0:
         return None
-    if any(len(f.breaks) != 1 for f in maps[1:-1]):
+    try:
+        g = associate_from_periodic(F, auto_codes(F), budget)
+    except BudgetExceeded:
+        raise
+    except PlifsError:
         return None
-    tol = F.geom_tol()
-    if abs(maps[0].fixed_point() - 0.0) > tol or abs(maps[-1].fixed_point() - 1.0) > tol:
+
+    order = np.lexsort((g.hi, g.lo))  # node indices in hull order
+    lo, hi, sides, words = g.lo[order], g.hi[order], g.sides[order], g.words[order]
+    cut_halves = (sides[:-1] == 1) & (sides[1:] == 2) & (words[:-1] == words[1:]).all(axis=1)
+    if not ((hi[:-1] < lo[1:]) | cut_halves).all():
         return None
-    phis = []
-    for f in maps[1:-1]:
-        if abs(f(f.breaks[0]) - f.breaks[0]) > tol:
-            return None
-        phis.append(f.breaks[0])
-    if any(b <= a for a, b in zip([0.0] + phis, phis + [1.0])):
+
+    rank = np.argsort(order)  # hull-order place of each node
+    src, dst = rank[g.src], rank[g.dst]
+    ratios = np.full(g.q, np.nan)
+    ratios[src] = g.ratio
+    if (g.ratio != ratios[src]).any():
         return None
-    if not check_iosc(F).ok:
+    if sorted(ratios.tolist()) != slopes:
         return None
-    return DetRecursion(tuple(s for f in maps for s in f.slopes))
+
+    det = DetRecursion(tuple(ratios.tolist()))
+    edges = np.zeros((g.q, g.q), dtype=int)
+    np.add.at(edges, (src, dst), 1)
+    if not np.array_equal(edges, det.incidence()):
+        return None
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +1025,7 @@ def _punctured(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
 
 
 def _determinant(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
-    det = detect_fixed_point_family(F)
+    det = detect_fixed_point_family(F, c.budget)
     if det is None:
         raise NotApplicable("not a fixed-point-breaking family", "determinant")
     return q_root(det), f"slopes {det.slopes}", det

@@ -9,6 +9,8 @@ from plifs.cli import build_parser, main
 from plifs.gdifs import METHODS, DimConfig, build_fixed_point_family, dim_report
 from plifs.specfile import format_spec, parse_spec
 
+from helpers import reflect
+
 PAPER = """\
 map tau=0 slopes=0.8,0.2 breaks=0.5
 map tau=0.9 slopes=0.1
@@ -117,6 +119,51 @@ def test_dim_gdifs(paper_file, capsys):
 def test_dim_determinant_not_applicable_exit_3(paper_file, capsys):
     assert main(["dim", paper_file, "determinant"]) == 3
     assert "not applicable" in capsys.readouterr().err
+
+
+def test_dim_determinant_exit_code_4_on_budget(tmp_path, capsys):
+    # the detection's association runs under --budget, as the graph route's does
+    family = tmp_path / "family.plifs"
+    family.write_text(format_spec(build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system))
+    assert main(["dim", str(family), "determinant", "--budget", "2"]) == 4
+    assert "budget is 2" in capsys.readouterr().err
+
+
+def test_dim_all_determinant_of_a_reflected_family(tmp_path, capsys):
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    path = tmp_path / "reflected.plifs"
+    path.write_text(format_spec(reflect(family)))
+    assert main(["dim", str(path), "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    det = next(line for line in lines if line.startswith("determinant: "))
+    gdifs = next(line for line in lines if line.startswith("gdifs: "))
+    assert det.endswith("  [slopes (0.25, 0.3, 0.2, 0.25)]")
+    assert abs(float(det.split()[1]) - float(gdifs.split()[1])) < 1e-9
+    assert "consistent: yes" in lines
+
+
+def test_main_builds_its_parser_once(paper_file, tmp_path, capsys, monkeypatch):
+    csv_path = tmp_path / "out.csv"
+    dim = ["dim", paper_file, "gdifs", "--csv", str(csv_path)]
+    measure = ["measure", paper_file, "--n", "1..6"]
+    alone = []
+    for argv in (dim, measure):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        assert main(argv) == 0
+        alone.append(capsys.readouterr())
+    csv_text = csv_path.read_text()
+    csv_path.unlink()
+    built = []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    assert main(dim) == 0
+    assert capsys.readouterr() == alone[0]
+    assert csv_path.read_text() == csv_text
+    csv_path.unlink()
+    assert main(measure) == 0
+    assert capsys.readouterr() == alone[1]
+    assert not csv_path.exists()
+    assert built == [1]
 
 
 def test_dim_all_consistent(cantor_file, capsys):

@@ -60,11 +60,13 @@ from helpers import (
     assert_family_graph_matches_reference,
     cantor_pair,
     code_batch,
+    conjugate,
     gdifs_of_edges,
     paper_example,
     period_two,
     random_family_instance,
     reference_certify_side,
+    reflect,
     reference_perron_root,
     reference_periodic_point,
     reference_scc,
@@ -1417,9 +1419,45 @@ def test_detect_fixed_point_family():
         "first-cylinders-overlap"])
 def test_detect_fixed_point_family_rejects_perturbed_shapes(index, f):
     maps = list(build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system.maps)
-    assert detect_fixed_point_family(Cplifs(tuple(maps))) is not None
+    F = Cplifs(tuple(maps))
+    for G in (F, conjugate(F, 2.5, -1.0), reflect(F)):
+        assert detect_fixed_point_family(G) is not None
     maps[index] = f
-    assert detect_fixed_point_family(Cplifs(tuple(maps))) is None
+    F = Cplifs(tuple(maps))
+    for G in (F, conjugate(F, 2.5, -1.0), reflect(F)):
+        assert detect_fixed_point_family(G) is None
+
+
+def _moved_families():
+    """Three family instances for each m = 3..6, each as built, under
+    x -> 2.5x - 1, under x -> 0.5x + 0.3, reflected, and with its maps
+    reversed."""
+    for m in range(3, 7):
+        rng = random.Random(2700 + m)
+        for i in range(3):
+            fam = random_family_instance(rng, m)
+            F = fam.system
+            for how, G in (("built", F), ("2.5x-1", conjugate(F, 2.5, -1.0)),
+                           ("0.5x+0.3", conjugate(F, 0.5, 0.3)), ("reflected", reflect(F)),
+                           ("reversed", Cplifs(F.maps[::-1]))):
+                yield pytest.param(fam, G, id=f"m{m}-{i}-{how}")
+
+
+@pytest.mark.parametrize("fam, G", _moved_families())
+def test_detect_fixed_point_family_is_coordinate_free(fam, G):
+    # the family is its graph: no change of coordinates or order of the
+    # maps hides it, and its determinant root is the graph's alpha
+    det = detect_fixed_point_family(G)
+    assert det is not None
+    assert sorted(det.slopes) == sorted(fam.det.slopes)
+    assert q_root(det) == pytest.approx(alpha(fam.graph), abs=1e-9)
+
+
+def test_detect_fixed_point_family_passes_its_budget():
+    F = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    with pytest.raises(BudgetExceeded):
+        detect_fixed_point_family(F, budget=2)
+    assert detect_fixed_point_family(F, budget=3) is not None
 
 
 def test_export_text_of_the_paper_graph_is_unchanged():

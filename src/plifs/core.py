@@ -386,6 +386,59 @@ def level_sweep(F: Cplifs, n_max: int, budget: int = DEFAULT_BUDGET) -> Iterator
         yield Level(lo, hi, F.maps)
 
 
+def level_blocks(
+    F: Cplifs, n_min: int, n_max: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The cylinder intervals of levels n_min..n_max as (n, lo, hi) blocks
+    of at most ``_CHUNK`` words that hold each word of those levels once;
+    for consumers, such as the partition sums, that need only the
+    multiset of a level's intervals.  The budget is checked once, for
+    level n_max, before any level is built.
+
+    Levels up to the base level b, the deepest with m^b <= ``_CHUNK``
+    words (or n_max), come from `level_sweep`, one block each.  Past b the
+    walk is depth first: a block of level n + 1 is one map's image of a
+    block of level n, written into the one pair of buffers of level n + 1
+    and yielded before its own images are made, so a level's blocks come
+    in depth-first, not word, order.  Every block is imaged once, and each
+    endpoint is the value the sweep gives: the maps are composed
+    innermost first, as there.  A block past b is overwritten at a later
+    step, so a consumer must neither keep nor write it.  The walk holds
+    levels b - 1 and b and 16 m^b bytes per level past b, where the sweep
+    holds 16/m bytes per level-n_max word."""
+    if not 0 <= n_min <= n_max:
+        raise ValueError("need 0 <= n_min <= n_max")
+    _check_budget(F.m, n_max, budget)
+    base = 0
+    while base < n_max and F.m ** (base + 1) <= _CHUNK:
+        base += 1
+    for n, level in enumerate(level_sweep(F, base, budget)):
+        lo, hi = level.join()
+        if n >= n_min:
+            yield n, lo, hi
+    buffers = [(np.empty_like(lo), np.empty_like(hi)) for _ in range(base, n_max)]
+    yield from _descend(F.maps, lo, hi, base + 1, n_min, buffers)
+
+
+def _descend(
+    maps: tuple[PLMap, ...], lo: np.ndarray, hi: np.ndarray, n: int, n_min: int,
+    buffers: list[Chunk],
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The level-n and deeper blocks below the block lo, hi of level
+    n - 1, depth first; buffers[i] receives the blocks of level n + i.  A
+    plain recursive generator: a closure that called itself would form a
+    reference cycle and keep every call's buffers until the cyclic
+    collector ran."""
+    if not buffers:
+        return
+    out_lo, out_hi = buffers[0]
+    for f in maps:
+        _image_into(f, lo, hi, out_lo, out_hi)
+        if n >= n_min:
+            yield n, out_lo, out_hi
+        yield from _descend(maps, out_lo, out_hi, n + 1, n_min, buffers[1:])
+
+
 def cylinders(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Level:
     """The level-n cylinder intervals I_w = f_{w_1} o ... o f_{w_n} (I^F):
     the last level of ``level_sweep(F, n)``, for n >= 1 never allocated

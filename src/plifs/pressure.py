@@ -6,11 +6,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .core import _CHUNK, Chunk, Cplifs, DEFAULT_BUDGET, cylinders, level_sweep
+from .core import _CHUNK, Cplifs, DEFAULT_BUDGET, level_blocks
 from .errors import ConvergenceFailure, DegenerateAttractor
 
 WINDOW = 3  # last roots s_n that the natural estimate takes the maximum of
@@ -80,38 +80,61 @@ def _merge_counts(us: list[np.ndarray], cs: list[np.ndarray]) -> None:
     cs.append(np.add.reduceat(c, first))
 
 
-def _aggregate_lengths(level: Iterable[Chunk]) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Collapse the equal cylinder lengths hi - lo of a level's (lo, hi)
-    chunks to (log length, log multiplicity), plus the zero-length and the
-    total word counts; piecewise systems repeat few distinct length
-    products, which makes the partition sum cheap at deep levels.
+class _LengthCounts:
+    """The equal cylinder lengths hi - lo of one level, fed block by block
+    in any order, collapsed to (log length, log multiplicity) plus the
+    zero-length and the total word counts; piecewise systems repeat few
+    distinct length products, which makes the partition sum cheap at deep
+    levels.
 
-    Each chunk's lengths are sorted in place, the zeros (-0.0 among them)
-    dropped as the sorted prefix up to ``searchsorted(0.0, "right")``, and
-    each run of equal positive lengths counted.  The chunks' histograms
-    merge into the level's, sorted distinct lengths with exact integer
-    counts, once they hold at least 2 ``_CHUNK`` entries and as many as
-    the level's: the values and counts are those of one sort of the whole
-    level, and only the level's histogram and a few chunks' are held."""
-    us, cs = [np.empty(0)], [np.empty(0, np.intp)]  # the level's histogram first
-    held = total = 0  # entries of the chunks' histograms, words read
-    room = 2 * _CHUNK  # held entries that start a merge
-    for lo, hi in level:
-        lens = hi - lo
-        total += lens.size
+    Each block's lengths are sorted, the zeros (-0.0 among them) dropped
+    as the sorted prefix up to ``searchsorted(0.0, "right")``, and each run
+    of equal positive lengths counted.  The blocks' histograms merge into
+    the level's, sorted distinct lengths with exact integer counts, once
+    they hold at least 2 ``_CHUNK`` entries and as many as the level's:
+    the values and counts are those of one sort of the whole level,
+    whatever the blocks and their order, and only the level's histogram
+    and a few blocks' are held."""
+
+    def __init__(self):
+        self.us, self.cs = [np.empty(0)], [np.empty(0, np.intp)]  # the level's histogram first
+        self.held = self.total = 0  # entries of the blocks' histograms, words read
+        self.room = 2 * _CHUNK  # held entries that start a merge
+
+    def add(self, lens: np.ndarray) -> None:
+        """Count a block's lengths; sorts ``lens`` in place."""
+        self.total += lens.size
         lens.sort()
         lens = lens[np.searchsorted(lens, 0.0, "right"):]
         u, c = _histogram(lens)
-        us.append(u)
-        cs.append(c)
-        held += u.size
-        if held >= room:
-            _merge_counts(us, cs)
-            held = 0
-            room = max(room, us[0].size)
-    _merge_counts(us, cs)
-    (u,), (c,) = us, cs
-    return np.log(u), np.log(c.astype(float)), total - int(c.sum()), total
+        self.us.append(u)
+        self.cs.append(c)
+        self.held += u.size
+        if self.held >= self.room:
+            _merge_counts(self.us, self.cs)
+            self.held = 0
+            self.room = max(self.room, self.us[0].size)
+
+    def logs(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """(log length, log multiplicity, zero count, word count)."""
+        _merge_counts(self.us, self.cs)
+        (u,), (c,) = self.us, self.cs
+        return np.log(u), np.log(c.astype(float)), self.total - int(c.sum()), self.total
+
+
+def _level_logs(
+    F: Cplifs, n_min: int, n_max: int, budget: int
+) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """`_LengthCounts.logs` of each level n_min..n_max, from one walk of
+    `level_blocks`; the one level guard of the partition sums."""
+    if n_min < 1:
+        raise ValueError("level must be >= 1")
+    if n_min > n_max:
+        raise ValueError("need 1 <= n_min <= n_max")
+    counts = [_LengthCounts() for _ in range(n_min, n_max + 1)]
+    for n, lo, hi in level_blocks(F, n_min, n_max, budget):
+        counts[n - n_min].add(hi - lo)
+    return [c.logs() for c in counts]
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -120,12 +143,12 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def pressure_at(F: Cplifs, s: float, n: int, budget: int = DEFAULT_BUDGET) -> float:
-    """(1/n) log sum over level-n words of |I_w|^s, in the log domain."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    logu, logc, _, _ = _aggregate_lengths(cylinders(F, n, budget))
+    """(1/n) log sum over level-n words of |I_w|^s, in the log domain,
+    from the histogram of the level's lengths that one walk of
+    `level_blocks` fills."""
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"s = {s} is not finite and >= 0")
+    ((logu, logc, _, _),) = _level_logs(F, n, n, budget)
     if logu.size == 0:
         raise DegenerateAttractor("all level-%d cylinders have zero length" % n)
     return _logsumexp(s * logu + logc) / n
@@ -209,11 +232,12 @@ def solve_level_root(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Pressur
     """The unique s_n with sum over level-n words of |I_w|^{s_n} = 1,
     found by `bisect_decreasing` on a doubling bracket.
 
-    A system whose cylinders all have zero length is a single point; its
-    root is 0 by convention.
+    The partition sum is read off the histogram of the level's lengths
+    that one walk of `level_blocks` fills.  A system whose cylinders all
+    have zero length is a single point; its root is 0 by convention.
     """
     t0 = time.perf_counter()
-    logu, logc, zero, count = _aggregate_lengths(cylinders(F, n, budget))
+    ((logu, logc, zero, count),) = _level_logs(F, n, n, budget)
     root = _root_from_logs(logu, logc)
     return PressureProfile(level=n, root=root, word_count=count, zero_count=zero,
                            elapsed=time.perf_counter() - t0)
@@ -225,19 +249,14 @@ def natural_dimension(
     n_max: int,
     budget: int = DEFAULT_BUDGET,
 ) -> NaturalDimEstimate:
-    """Solve s_n for n_min..n_max in one sweep of the cylinder arrays and
-    summarize the last `WINDOW` roots."""
-    if not (1 <= n_min <= n_max):
-        raise ValueError("need 1 <= n_min <= n_max")
-    roots: list[float] = []
-    for n, level in enumerate(level_sweep(F, n_max, budget)):
-        if n >= n_min:
-            logu, logc, _, _ = _aggregate_lengths(level)
-            roots.append(_root_from_logs(logu, logc))
-    levels = tuple(range(n_min, n_max + 1))
+    """Solve s_n for n_min..n_max and summarize the last `WINDOW` roots.
+    One depth-first walk of `level_blocks` fills every level's histogram
+    of lengths, never holding a level of more than ``_CHUNK`` words."""
+    logs = _level_logs(F, n_min, n_max, budget)
+    roots = [_root_from_logs(logu, logc) for logu, logc, _, _ in logs]
     tail = roots[-WINDOW:]
     return NaturalDimEstimate(
-        levels=levels,
+        levels=tuple(range(n_min, n_max + 1)),
         roots=tuple(roots),
         estimate=max(tail),
         spread=max(tail) - min(tail),

@@ -254,6 +254,7 @@ class SplitMix64:
 
 # ---------------------------------------------------------------------------
 # reference implementations: the array code that `plifs.core.level_sweep`,
+# the partition sums on `plifs.core.level_blocks`,
 # `plifs.oracle._union_length`, `plifs.gdifs._certify_side` and
 # `plifs.gdifs.perron_root` (without its side-only mode) must reproduce
 # bit for bit, and the iteration that `plifs.core.periodic_point` must
@@ -303,6 +304,24 @@ def reference_level_sweep(F: Cplifs, n_max: int):
         lo = np.concatenate([p[0] for p in parts])
         hi = np.concatenate([p[1] for p in parts])
         yield lo, hi
+
+
+def reference_partition_sums(F: Cplifs, n_min: int, n_max: int) -> list:
+    """Reference inputs of the partition sums, that `plifs.core.level_blocks`
+    and `plifs.pressure._LengthCounts` must reproduce bit for bit: each
+    level n_min..n_max of `level_sweep` joined in word order, its positive
+    lengths counted by np.unique, as (log length, log multiplicity, zero
+    count, word count)."""
+    from plifs.core import level_sweep
+
+    out = []
+    for n, level in enumerate(level_sweep(F, n_max)):
+        if n >= n_min:
+            lo, hi = level.join()
+            lens = hi - lo
+            u, c = np.unique(lens[lens > 0], return_counts=True)
+            out.append((np.log(u), np.log(c.astype(float)), lens.size - int(c.sum()), lens.size))
+    return out
 
 
 def reference_union_length(lo: np.ndarray, hi: np.ndarray) -> float:

@@ -248,6 +248,15 @@ def test_exit_code_4_on_budget(paper_file, capsys):
     assert main(["dim", paper_file, "natural", "--n", "1..11", "--budget", "100"]) == 4
 
 
+def test_natural_budget_past_the_base_level(paper_file, capsys):
+    # level 17 is walked in blocks below the base level 15; the budget
+    # still counts its 2^17 words
+    argv = ["dim", paper_file, "natural", "--n", "15..17", "--budget"]
+    assert main(argv + [str(2**17 - 1)]) == 4
+    assert f"budget is {2**17 - 1}" in capsys.readouterr().err
+    assert main(argv + [str(2**17)]) == 0
+
+
 def test_gdifs_exit_code_4_when_certification_exceeds_budget(tmp_path, capsys):
     tent = tmp_path / "tent.plifs"
     tent.write_text(TENT)

@@ -34,6 +34,7 @@ from plifs.core import (
     cylinder_enclosure,
     cylinder_interval,
     index_word,
+    level_blocks,
     level_sweep,
     periodic_point,
     sweep_error,
@@ -82,11 +83,13 @@ def test_plmap_validation():
     (lambda: DetRecursion((0.1, 0.2, 0.3, 1.0)), ValueError, "slopes must lie in"),
     (lambda: lebesgue_upper_bound(cantor_pair(), 0), ValueError, "n_max must be >= 1"),
     (lambda: pressure_at(cantor_pair(), 0.5, 0), ValueError, "level must be >= 1"),
+    (lambda: next(level_blocks(cantor_pair(), 3, 2)), ValueError, "need 0 <= n_min <= n_max"),
     (lambda: _containing_words(unit_cover(), 0.5, 6, 7), BudgetExceeded,
      "containment frontier: 8 needed, budget is 7"),
     (lambda: parse_spec("map tau0 slopes=0.5"), ParseError, "line 1: expected key=value"),
 ], ids=["no-map", "empty-interval", "empty-period", "three-slopes", "slope-one",
-        "lebesgue-level-0", "pressure-level-0", "containment-budget", "token-without-equals"])
+        "lebesgue-level-0", "pressure-level-0", "blocks-level-range", "containment-budget",
+        "token-without-equals"])
 def test_input_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()

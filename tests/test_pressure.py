@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import tracemalloc
@@ -13,12 +14,21 @@ from plifs import (
     solve_level_root,
     upper_box_consistency,
 )
-from plifs.core import _CHUNK, Level, cylinder_arrays, cylinders
-from plifs.errors import DegenerateAttractor
+from plifs.core import _CHUNK, Level, cylinder_arrays, cylinders, level_blocks
+from plifs.errors import BudgetExceeded, DegenerateAttractor, PlifsError
 from plifs.gdifs import build_fixed_point_family
-from plifs.pressure import _aggregate_lengths, bisect_decreasing
+from plifs.pressure import _LengthCounts, _logsumexp, _root_from_logs, bisect_decreasing
 
-from helpers import cantor_pair, paper_example, random_increasing_system, unit_cover
+from helpers import (
+    cantor_pair,
+    code_batch,
+    paper_example,
+    period_two,
+    random_family_instance,
+    random_increasing_system,
+    reference_partition_sums,
+    unit_cover,
+)
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -55,6 +65,14 @@ def test_pressure_rejects_negative_s():
         pressure_at(cantor_pair(), -0.1, 2)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_pressure_rejects_non_finite_s(s):
+    # before any level is built: a budget of 1 would raise BudgetExceeded.
+    # nan used to give nan, inf a numpy RuntimeWarning
+    with pytest.raises(ValueError, match="is not finite and >= 0"):
+        pressure_at(cantor_pair(), s, 30, budget=1)
+
+
 def test_pressure_degenerate_point_attractor():
     F = Cplifs((PLMap((), (0.5,), 0.25),))
     with pytest.raises(DegenerateAttractor):
@@ -82,6 +100,19 @@ def test_root_consistency_with_pressure():
         n = rng.randint(1, 6)
         s_n = solve_level_root(F, n).root
         assert pressure_at(F, s_n, n) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("F", [cantor_pair(), paper_example()], ids=["cantor", "paper"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_root_rejects_level_below_one(F, n):
+    # the guard the three partition sums share, before any level is built:
+    # Cantor's level 0 used to give root 0.0, the paper example's (J of
+    # length 1) ConvergenceFailure
+    for call in (lambda: solve_level_root(F, n, budget=0),
+                 lambda: pressure_at(F, 0.5, n, budget=0),
+                 lambda: natural_dimension(F, n, 3, budget=0)):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            call()
 
 
 def test_root_single_map_is_zero():
@@ -169,7 +200,15 @@ def test_affine_closed_form_all_levels_equal():
             assert solve_level_root(F, n).root == pytest.approx(closed, abs=1e-10)
 
 
-# --- _aggregate_lengths ---------------------------------------------------------
+# --- _LengthCounts -------------------------------------------------------------
+
+def _aggregate_lengths(level):
+    """`_LengthCounts.logs` of a level's chunks, fed in order."""
+    counts = _LengthCounts()
+    for lo, hi in level:
+        counts.add(hi - lo)
+    return counts.logs()
+
 
 def test_aggregate_lengths_equals_unique_reference():
     # any chunking of a level gives np.unique's distinct positive lengths
@@ -278,6 +317,148 @@ def test_natural_dimension_matches_individual_roots():
     est = natural_dimension(F, 2, 5)
     for n, r in zip(est.levels, est.roots):
         assert r == pytest.approx(solve_level_root(F, n).root, abs=1e-12)
+
+
+# --- the depth-first walk ------------------------------------------------------
+
+def _past_base(m):
+    """Two levels past the base level of `level_blocks`: the deepest level
+    of at most _CHUNK words, plus 2."""
+    n = 0
+    while m ** (n + 1) <= _CHUNK:
+        n += 1
+    return n + 2
+
+
+def _outcome(call):
+    """A call's value, or the type and message of the PlifsError it raises."""
+    try:
+        return call()
+    except PlifsError as e:
+        return type(e), str(e)
+
+
+def _identity_systems():
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    tent = Cplifs((PLMap((0.5,), (0.4, -0.4), 0.0), PLMap((), (0.2,), 0.88),
+                   PLMap((0.0,), (0.25, 0.35), 0.45)))  # folded
+    decreasing = Cplifs((PLMap((), (-0.5,), -0.0), PLMap((0.5,), (-0.3, -0.2), 0.9)))
+    six = random_family_instance(random.Random(4), m=6).system
+    systems = [paper_example(), cantor_pair(), family, period_two(), tent, decreasing,
+               unit_cover(), six]
+    return systems + code_batch()[::7][:40]
+
+
+def test_partition_sums_are_bit_identical_to_the_word_ordered_reference():
+    # the reference counts each level of the word-ordered sweep whole; the
+    # walk counts blocks in depth-first order, past the base level too, and
+    # gives the same roots, counts and sums, or raises the same error
+    raised = 0
+    for F in _identity_systems():
+        n = _past_base(F.m)
+        ref = reference_partition_sums(F, 1, n)
+        want = _outcome(lambda: [_root_from_logs(u, c).hex() for u, c, _, _ in ref])
+        got = _outcome(lambda: [r.hex() for r in natural_dimension(F, 1, n).roots])
+        assert got == want
+        raised += not isinstance(want, list)
+        logu, logc, zero, count = ref[-1]
+        want = _outcome(lambda: (_root_from_logs(logu, logc).hex(), count, zero))
+        prof = _outcome(lambda: solve_level_root(F, n))
+        got = prof if isinstance(prof, tuple) else (prof.root.hex(), prof.word_count,
+                                                    prof.zero_count)
+        assert got == want
+        for s in (0.0, 0.7, 1.3):
+            want = (_logsumexp(s * logu + logc) / n).hex() if logu.size else (
+                DegenerateAttractor, f"all level-{n} cylinders have zero length")
+            got = _outcome(lambda: pressure_at(F, s, n).hex())
+            assert got == want
+    assert 0 < raised < 48  # both outcomes are exercised
+
+
+def test_level_blocks_hold_every_word_once(monkeypatch):
+    # sorted, the blocks of each level are the sorted level: each word once,
+    # in blocks of at most _CHUNK words; each block is imaged once from its
+    # parent, so the walk images the words of levels 1..n once each
+    from plifs import core
+
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    image_into, imaged = core._image_into, []
+
+    def spy(f, lo, *rest):
+        imaged.append(lo.size)
+        image_into(f, lo, *rest)
+
+    monkeypatch.setattr(core, "_image_into", spy)
+    for F, n in ((paper_example(), 17), (family, 11)):
+        assert F.m**n > 2 * _CHUNK
+        imaged.clear()
+        blocks = {}
+        for k, lo, hi in level_blocks(F, 0, n):
+            assert 0 < lo.size == hi.size <= _CHUNK
+            blocks.setdefault(k, []).append((lo.copy(), hi.copy()))
+        assert sum(imaged) == sum(F.m**k for k in range(1, n + 1))
+        assert sorted(blocks) == list(range(n + 1))
+        for k, parts in blocks.items():
+            lo, hi = (np.concatenate(x) for x in zip(*parts))
+            rlo, rhi = cylinder_arrays(F, k)
+            order, rorder = np.lexsort((hi, lo)), np.lexsort((rhi, rlo))
+            assert lo[order].tobytes() == rlo[rorder].tobytes()
+            assert hi[order].tobytes() == rhi[rorder].tobytes()
+
+
+def test_natural_dimension_peak_does_not_scale_with_the_level():
+    # tracemalloc peak of natural_dimension(paper, 6, 20): 3.95 MB, the
+    # base level 15, five levels' block buffers and the histograms, where
+    # the word-ordered sweep, which held level 19 whole, peaked at 12.9 MB;
+    # the bound is the 3.95 MB plus 25%
+    F = paper_example()
+    natural_dimension(F, 6, 20)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        natural_dimension(F, 6, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 4.94e6 < 16 * 2**20
+
+
+def test_partition_sums_leave_no_garbage():
+    # every block buffer is freed by reference counting when the walk
+    # ends: a recursion through a closure that calls itself would be a
+    # reference cycle holding them until the cyclic collector ran
+    F = paper_example()
+    natural_dimension(F, 6, 17)
+    gc.collect()
+    gc.disable()
+    try:
+        natural_dimension(F, 6, 18)
+        solve_level_root(F, 17)
+        pressure_at(F, 0.5, 17)
+    finally:
+        found = gc.collect()
+        gc.enable()
+    assert found == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda F, n, budget: natural_dimension(F, 6, n, budget),
+    lambda F, n, budget: solve_level_root(F, n, budget),
+    lambda F, n, budget: pressure_at(F, 0.5, n, budget),
+], ids=["natural_dimension", "solve_level_root", "pressure_at"])
+def test_budget_counts_the_deepest_level_past_the_base(call, monkeypatch):
+    # the budget still counts level-n words and is checked before any
+    # level or block is made
+    from plifs import core
+
+    imaged = []
+    monkeypatch.setattr(core, "_image_into", lambda *args: imaged.append(args))
+    F, n = paper_example(), 17
+    with pytest.raises(BudgetExceeded, match=f"{2**n} needed, budget is {2**n - 1}"):
+        call(F, n, 2**n - 1)
+    assert not imaged
+    monkeypatch.undo()
+    call(F, n, 2**n)
 
 
 # --- upper_box_consistency ------------------------------------------------------

@@ -416,19 +416,23 @@ def level_blocks(
         lo, hi = level.join()
         if n >= n_min:
             yield n, lo, hi
-    buffers = [(np.empty_like(lo), np.empty_like(hi)) for _ in range(base, n_max)]
+    # one allocation, a lo, hi pair per level: glibc maps it afresh the first
+    # time, and freeing it moves the mmap threshold past every block-sized
+    # array, so later walks reuse the heap (a pair per level took 1,100
+    # fresh pages on each lebesgue_upper_bound(paper, 20))
+    buffers = list(np.empty((n_max - base, 2, lo.size)))
     yield from _descend(F.maps, lo, hi, base + 1, n_min, buffers)
 
 
 def _descend(
     maps: tuple[PLMap, ...], lo: np.ndarray, hi: np.ndarray, n: int, n_min: int,
-    buffers: list[Chunk],
+    buffers: list[np.ndarray],
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The level-n and deeper blocks below the block lo, hi of level
-    n - 1, depth first; buffers[i] receives the blocks of level n + i.  A
-    plain recursive generator: a closure that called itself would form a
-    reference cycle and keep every call's buffers until the cyclic
-    collector ran."""
+    n - 1, depth first; buffers[i], rows lo and hi, receives the blocks of
+    level n + i.  A plain recursive generator: a closure that called
+    itself would form a reference cycle and keep every call's buffers
+    until the cyclic collector ran."""
     if not buffers:
         return
     out_lo, out_hi = buffers[0]

@@ -122,18 +122,31 @@ class _LengthCounts:
         return np.log(u), np.log(c.astype(float)), self.total - int(c.sum()), self.total
 
 
+_LONG_CYLINDER = ("a cylinder has length >= 1; the partition-sum root is not unique "
+                  "(conjugate the system into an interval of length <= 1)")
+
+
 def _level_logs(
-    F: Cplifs, n_min: int, n_max: int, budget: int
+    F: Cplifs, n_min: int, n_max: int, budget: int, roots: bool = True
 ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
     """`_LengthCounts.logs` of each level n_min..n_max, from one walk of
-    `level_blocks`; the one level guard of the partition sums."""
+    `level_blocks`; the one level guard of the partition sums.
+
+    For roots, a level-n_min block with a length >= 1 raises the
+    ConvergenceFailure that `_root_from_logs` would raise first, as soon
+    as the walk yields it: where n_min is at or below the walk's base
+    level, before any deeper level is imaged."""
     if n_min < 1:
         raise ValueError("level must be >= 1")
     if n_min > n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     counts = [_LengthCounts() for _ in range(n_min, n_max + 1)]
     for n, lo, hi in level_blocks(F, n_min, n_max, budget):
-        counts[n - n_min].add(hi - lo)
+        lens = hi - lo
+        if roots and n == n_min and lens.max() >= 1.0:
+            raise ConvergenceFailure(_LONG_CYLINDER)
+        counts[n - n_min].add(lens)
+        del lens  # else held while the next block's lengths are made
     return [c.logs() for c in counts]
 
 
@@ -148,7 +161,7 @@ def pressure_at(F: Cplifs, s: float, n: int, budget: int = DEFAULT_BUDGET) -> fl
     `level_blocks` fills."""
     if not 0.0 <= s < math.inf:
         raise ValueError(f"s = {s} is not finite and >= 0")
-    ((logu, logc, _, _),) = _level_logs(F, n, n, budget)
+    ((logu, logc, _, _),) = _level_logs(F, n, n, budget, roots=False)
     if logu.size == 0:
         raise DegenerateAttractor("all level-%d cylinders have zero length" % n)
     return _logsumexp(s * logu + logc) / n
@@ -216,10 +229,7 @@ def _root_from_logs(logu: np.ndarray, logc: np.ndarray) -> float:
     if logu.size == 0:
         return 0.0  # every cylinder has zero length: the attractor is a point
     if float(np.max(logu)) >= 0.0:
-        raise ConvergenceFailure(
-            "a cylinder has length >= 1; the partition-sum root is not unique "
-            "(conjugate the system into an interval of length <= 1)"
-        )
+        raise ConvergenceFailure(_LONG_CYLINDER)
     if logu.size == 1 and logc[0] == 0.0:
         return 0.0  # single positive cylinder: the sum is 1 only at s = 0
     # the root lies above s only where the sum exceeds 1: a tie counts as below

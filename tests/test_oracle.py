@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -664,6 +665,111 @@ def test_lebesgue_iosc_equals_plain_sum():
     F = cantor_pair()
     lo, hi = cylinder_arrays(F, 6)
     assert lebesgue_upper_bound(F, 6)[-1] == pytest.approx(float(np.sum(hi - lo)), rel=1e-12)
+
+
+def _base_level(F):
+    """The base level of `core.level_blocks`: the deepest with m^b <= _CHUNK."""
+    return max(b for b in range(64) if F.m**b <= _CHUNK)
+
+
+def _lebesgue_route(F, n, monkeypatch):
+    """lebesgue_upper_bound(F, n), and whether it read the depth-first walk."""
+    walks = []
+    blocks = oracle.level_blocks
+    monkeypatch.setattr(oracle, "level_blocks", lambda *args: walks.append(args) or blocks(*args))
+    try:
+        return lebesgue_upper_bound(F, n), bool(walks)
+    finally:
+        monkeypatch.undo()
+
+
+def test_lebesgue_walk_bounds_equal_the_swept_unions(monkeypatch):
+    # systems whose first-level cylinders are pairwise disjoint and whose
+    # maps are injective read each level past the base level b off the
+    # depth-first walk, as the fsum of its blocks' union lengths: within
+    # 1e-15 of the union of the level's intervals, and bit for bit up to
+    # b; the others keep the word-ordered sweep, bit for bit.  The two
+    # decreasing maps give blocks read backwards, and period-two and the
+    # mixed pair blocks out of order (sorted one by one)
+    rng = random.Random(30)
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    decreasing = Cplifs((PLMap((), (-0.3,), 0.3), PLMap((), (-0.3,), 1.0)))
+    mixed = Cplifs((PLMap((), (0.3,), 0.0), PLMap((), (-0.3,), 1.0)))
+    walked = [paper_example(), cantor_pair(), family, period_two(), decreasing, mixed]
+    walked += [random_iosc_affine(rng) for _ in range(4)]
+    batch = code_batch()
+    swept = [unit_cover(), three_break_mixed_signs(), folded_system(), batch[0], batch[280]]
+    for F, walks in [(F, True) for F in walked] + [(F, False) for F in swept]:
+        b = _base_level(F)
+        bounds, walked_here = _lebesgue_route(F, b + 2, monkeypatch)
+        assert walked_here == walks
+        for n, got in enumerate(bounds, 1):
+            want = _union_length(Level(*cylinder_arrays(F, n)))
+            if walks and n > b:
+                assert abs(got - want) <= 1e-15 * want
+            else:
+                assert got.hex() == want.hex()
+
+
+def test_lebesgue_rereads_a_level_whose_block_hulls_overlap(monkeypatch):
+    # a level past the base level (15 on the paper example) whose blocks'
+    # hulls overlap is read again from the word-ordered sweep, here level
+    # 16, whose first block is stretched over the second; the other levels
+    # keep the walk's bounds, and a walk that passes its checks sweeps
+    # nothing
+    F, n = paper_example(), 18
+    blocks, sweep = oracle.level_blocks, oracle.level_sweep
+    swept = []
+    monkeypatch.setattr(oracle, "level_sweep", lambda *args: swept.append(args[1]) or sweep(*args))
+    want = lebesgue_upper_bound(F, n)
+    assert swept == []
+
+    def stretched(*args):
+        first = True
+        for k, lo, hi in blocks(*args):
+            if k == 16 and first:
+                first, hi = False, hi + 1.0
+            yield k, lo, hi
+
+    monkeypatch.setattr(oracle, "level_blocks", stretched)
+    got = lebesgue_upper_bound(F, n)
+    assert swept == [16]
+    assert got[15] == _union_length(Level(*cylinder_arrays(F, 16)))
+    assert got[:15] + got[16:] == want[:15] + want[16:]
+
+
+def test_lebesgue_peak_does_not_scale_with_the_level():
+    # tracemalloc peak of lebesgue_upper_bound(paper, 20): 4.57 MB, the
+    # base level 15, five levels' block buffers and the run reader, where
+    # the word-ordered sweep, which held level 19 whole and a run array
+    # of level 20, peaked at 18.7 MB; the bound is the 4.57 MB plus 25%
+    F = paper_example()
+    lebesgue_upper_bound(F, 20)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lebesgue_upper_bound(F, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 5.71e6
+
+
+def test_repeated_calls_take_no_fresh_pages():
+    # allocation churn shows as page faults, not in any timing: with the
+    # walk's buffers allocated a pair per level, each repeated
+    # lebesgue_upper_bound(paper, 20) took 1,100 minor faults, and the
+    # word-ordered sweep took 3,500.  A call is measured after two others:
+    # the first call's buffers are mapped afresh, and freeing them moves
+    # glibc's mmap threshold, so the second grows the heap once
+    resource = pytest.importorskip("resource")
+    F = paper_example()
+    for call in (lambda: lebesgue_upper_bound(F, 20), lambda: natural_dimension(F, 6, 20)):
+        call()
+        call()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 # --- verdicts ----------------------------------------------------------------------

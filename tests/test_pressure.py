@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,13 +16,14 @@ from plifs import (
     upper_box_consistency,
 )
 from plifs.core import _CHUNK, Level, cylinder_arrays, cylinders, level_blocks
-from plifs.errors import BudgetExceeded, DegenerateAttractor, PlifsError
+from plifs.errors import BudgetExceeded, ConvergenceFailure, DegenerateAttractor, PlifsError
 from plifs.gdifs import build_fixed_point_family
 from plifs.pressure import _LengthCounts, _logsumexp, _root_from_logs, bisect_decreasing
 
 from helpers import (
     cantor_pair,
     code_batch,
+    conjugate,
     paper_example,
     period_two,
     random_family_instance,
@@ -459,6 +461,28 @@ def test_budget_counts_the_deepest_level_past_the_base(call, monkeypatch):
     assert not imaged
     monkeypatch.undo()
     call(F, n, 2**n)
+
+
+def test_long_cylinder_raises_before_deeper_levels_are_imaged(monkeypatch):
+    # the paper example conjugated onto [0, 2] has a level-1 cylinder of
+    # length 1: the root solvers raise from the level-n_min lengths as the
+    # walk yields them, after level 1's two images, where the whole walk to
+    # level 22, 284 images, came first before; pressure_at solves no root
+    # and still reads such a level
+    from plifs import core
+
+    F = conjugate(paper_example(), 2.0, 0.0)
+    imaged = []
+    image_into = core._image_into
+    monkeypatch.setattr(core, "_image_into", lambda *args: imaged.append(args) or image_into(*args))
+    message = re.escape("a cylinder has length >= 1; the partition-sum root is not unique "
+                        "(conjugate the system into an interval of length <= 1)")
+    for call in (lambda: natural_dimension(F, 1, 22), lambda: solve_level_root(F, 1)):
+        del imaged[:]
+        with pytest.raises(ConvergenceFailure, match=message):
+            call()
+        assert len(imaged) == F.m
+    assert math.isfinite(pressure_at(F, 0.5, 1))
 
 
 # --- upper_box_consistency ------------------------------------------------------

@@ -386,61 +386,218 @@ def level_sweep(F: Cplifs, n_max: int, budget: int = DEFAULT_BUDGET) -> Iterator
         yield Level(lo, hi, F.maps)
 
 
+Histogram = tuple[np.ndarray, np.ndarray]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values."""
+    new = np.empty(values.size, bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _histogram(values: np.ndarray) -> Histogram:
+    """The distinct values of a sorted array and how often each occurs."""
+    first = _run_starts(values)
+    counts = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = values.size - first[-1:]
+    return values[first], counts
+
+
+def _carry_into(
+    f: PLMap, lo: np.ndarray, hi: np.ndarray, length: np.ndarray,
+    out_lo: np.ndarray, out_hi: np.ndarray, out: np.ndarray,
+) -> None:
+    """Write into out the carried lengths of the images f([lo, hi]) of
+    intervals whose own carried lengths are ``length``; out_lo, out_hi hold
+    the images, as `_image_into` writes them.
+
+    An interval with no break of f strictly inside lies in one closed
+    piece, the one ``bisect_left`` picks for its hi, and its image is
+    |slope| times its length long: one multiply, exact but for its
+    rounding, where hi - lo of the image would cancel.  An interval that a
+    break cuts gets, for an injective f, the sum, over the pieces left to
+    right, of |slope| times the length of its part in the piece; for a
+    folded f, the image's max less its min."""
+    a = [abs(s) for s in f.slopes]
+    p = bisect_left(f.breaks, lo.min())
+    if p == bisect_left(f.breaks, hi.max()):  # no break in [lo, hi)
+        np.multiply(length, a[p], out=out)
+        return
+    np.multiply(length, np.take(a, np.searchsorted(f.breaks, hi)), out=out)
+    cut = np.zeros(lo.shape, bool)
+    for b in f.breaks:
+        cut |= (lo < b) & (hi > b)
+    at = np.flatnonzero(cut)
+    if not at.size:
+        return
+    if not f.is_injective():
+        out[at] = out_hi[at] - out_lo[at]
+        return
+    x, y, acc = lo[at], hi[at], np.zeros(at.size)
+    for s, left, right in zip(a, (-math.inf, *f.breaks), (*f.breaks, math.inf)):
+        acc += s * np.maximum(np.minimum(y, right) - np.maximum(x, left), 0.0)
+    out[at] = acc
+
+
+def carried_levels(
+    F: Cplifs, n_max: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Levels 0..n_max of `level_sweep`, joined, each with a third array:
+    the carried length of each cylinder, in word order.  Level 0 has
+    b - a of the invariant interval [a, b]; each map's part of level n
+    has `_carry_into` of level n - 1.  A carried length is within a few
+    roundings per level of the exact cylinder's relative to its length,
+    where hi - lo is off by the endpoints' rounding absolute."""
+    for n, level in enumerate(level_sweep(F, n_max, budget)):
+        lo, hi = level.join()
+        if n:
+            length = np.empty(lo.size)
+            for k, f in enumerate(F.maps):
+                part = slice(k * plo.size, (k + 1) * plo.size)
+                _carry_into(f, plo, phi, plen, lo[part], hi[part], length[part])
+        else:
+            length = hi - lo
+        yield lo, hi, length
+        plo, phi, plen = lo, hi, length
+
+
+class _Block:
+    """One block of the walk at level n: its hull lo, hi, the histogram
+    u, c of its carried lengths, and its word arrays (lo, hi, length) once
+    made; else the map f and its piece p that make it from its parent."""
+
+    __slots__ = ("n", "lo", "hi", "u", "c", "words", "parent", "f", "p")
+
+    def __init__(self, n, lo, hi, hist, words=None, parent=None, f=None, p=None):
+        self.n, self.lo, self.hi, (self.u, self.c) = n, lo, hi, hist
+        self.words, self.parent, self.f, self.p = words, parent, f, p
+
+
+class _Walk:
+    """The walk's word arrays past the base level: one (lo, hi, length)
+    buffer of size words per level, allocated when a block of that level
+    is first made word by word."""
+
+    def __init__(self, base: int, size: int, depth: int):
+        self.base, self.size, self.buffers = base, size, [None] * depth
+
+    def buffer(self, n: int) -> np.ndarray:
+        i = n - self.base - 1
+        if self.buffers[i] is None:
+            self.buffers[i] = np.empty((3, self.size))
+        return self.buffers[i]
+
+
+def _words(block: _Block, walk: _Walk) -> tuple[np.ndarray, ...]:
+    """The word arrays of a block: made from those of its nearest ancestor
+    that has them, one map after another, into each level's buffer."""
+    if block.words is None:
+        lo, hi, length = _words(block.parent, walk)
+        out = walk.buffer(block.n)
+        _image_into(block.f, lo, hi, out[0], out[1])
+        np.multiply(length, abs(block.f.slopes[block.p]), out=out[2])
+        block.words = tuple(out)
+    return block.words
+
+
+def _child(f: PLMap, parent: _Block, walk: _Walk) -> _Block:
+    """f's image of the block parent.
+
+    When no break of f lies in [lo, hi) of the parent's hull, every
+    interval of the block lies in one closed piece p and its length is
+    |s_p| times its parent's: the child is the histogram scaled, with
+    neighbours that round to equal merged, the bits that scaling each
+    word's length gives.  Its hull is piece p's formula at the parent
+    hull's ends, and f itself there (another piece at a break): each
+    formula is monotone under rounding, so that encloses every word's
+    image, and is it unless an end is a break.  Otherwise the child is
+    made word by word from the parent's words, and its lengths sorted."""
+    lo, hi = parent.lo, parent.hi
+    p = bisect_left(f.breaks, lo)
+    if p == bisect_left(f.breaks, hi):
+        s, c = f.slopes[p], f._intercepts[p]
+        ends = [s * lo + c, s * hi + c]
+        if p < len(f.breaks) and f.breaks[p] == hi:
+            ends.append(f(hi))
+        u, counts = parent.u * abs(s), parent.c
+        if (u[1:] == u[:-1]).any():
+            first = _run_starts(u)
+            u, counts = u[first], np.add.reduceat(counts, first)
+        return _Block(parent.n + 1, min(ends), max(ends), (u, counts), parent=parent, f=f, p=p)
+    lo, hi, length = _words(parent, walk)
+    out_lo, out_hi, out = walk.buffer(parent.n + 1)
+    _image_into(f, lo, hi, out_lo, out_hi)
+    _carry_into(f, lo, hi, length, out_lo, out_hi, out)
+    return _Block(parent.n + 1, float(out_lo.min()), float(out_hi.max()),
+                  _histogram(np.sort(out)), words=(out_lo, out_hi, out))
+
+
+Block = tuple[int, Interval, Histogram]
+
+
 def level_blocks(
     F: Cplifs, n_min: int, n_max: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The cylinder intervals of levels n_min..n_max as (n, lo, hi) blocks
-    of at most ``_CHUNK`` words that hold each word of those levels once;
-    for consumers, such as the partition sums, that need only the
-    multiset of a level's intervals.  The budget is checked once, for
-    level n_max, before any level is built.
+) -> Iterator[Block]:
+    """The cylinders of levels n_min..n_max as (n, hull, histogram)
+    blocks, each word of those levels in one block of its level: hull the
+    least lo and largest hi of the block's intervals (or an enclosure of
+    them), histogram the sorted distinct carried lengths u of its words
+    and their integer counts c; for consumers, such as the partition sums
+    and the bounds of separated systems, that need only the multiset of a
+    level's lengths.  The budget is checked once, for level n_max, before
+    any level is built.
 
     Levels up to the base level b, the deepest with m^b <= ``_CHUNK``
-    words (or n_max), come from `level_sweep`, one block each.  Past b the
+    words (or n_max), are `carried_levels`, one block each.  Past b the
     walk is depth first: a block of level n + 1 is one map's image of a
-    block of level n, written into the one pair of buffers of level n + 1
-    and yielded before its own images are made, so a level's blocks come
-    in depth-first, not word, order.  Every block is imaged once, and each
-    endpoint is the value the sweep gives: the maps are composed
-    innermost first, as there.  A block past b is overwritten at a later
-    step, so a consumer must neither keep nor write it.  The walk holds
-    levels b - 1 and b and 16 m^b bytes per level past b, where the sweep
-    holds 16/m bytes per level-n_max word."""
+    block of level n, yielded before its own images are made, so a
+    level's blocks come in depth-first, not word, order.  A block that
+    lies in one closed piece of the map, as almost all do, is made from
+    its parent's histogram alone (`_child`); only one that a break cuts
+    is made word by word, from the word arrays of its nearest ancestor
+    that has them, imaged map after map as the sweep images them, so
+    every endpoint keeps the sweep's bits.  The histograms are those of
+    the carried lengths, word by word, bit for bit.  The walk holds
+    levels b - 1 and b, and 24 m^b bytes for each level past b where a
+    block is made word by word; the histograms are never written."""
     if not 0 <= n_min <= n_max:
         raise ValueError("need 0 <= n_min <= n_max")
     _check_budget(F.m, n_max, budget)
     base = 0
     while base < n_max and F.m ** (base + 1) <= _CHUNK:
         base += 1
-    for n, level in enumerate(level_sweep(F, base, budget)):
-        lo, hi = level.join()
+    for n, (lo, hi, length) in enumerate(carried_levels(F, base, budget)):
+        if n >= n_min or n == base:
+            hull, hist = (float(lo.min()), float(hi.max())), _histogram(np.sort(length))
         if n >= n_min:
-            yield n, lo, hi
-    # one allocation, a lo, hi pair per level: glibc maps it afresh the first
-    # time, and freeing it moves the mmap threshold past every block-sized
-    # array, so later walks reuse the heap (a pair per level took 1,100
-    # fresh pages on each lebesgue_upper_bound(paper, 20))
-    buffers = list(np.empty((n_max - base, 2, lo.size)))
-    yield from _descend(F.maps, lo, hi, base + 1, n_min, buffers)
+            yield n, hull, hist
+    if base < n_max:
+        root = _Block(base, *hull, hist, words=(lo, hi, length))
+        yield from _descend(F.maps, root, n_min, n_max, _Walk(base, lo.size, n_max - base))
 
 
 def _descend(
-    maps: tuple[PLMap, ...], lo: np.ndarray, hi: np.ndarray, n: int, n_min: int,
-    buffers: list[np.ndarray],
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The level-n and deeper blocks below the block lo, hi of level
-    n - 1, depth first; buffers[i], rows lo and hi, receives the blocks of
-    level n + i.  A plain recursive generator: a closure that called
-    itself would form a reference cycle and keep every call's buffers
-    until the cyclic collector ran."""
-    if not buffers:
-        return
-    out_lo, out_hi = buffers[0]
-    for f in maps:
-        _image_into(f, lo, hi, out_lo, out_hi)
-        if n >= n_min:
-            yield n, out_lo, out_hi
-        yield from _descend(maps, out_lo, out_hi, n + 1, n_min, buffers[1:])
+    maps: tuple[PLMap, ...], root: _Block, n_min: int, n_max: int, walk: _Walk
+) -> Iterator[Block]:
+    """The blocks below the block root, depth first, down to level n_max:
+    a stack of (block, index of its next map) pairs, the blocks of the
+    current path.  A block refers only to its parent, so nothing forms a
+    reference cycle that would keep the buffers until the cyclic
+    collector ran."""
+    stack = [(root, 0)]
+    while stack:
+        parent, k = stack.pop()
+        if k == len(maps):
+            continue
+        stack.append((parent, k + 1))
+        child = _child(maps[k], parent, walk)
+        if child.n >= n_min:
+            yield child.n, (child.lo, child.hi), (child.u, child.c)
+        if child.n < n_max:
+            stack.append((child, 0))
 
 
 def cylinders(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Level:

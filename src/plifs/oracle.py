@@ -368,13 +368,13 @@ def frontier_box_count(F: Cplifs, budget: int = DEFAULT_BUDGET) -> FrontierBoxCo
 
 
 class _RunReader:
-    """Scratch of the run reader for chunks or blocks of at most size
-    intervals, allocated once per call and reused for each of them: the
-    running maximum, the run-open mask and the run ends and starts,
-    size + 1 entries each."""
+    """Scratch of the run reader for chunks of at most size intervals,
+    allocated once per level and reused for each of them: the running
+    maximum and the run starts, size + 1 entries each, and the run-open
+    mask."""
 
     def __init__(self, size: int):
-        self.acc, self.ends, self.starts = (np.empty(size + 1) for _ in range(3))
+        self.acc, self.starts = np.empty(size + 1), np.empty(size + 1)
         self.opens = np.empty(size, bool)
 
     def ascending(self, lo: np.ndarray) -> bool:
@@ -420,19 +420,6 @@ class _RunReader:
         out[:k] -= starts[:-1]
         return k, starts[-1], acc[-1]
 
-    def block(self, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float, float]:
-        """(least lo, largest hi, union length) of at most size intervals
-        in any order: read forwards where lo is nondecreasing, backwards
-        where it is nonincreasing, else in the order of a stable sort by
-        lo, and the runs added up by one ``np.sum``."""
-        if not self.ascending(lo):
-            backwards = self.ascending(lo[::-1])
-            order = slice(None, None, -1) if backwards else np.argsort(lo, kind="stable")
-            lo, hi = lo[order], hi[order]
-        k, first, cmax = self.close(lo, hi, lo[0], hi[0], self.ends)
-        self.ends[k] = cmax - first
-        return float(lo[0]), float(cmax), float(np.sum(self.ends[:k + 1]))
-
 
 def _union_length(level: Level) -> float:
     """Length of the union of a level's intervals [lo, hi]: the sum, over
@@ -477,16 +464,14 @@ def lebesgue_upper_bound(
     Each level of `level_sweep` is read by `_union_length`, except on the
     systems whose first-level cylinders are pairwise disjoint
     (`check_iosc`) and whose maps are all injective.  There the cylinders
-    of each level are pairwise disjoint, and so are the blocks of
-    `level_blocks`, each a whole level up to its base level b and past b
-    the cylinders below one word.  So each block's union length and hull
-    are read by one `_RunReader` as the walk yields it, and a level is the
-    ``math.fsum`` of its blocks' lengths once their hulls, sorted by lo,
-    are seen to be interior-disjoint; a level whose hulls overlap is read
-    again from the sweep.  A level up to b, one block, keeps the sweep's
-    bits.  The walk holds 16 m^b bytes per level past b and at most
-    800 KiB of the reader's scratch, where the sweep holds 16/m bytes per
-    level-n_max word and 8 bytes per run."""
+    of each level are pairwise disjoint, so the union's length is the sum
+    of their lengths, and a level is the ``math.fsum`` of c u over the
+    histograms of its `level_blocks`: the carried lengths, not hi - lo,
+    which cancels at depth.  The blocks' hulls, sorted by lo, must be
+    interior-disjoint; a level whose hulls overlap is read again from the
+    sweep.  The walk holds 24 m^b bytes per level past its base level b
+    where a block is made word by word, where the sweep holds 16/m bytes
+    per level-n_max word and 8 bytes per run."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_budget(F.m, n_max, budget)
@@ -494,16 +479,17 @@ def lebesgue_upper_bound(
         sweep = level_sweep(F, n_max, budget)
         next(sweep)  # level 0, the invariant interval itself
         return tuple(_union_length(level) for level in sweep)
-    reader = _RunReader(min(F.m**n_max, _CHUNK))
-    blocks = [[] for _ in range(n_max)]  # (lo, hi, union length) of each block
-    for n, lo, hi in level_blocks(F, 1, n_max, budget):
-        blocks[n - 1].append(reader.block(lo, hi))
+    hulls = [[] for _ in range(n_max)]
+    terms = [[] for _ in range(n_max)]  # c u of each block
+    for n, hull, (u, c) in level_blocks(F, 1, n_max, budget):
+        hulls[n - 1].append(hull)
+        terms[n - 1].append(u * c)
     bounds, redo = [], []
-    for n, hulls in enumerate(blocks, 1):
-        hulls.sort()
-        if any(b[0] < a[1] for a, b in zip(hulls, hulls[1:])):
+    for n, (level, parts) in enumerate(zip(hulls, terms), 1):
+        level.sort()
+        if any(b[0] < a[1] for a, b in zip(level, level[1:])):
             redo.append(n)
-        bounds.append(math.fsum(length for _, _, length in hulls))
+        bounds.append(math.fsum(np.concatenate(parts).tolist()))
     if redo:
         for n, level in enumerate(level_sweep(F, redo[-1], budget)):
             if n in redo:

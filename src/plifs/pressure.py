@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _CHUNK, Cplifs, DEFAULT_BUDGET, level_blocks
+from .core import _CHUNK, Cplifs, DEFAULT_BUDGET, _run_starts, level_blocks
 from .errors import ConvergenceFailure, DegenerateAttractor
 
 WINDOW = 3  # last roots s_n that the natural estimate takes the maximum of
@@ -20,7 +20,12 @@ _ROOT_TOL = 1e-13  # bracket width of each root s_n
 
 @dataclass(frozen=True)
 class PressureProfile:
-    """Root s_n of the level-n partition sum, plus run metadata."""
+    """Root s_n of the level-n partition sum, plus run metadata.
+
+    ``zero_count`` counts the level's words whose carried length is 0,
+    which only underflow or a one-point attractor makes: 0 of the
+    4,194,304 at n = 22 on the paper example, where hi - lo gave
+    1,353,880."""
 
     level: int
     root: float
@@ -41,23 +46,6 @@ class NaturalDimEstimate:
     roots: tuple[float, ...]
     estimate: float
     spread: float
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Index of the first entry of each run of equal values."""
-    new = np.empty(values.size, bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    return np.flatnonzero(new)
-
-
-def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted array and how often each occurs."""
-    first = _run_starts(values)
-    counts = np.empty_like(first)
-    np.subtract(first[1:], first[:-1], out=counts[:-1])
-    counts[-1:] = values.size - first[-1:]
-    return values[first], counts
 
 
 def _merge_counts(us: list[np.ndarray], cs: list[np.ndarray]) -> None:
@@ -81,35 +69,35 @@ def _merge_counts(us: list[np.ndarray], cs: list[np.ndarray]) -> None:
 
 
 class _LengthCounts:
-    """The equal cylinder lengths hi - lo of one level, fed block by block
-    in any order, collapsed to (log length, log multiplicity) plus the
-    zero-length and the total word counts; piecewise systems repeat few
-    distinct length products, which makes the partition sum cheap at deep
-    levels.
+    """The carried cylinder lengths of one level, fed as the histograms of
+    its blocks in any order, collapsed to (log length, log multiplicity)
+    plus the zero-length and the total word counts; piecewise systems
+    repeat few distinct length products, which makes the partition sum
+    cheap at deep levels.
 
-    Each block's lengths are sorted, the zeros (-0.0 among them) dropped
-    as the sorted prefix up to ``searchsorted(0.0, "right")``, and each run
-    of equal positive lengths counted.  The blocks' histograms merge into
-    the level's, sorted distinct lengths with exact integer counts, once
-    they hold at least 2 ``_CHUNK`` entries and as many as the level's:
-    the values and counts are those of one sort of the whole level,
-    whatever the blocks and their order, and only the level's histogram
-    and a few blocks' are held."""
+    Each block's zero lengths, which only underflow makes, are dropped as
+    its sorted prefix up to ``searchsorted(0.0, "right")`` and counted.
+    The blocks' histograms merge into the level's, sorted distinct
+    lengths with exact integer counts, once they hold at least 2
+    ``_CHUNK`` entries and as many as the level's: the values and counts
+    are those of one sort of the whole level, whatever the blocks and
+    their order, and only the level's histogram and a few blocks' are
+    held."""
 
     def __init__(self):
         self.us, self.cs = [np.empty(0)], [np.empty(0, np.intp)]  # the level's histogram first
-        self.held = self.total = 0  # entries of the blocks' histograms, words read
+        self.held = self.zeros = 0  # entries of the blocks' histograms, zero lengths
         self.room = 2 * _CHUNK  # held entries that start a merge
 
-    def add(self, lens: np.ndarray) -> None:
-        """Count a block's lengths; sorts ``lens`` in place."""
-        self.total += lens.size
-        lens.sort()
-        lens = lens[np.searchsorted(lens, 0.0, "right"):]
-        u, c = _histogram(lens)
-        self.us.append(u)
-        self.cs.append(c)
-        self.held += u.size
+    def add(self, u: np.ndarray, c: np.ndarray) -> None:
+        """Count a block's histogram: sorted distinct lengths u, each
+        occurring c times; neither is written or kept past a merge."""
+        zeros = int(np.searchsorted(u, 0.0, "right"))
+        if zeros:
+            self.zeros += int(c[:zeros].sum())
+        self.us.append(u[zeros:])
+        self.cs.append(c[zeros:])
+        self.held += u.size - zeros
         if self.held >= self.room:
             _merge_counts(self.us, self.cs)
             self.held = 0
@@ -119,7 +107,7 @@ class _LengthCounts:
         """(log length, log multiplicity, zero count, word count)."""
         _merge_counts(self.us, self.cs)
         (u,), (c,) = self.us, self.cs
-        return np.log(u), np.log(c.astype(float)), self.total - int(c.sum()), self.total
+        return np.log(u), np.log(c.astype(float)), self.zeros, self.zeros + int(c.sum())
 
 
 _LONG_CYLINDER = ("a cylinder has length >= 1; the partition-sum root is not unique "
@@ -141,12 +129,10 @@ def _level_logs(
     if n_min > n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     counts = [_LengthCounts() for _ in range(n_min, n_max + 1)]
-    for n, lo, hi in level_blocks(F, n_min, n_max, budget):
-        lens = hi - lo
-        if roots and n == n_min and lens.max() >= 1.0:
+    for n, _, (u, c) in level_blocks(F, n_min, n_max, budget):
+        if roots and n == n_min and u[-1] >= 1.0:
             raise ConvergenceFailure(_LONG_CYLINDER)
-        counts[n - n_min].add(lens)
-        del lens  # else held while the next block's lengths are made
+        counts[n - n_min].add(u, c)
     return [c.logs() for c in counts]
 
 

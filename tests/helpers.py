@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -254,11 +257,13 @@ class SplitMix64:
 
 # ---------------------------------------------------------------------------
 # reference implementations: the array code that `plifs.core.level_sweep`,
-# the partition sums on `plifs.core.level_blocks`,
-# `plifs.oracle._union_length`, `plifs.gdifs._certify_side` and
-# `plifs.gdifs.perron_root` (without its side-only mode) must reproduce
-# bit for bit, and the iteration that `plifs.core.periodic_point` must
-# match within rounding
+# the carried lengths of `plifs.core.carried_levels` and
+# `plifs.core.level_blocks`, `plifs.oracle._union_length`,
+# `plifs.gdifs._certify_side` and `plifs.gdifs.perron_root` (without its
+# side-only mode) must reproduce bit for bit, the iteration that
+# `plifs.core.periodic_point` must match within rounding, and the exact
+# cylinder lengths that carried lengths and Lebesgue bounds are measured
+# against
 
 
 def reference_periodic_point(F: Cplifs, period) -> float:
@@ -306,22 +311,107 @@ def reference_level_sweep(F: Cplifs, n_max: int):
         yield lo, hi
 
 
+def _reference_carry(f: PLMap, lo, hi, length, ilo, ihi) -> np.ndarray:
+    """Reference carried lengths of the images f([lo, hi]) (ilo, ihi):
+    |slope| times the parent's length on the closed piece that holds the
+    interval, the left one where hi is a break; an interval that a break
+    cuts gets the image's hi - lo (folded f) or, one by one, the sum over
+    the pieces left to right of |slope| times its positive parts
+    (injective f)."""
+    slopes = np.abs(np.asarray(f.slopes))
+    out = slopes[np.searchsorted(np.asarray(f.breaks), hi, side="left")] * length
+    edges = [-math.inf, *f.breaks, math.inf]
+    cut = np.zeros(lo.size, bool)
+    for b in f.breaks:
+        cut |= (lo < b) & (b < hi)
+    if not f.is_injective():
+        out[cut] = ihi[cut] - ilo[cut]
+        return out
+    for i in np.flatnonzero(cut):
+        acc = 0.0
+        for s, left, right in zip(f.slopes, edges, edges[1:]):
+            part = min(float(hi[i]), right) - max(float(lo[i]), left)
+            if part > 0:
+                acc += abs(s) * part
+        out[i] = acc
+    return out
+
+
+def reference_carried_levels(F: Cplifs, n_max: int):
+    """Reference carried lengths: levels 0..n_max of `reference_level_sweep`
+    as (lo, hi, length), level 0 of length b - a and each map's part of a
+    level carried by `_reference_carry`, built apart and concatenated in
+    map order."""
+    a, b = invariant_interval(F)
+    lo, hi, length = np.array([a]), np.array([b]), np.array([b - a])
+    yield lo, hi, length
+    for _ in range(n_max):
+        parts = []
+        for f in F.maps:
+            ilo, ihi = _reference_image(f, lo, hi)
+            parts.append((ilo, ihi, _reference_carry(f, lo, hi, length, ilo, ihi)))
+        lo, hi, length = (np.concatenate(x) for x in zip(*parts))
+        yield lo, hi, length
+
+
 def reference_partition_sums(F: Cplifs, n_min: int, n_max: int) -> list:
     """Reference inputs of the partition sums, that `plifs.core.level_blocks`
     and `plifs.pressure._LengthCounts` must reproduce bit for bit: each
-    level n_min..n_max of `level_sweep` joined in word order, its positive
+    level n_min..n_max of `reference_carried_levels`, its positive
     lengths counted by np.unique, as (log length, log multiplicity, zero
     count, word count)."""
-    from plifs.core import level_sweep
-
     out = []
-    for n, level in enumerate(level_sweep(F, n_max)):
+    for n, (_, _, lens) in enumerate(reference_carried_levels(F, n_max)):
         if n >= n_min:
-            lo, hi = level.join()
-            lens = hi - lo
             u, c = np.unique(lens[lens > 0], return_counts=True)
             out.append((np.log(u), np.log(c.astype(float)), lens.size - int(c.sum()), lens.size))
     return out
+
+
+def exact_cylinders(F: Cplifs, n: int) -> list:
+    """The exact level-n cylinders f_w(J), w in word order, as Fraction
+    pairs: J the computed invariant interval, read exactly, and each map
+    the exact one its float parameters define (`PLMap._exact_intercepts`)."""
+    from plifs.core import _exact_image
+
+    level = [tuple(map(Fraction, invariant_interval(F)))]
+    for _ in range(n):
+        level = [_exact_image(f, lo, hi) for f in F.maps for lo, hi in level]
+    return level
+
+
+def exact_cylinder_lengths(F: Cplifs, n: int) -> list:
+    """|I_w| of the `exact_cylinders` of level n, in Fraction."""
+    return [hi - lo for lo, hi in exact_cylinders(F, n)]
+
+
+def exact_level_sums(F: Cplifs, n_max: int) -> list:
+    """The sums of |I_w| over the `exact_cylinders` of levels 1..n_max, in
+    Fraction, without enumerating the words.  T(w, r), the sum over
+    words x of length r of |I_wx|, is |s| T(w', r) when the exact I_w'
+    (w = k w') lies in one closed piece of f_k, of slope s, because then
+    every I_w'x does; else it is the sum of T(wj, r - 1) over the maps j,
+    down to r = 0, where it is |I_w| itself."""
+    from plifs.core import _exact_image
+
+    J = tuple(map(Fraction, invariant_interval(F)))
+
+    @lru_cache(maxsize=None)
+    def interval(w):
+        return _exact_image(F.map(w[0]), *interval(w[1:])) if w else J
+
+    @lru_cache(maxsize=None)
+    def total(w, r):
+        lo, hi = interval(w[1:])
+        if r and w and not any(lo < b < hi for b in F.map(w[0]).breaks):
+            f = F.map(w[0])
+            return abs(Fraction(f.slopes[bisect_right(f.breaks, lo)])) * total(w[1:], r)
+        if not r:
+            lo, hi = interval(w)
+            return hi - lo
+        return sum(total(w + (j,), r - 1) for j in range(1, F.m + 1))
+
+    return [total((), n) for n in range(1, n_max + 1)]
 
 
 def reference_union_length(lo: np.ndarray, hi: np.ndarray) -> float:

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-# sha256 of the deep-sweep answers as JSON, tiny and full size
-DEEP_SWEEP_ANSWERS = {True: "c784bcce3352f2188e9a9c9d3956e76ebbddabab25b5fd255530b2e24b7063e7",
-                      False: "b36afae9fe050fb1abbbca4f6b0b2241223e9ac5d24ff92617111663183ca42f"}
+# sha256 of the deep-sweep answers as JSON, tiny and full size, from the
+# carried cylinder lengths
+DEEP_SWEEP_ANSWERS = {True: "485193260ceaaf81e1d40a192655e482e00cca01c75197c29a9b32c753b768dd",
+                      False: "bf9f7a6b15fa0e21361144b92dda5dbd63818da9e0211083dd95be234bf5c0fc"}
 
 
 def tracing_module() -> types.ModuleType:
@@ -164,9 +165,8 @@ def test_traced_probe_reads_the_call_results(monkeypatch, tmp_path):
 def test_deep_sweep_answers_pass_their_checks_and_are_pinned(monkeypatch, tiny):
     # one pass of the deep-sweep ops, built as the benchmark builds them:
     # every check passes, and the answers (roots and bounds as JSON floats,
-    # which round-trip) are those taken before the level sweep and its
-    # consumers were sped up, to the bit; the full size reads levels of
-    # many chunks
+    # which round-trip) are those of the carried lengths, to the bit; the
+    # full size walks many blocks past the base level
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads as wl
 

@@ -33,6 +33,7 @@ from helpers import (
     cantor_pair,
     chaos_game as sequential_chaos_game,
     code_batch,
+    exact_level_sums,
     paper_example,
     period_two,
     random_increasing_system,
@@ -597,15 +598,26 @@ def test_lebesgue_nonincreasing():
             assert b <= a + 1e-12
 
 
-def test_lebesgue_bounds_are_the_union_of_each_level():
+def test_lebesgue_bounds_are_the_union_of_each_level(monkeypatch):
+    # the swept systems' bounds are the union of each level's intervals,
+    # bit for bit; the walked systems' cylinders are pairwise disjoint, so
+    # the union's length is the sum of the exact cylinders' lengths, and
+    # the carried lengths give it within 1e-14 relative
     rng = random.Random(29)
     systems = [paper_example(), cantor_pair(), unit_cover()]
     systems += [random_increasing_system(rng, span=False) for _ in range(3)]
+    routes = []
     for F in systems:
-        bounds = lebesgue_upper_bound(F, 8)
+        bounds, walked = _lebesgue_route(F, 8, monkeypatch)
+        routes.append(walked)
         assert len(bounds) == 8
+        exact = exact_level_sums(F, 8) if walked else None
         for n in range(1, 9):
-            assert bounds[n - 1] == _union_length(Level(*cylinder_arrays(F, n)))
+            if walked:
+                assert abs(bounds[n - 1] - exact[n - 1]) <= 1e-14 * exact[n - 1]
+            else:
+                assert bounds[n - 1] == _union_length(Level(*cylinder_arrays(F, n)))
+    assert routes[:3] == [True, True, False] and not all(routes[3:])
 
 
 def test_union_length_is_bit_identical_to_reference(monkeypatch):
@@ -685,12 +697,13 @@ def _lebesgue_route(F, n, monkeypatch):
 
 def test_lebesgue_walk_bounds_equal_the_swept_unions(monkeypatch):
     # systems whose first-level cylinders are pairwise disjoint and whose
-    # maps are injective read each level past the base level b off the
-    # depth-first walk, as the fsum of its blocks' union lengths: within
-    # 1e-15 of the union of the level's intervals, and bit for bit up to
-    # b; the others keep the word-ordered sweep, bit for bit.  The two
-    # decreasing maps give blocks read backwards, and period-two and the
-    # mixed pair blocks out of order (sorted one by one)
+    # maps are injective read each level off the depth-first walk, as the
+    # fsum of its carried lengths: within 1e-14 relative of the sum of the
+    # exact cylinders' lengths, which is the union's length, as the
+    # cylinders are pairwise disjoint (the union of the float intervals
+    # was off by 1.3e-13 to 4.9e-10 relative at b + 2); the others keep
+    # the word-ordered sweep, bit for bit.  The decreasing and the mixed
+    # pair carry lengths through maps of negative slope
     rng = random.Random(30)
     family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
     decreasing = Cplifs((PLMap((), (-0.3,), 0.3), PLMap((), (-0.3,), 1.0)))
@@ -703,12 +716,12 @@ def test_lebesgue_walk_bounds_equal_the_swept_unions(monkeypatch):
         b = _base_level(F)
         bounds, walked_here = _lebesgue_route(F, b + 2, monkeypatch)
         assert walked_here == walks
+        exact = exact_level_sums(F, b + 2) if walks else None
         for n, got in enumerate(bounds, 1):
-            want = _union_length(Level(*cylinder_arrays(F, n)))
-            if walks and n > b:
-                assert abs(got - want) <= 1e-15 * want
+            if walks:
+                assert abs(got - exact[n - 1]) <= 1e-14 * exact[n - 1]
             else:
-                assert got.hex() == want.hex()
+                assert got.hex() == _union_length(Level(*cylinder_arrays(F, n))).hex()
 
 
 def test_lebesgue_rereads_a_level_whose_block_hulls_overlap(monkeypatch):
@@ -726,10 +739,10 @@ def test_lebesgue_rereads_a_level_whose_block_hulls_overlap(monkeypatch):
 
     def stretched(*args):
         first = True
-        for k, lo, hi in blocks(*args):
+        for k, (lo, hi), hist in blocks(*args):
             if k == 16 and first:
                 first, hi = False, hi + 1.0
-            yield k, lo, hi
+            yield k, (lo, hi), hist
 
     monkeypatch.setattr(oracle, "level_blocks", stretched)
     got = lebesgue_upper_bound(F, n)

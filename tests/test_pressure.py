@@ -1,8 +1,10 @@
 import gc
+import itertools
 import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +12,16 @@ import pytest
 from plifs import (
     Cplifs,
     PLMap,
+    lebesgue_upper_bound,
     natural_dimension,
     pressure_at,
     solve_level_root,
     upper_box_consistency,
 )
-from plifs.core import _CHUNK, Level, cylinder_arrays, cylinders, level_blocks
+from plifs.core import (
+    _CHUNK, Level, carried_levels, cylinder_arrays, cylinders, level_blocks, sweep_error,
+    word_index,
+)
 from plifs.errors import BudgetExceeded, ConvergenceFailure, DegenerateAttractor, PlifsError
 from plifs.gdifs import build_fixed_point_family
 from plifs.pressure import _LengthCounts, _logsumexp, _root_from_logs, bisect_decreasing
@@ -24,11 +30,16 @@ from helpers import (
     cantor_pair,
     code_batch,
     conjugate,
+    exact_cylinder_lengths,
+    exact_cylinders,
     paper_example,
     period_two,
     random_family_instance,
     random_increasing_system,
+    random_iosc_affine,
+    reference_carried_levels,
     reference_partition_sums,
+    three_break_mixed_signs,
     unit_cover,
 )
 
@@ -205,10 +216,11 @@ def test_affine_closed_form_all_levels_equal():
 # --- _LengthCounts -------------------------------------------------------------
 
 def _aggregate_lengths(level):
-    """`_LengthCounts.logs` of a level's chunks, fed in order."""
+    """`_LengthCounts.logs` of a level's chunks, fed in order, each as the
+    histogram of its lengths hi - lo."""
     counts = _LengthCounts()
     for lo, hi in level:
-        counts.add(hi - lo)
+        counts.add(*np.unique(hi - lo, return_counts=True))
     return counts.logs()
 
 
@@ -377,10 +389,164 @@ def test_partition_sums_are_bit_identical_to_the_word_ordered_reference():
     assert 0 < raised < 48  # both outcomes are exercised
 
 
-def test_level_blocks_hold_every_word_once(monkeypatch):
-    # sorted, the blocks of each level are the sorted level: each word once,
-    # in blocks of at most _CHUNK words; each block is imaged once from its
-    # parent, so the walk images the words of levels 1..n once each
+def _blocks_by_prefix(F, n_max):
+    """The blocks of `level_blocks(F, 0, n_max)` as (n, start, hull,
+    histogram): each block of level n past the base level b holds the
+    words of one prefix of n - b symbols, the words start.. start + m^b of
+    the level in word order.  Depth first, the first map applied is the
+    outermost loop, so the prefix is the reversed path of map indices."""
+    b = _past_base(F.m) - 2
+    path = []
+    for n, hull, hist in level_blocks(F, 0, n_max):
+        if n <= b:
+            yield n, 0, hull, hist
+            continue
+        if len(path) >= n - b:
+            del path[n - b:]
+            path[-1] += 1
+        else:
+            path.append(0)
+        start = 0
+        for k in reversed(path):
+            start = start * F.m + k
+        yield n, start * F.m**b, hull, hist
+
+
+def test_level_blocks_hold_every_word_once():
+    # each block is the words of one prefix, in word order a slice of the
+    # level, and its histogram is np.unique of the slice's carried lengths
+    # in the word-ordered reference, bit for bit; its hull encloses the
+    # slice's intervals, and is their least lo and largest hi on the
+    # paper example, the family and period-two; the blocks of a level hold
+    # its m^n words once each
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    exact = [(paper_example(), 17), (family, 11), (period_two(), 11)]
+    others = [(F, _past_base(F.m) - 1) for F in _identity_systems()[4:] + code_batch()[1::50]]
+    for F, n in exact + others:
+        levels = list(reference_carried_levels(F, n))
+        seen = [np.zeros(F.m**k, bool) for k in range(n + 1)]
+        for k, start, (lo, hi), (u, c) in _blocks_by_prefix(F, n):
+            rlo, rhi, rlen = levels[k]
+            size = min(rlo.size, F.m ** (_past_base(F.m) - 2))
+            part = slice(start, start + size)
+            assert not seen[k][part].any()
+            seen[k][part] = True
+            ru, rc = np.unique(rlen[part], return_counts=True)
+            assert u.tobytes() == ru.tobytes() and np.array_equal(c, rc)
+            assert lo <= rlo[part].min() and rhi[part].max() <= hi
+            if (F, n) in exact:
+                assert (lo, hi) == (rlo[part].min(), rhi[part].max())
+        assert all(s.all() for s in seen)
+
+
+def test_block_hull_encloses_its_words_where_it_ends_at_a_break():
+    # a block whose hull ends at a break of the map lies in the closed
+    # piece left of it, but its word at the break is imaged by the piece
+    # right of it, as bisect_right picks: 0.3 * 0.7 + c_1 rounds above
+    # 0.7 * 0.7, so the child's hull takes both values, and encloses the
+    # images of the words
+    from plifs.core import _Block, _Walk, _child, _image_into
+
+    f = PLMap((0.7,), (0.7, 0.3), 0.0)
+    assert f(0.7) > 0.7 * 0.7
+    lo, hi = np.array([0.1, 0.2]), np.array([0.15, 0.7])
+    parent = _Block(1, 0.1, 0.7, (np.array([0.05, 0.5]), np.array([1, 1])),
+                    words=(lo, hi, hi - lo))
+    child = _child(f, parent, _Walk(1, 2, 1))
+    assert child.words is None and child.p == 0
+    out_lo, out_hi = np.empty(2), np.empty(2)
+    _image_into(f, lo, hi, out_lo, out_hi)
+    assert child.lo == out_lo.min() and child.hi == out_hi.max() == f(0.7)
+
+
+def test_carried_levels_are_bit_identical_to_the_word_ordered_reference():
+    # the base levels of the walk carry each cylinder's length as the
+    # reference does, word by word: the sweep's endpoints and the same
+    # lengths, bit for bit, on injective, folded and decreasing systems
+    for F in _identity_systems():
+        n = 8 if F.m == 2 else 5
+        for got, want in zip(carried_levels(F, n), reference_carried_levels(F, n), strict=True):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def _accuracy_systems():
+    """The systems whose carried lengths are compared with the exact ones:
+    the oracle tests' walked and swept systems, `code_batch()[565]`, the
+    tent and the all-decreasing system, and `random_iosc_affine` draws."""
+    rng = random.Random(31)
+    family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
+    decreasing = Cplifs((PLMap((), (-0.3,), 0.3), PLMap((), (-0.3,), 1.0)))
+    mixed = Cplifs((PLMap((), (0.3,), 0.0), PLMap((), (-0.3,), 1.0)))
+    systems = [paper_example(), cantor_pair(), family, period_two(), decreasing, mixed,
+               code_batch()[565], three_break_mixed_signs()] + _identity_systems()[4:6]
+    return systems + [random_iosc_affine(rng) for _ in range(6)]
+
+
+def test_carried_lengths_are_within_roundings_of_the_exact_lengths():
+    # the exact cylinders are f_w(J), J read exactly and the maps those
+    # their float parameters define.  A word whose cylinders, float and
+    # exact, no break cuts at any level has its carried length within 2n
+    # roundings (u = 2^-53) of the exact one, relative, where hi - lo was
+    # off by up to 4e8 times that; a word that a break cuts somewhere,
+    # where the length is read off the endpoints, is within sweep_error(F)
+    # absolute.  The paper example's exact f_1 reaches 0.5 + 2.8e-17, so
+    # its exact cylinders 1 2^k are cut by the break 0.5 that ends the
+    # float ones: 1 1 2^6 is off by 1.3e-10 relative
+    relative = absolute = 0
+    for F in _accuracy_systems():
+        N = 8 if F.m == 2 else 5
+        err = Fraction(sweep_error(F))
+        cut = [False]
+        for n, (lo, hi, length) in enumerate(carried_levels(F, N)):
+            exact = exact_cylinders(F, n)
+            if n:
+                cut = [c or any(a < b < z or x < b < y for b in f.breaks)
+                       for f in F.maps
+                       for c, (a, z), x, y in zip(cut, parents, plo.tolist(), phi.tolist())]
+            for cut_here, (a, z), got in zip(cut, exact, length.tolist()):
+                if cut_here:
+                    absolute += 1
+                    assert abs(Fraction(got) - (z - a)) <= err
+                else:
+                    relative += 1
+                    assert abs(Fraction(got) - (z - a)) <= 2 * max(n, 1) * Fraction(1, 2**53) * (z - a)
+            plo, phi, parents = lo, hi, exact
+    assert relative > absolute > 0
+    paper = exact_cylinder_lengths(paper_example(), 8)[word_index((1, 1) + (2,) * 6, 2)]
+    got = next(itertools.islice(carried_levels(paper_example(), 8), 8, None))[2]
+    assert 1e-10 < abs(Fraction(got[word_index((1, 1) + (2,) * 6, 2)]) / paper - 1) < 2e-10
+
+
+def test_cantor_roots_and_bounds_lose_no_digits():
+    # carried lengths keep every level of the Cantor pair to rounding: the
+    # roots within 1e-12 of log 2 / log 3 (hi - lo lost 5.0e-12) and the
+    # bounds within 1e-14 relative of (2/3)^n (hi - lo lost 1.7e-10)
+    roots = natural_dimension(cantor_pair(), 1, 20).roots
+    assert all(abs(r - LOG23) <= 1e-12 for r in roots)
+    bounds = lebesgue_upper_bound(cantor_pair(), 20)
+    assert all(abs(b - (2 / 3) ** n) <= 1e-14 * (2 / 3) ** n for n, b in enumerate(bounds, 1))
+
+
+def test_roots_of_a_separated_system_rise_to_its_dimension():
+    # code_batch()[565] is separated, with alpha = 0.2556 (its association
+    # graph's root): its roots fell from 0.2549 at n = 12 to 0.178 at
+    # n = 19 as hi - lo cancelled; carried, they rise towards alpha
+    from plifs.gdifs import alpha, associate_from_periodic, auto_codes
+
+    F = code_batch()[565]
+    a = alpha(associate_from_periodic(F, auto_codes(F)))
+    roots = natural_dimension(F, 6, 19).roots
+    assert all(x <= y for x, y in zip(roots, roots[1:]))
+    assert all(abs(r - a) <= 2e-3 for r in roots)
+
+
+def test_walk_makes_word_by_word_only_the_blocks_a_break_cuts(monkeypatch):
+    # past the base level b, a block whose hull lies in one closed piece of
+    # the map is its parent's histogram scaled; only the blocks that a
+    # break cuts, and their ancestors' words where those are not held, are
+    # imaged, each once.  The Cantor pair has no break, the paper example's
+    # break 0.5 ends I_1, so only f_1 of level b is cut, and the family's
+    # middle map breaks at its fixed point, which cuts one block a level
     from plifs import core
 
     family = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,)).system
@@ -391,21 +557,17 @@ def test_level_blocks_hold_every_word_once(monkeypatch):
         image_into(f, lo, *rest)
 
     monkeypatch.setattr(core, "_image_into", spy)
-    for F, n in ((paper_example(), 17), (family, 11)):
-        assert F.m**n > 2 * _CHUNK
-        imaged.clear()
-        blocks = {}
-        for k, lo, hi in level_blocks(F, 0, n):
-            assert 0 < lo.size == hi.size <= _CHUNK
-            blocks.setdefault(k, []).append((lo.copy(), hi.copy()))
-        assert sum(imaged) == sum(F.m**k for k in range(1, n + 1))
-        assert sorted(blocks) == list(range(n + 1))
-        for k, parts in blocks.items():
-            lo, hi = (np.concatenate(x) for x in zip(*parts))
-            rlo, rhi = cylinder_arrays(F, k)
-            order, rorder = np.lexsort((hi, lo)), np.lexsort((rhi, rlo))
-            assert lo[order].tobytes() == rlo[rorder].tobytes()
-            assert hi[order].tobytes() == rhi[rorder].tobytes()
+    for F, n, cut in ((cantor_pair(), 20, 0), (paper_example(), 22, 1), (family, 14, 5)):
+        b = _past_base(F.m) - 2
+        del imaged[:]
+        natural_dimension(F, 6, n)
+        words = [size for size in imaged if size == F.m**b]
+        assert len(words) == cut
+        assert sorted(imaged)[:len(imaged) - cut] == sorted(
+            size for k in range(b) for size in [F.m**k] * F.m)
+        del imaged[:]
+        list(level_blocks(F, 6, n))
+        assert len([size for size in imaged if size == F.m**b]) == cut
 
 
 def test_natural_dimension_peak_does_not_scale_with_the_level():

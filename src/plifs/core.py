@@ -10,7 +10,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -426,10 +426,11 @@ def _carry_into(
     if p == bisect_left(f.breaks, hi.max()):  # no break in [lo, hi)
         np.multiply(length, a[p], out=out)
         return
-    np.multiply(length, np.take(a, np.searchsorted(f.breaks, hi)), out=out)
-    cut = np.zeros(lo.shape, bool)
-    for b in f.breaks:
-        cut |= (lo < b) & (hi > b)
+    np.multiply(length, a[0], out=out)
+    cut, above, below = np.zeros(lo.shape, bool), np.empty(lo.shape, bool), np.empty(lo.shape, bool)
+    for s, b in zip(a[1:], f.breaks):  # the piece right of b, where hi is past it
+        np.multiply(length, s, out=out, where=np.greater(hi, b, out=above))
+        cut |= np.logical_and(above, np.less(lo, b, out=below), out=below)
     at = np.flatnonzero(cut)
     if not at.size:
         return
@@ -464,105 +465,225 @@ def carried_levels(
         plo, phi, plen = lo, hi, length
 
 
-class _Block:
-    """One block of the walk at level n: its hull lo, hi, the histogram
-    u, c of its carried lengths, and its word arrays (lo, hi, length) once
-    made; else the map f and its piece p that make it from its parent."""
+class Blocks(NamedTuple):
+    """Level n of `level_blocks`: its blocks in word order, block i the
+    cylinders of the i-th prefix, with its hull lo[i], hi[i] and its
+    histogram ids[i], an index into the level's pool of distinct
+    histograms.  Histogram h is the sorted distinct carried lengths
+    u[start[h]:start[h + 1]] with their integer counts c[start[h]:start[h + 1]]."""
 
-    __slots__ = ("n", "lo", "hi", "u", "c", "words", "parent", "f", "p")
+    n: int
+    lo: np.ndarray
+    hi: np.ndarray
+    ids: np.ndarray
+    u: np.ndarray
+    c: np.ndarray
+    start: np.ndarray
 
-    def __init__(self, n, lo, hi, hist, words=None, parent=None, f=None, p=None):
-        self.n, self.lo, self.hi, (self.u, self.c) = n, lo, hi, hist
-        self.words, self.parent, self.f, self.p = words, parent, f, p
-
-
-class _Walk:
-    """The walk's word arrays past the base level: one (lo, hi, length)
-    buffer of size words per level, allocated when a block of that level
-    is first made word by word."""
-
-    def __init__(self, base: int, size: int, depth: int):
-        self.base, self.size, self.buffers = base, size, [None] * depth
-
-    def buffer(self, n: int) -> np.ndarray:
-        i = n - self.base - 1
-        if self.buffers[i] is None:
-            self.buffers[i] = np.empty((3, self.size))
-        return self.buffers[i]
+    def weights(self) -> np.ndarray:
+        """Each pool entry's multiplicity: the number of blocks whose
+        histogram holds it."""
+        return np.repeat(np.bincount(self.ids, minlength=self.start.size - 1),
+                         self.start[1:] - self.start[:-1])
 
 
-def _words(block: _Block, walk: _Walk) -> tuple[np.ndarray, ...]:
-    """The word arrays of a block: made from those of its nearest ancestor
-    that has them, one map after another, into each level's buffer."""
-    if block.words is None:
-        lo, hi, length = _words(block.parent, walk)
-        out = walk.buffer(block.n)
-        _image_into(block.f, lo, hi, out[0], out[1])
-        np.multiply(length, abs(block.f.slopes[block.p]), out=out[2])
-        block.words = tuple(out)
-    return block.words
+def _segments(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of every entry of the segments rows of an array cut at
+    start (segment r is start[r]:start[r + 1]), segment after segment,
+    and where each segment begins in that index, with its end last."""
+    a = start[rows]
+    size = start[rows + 1] - a
+    begin = np.zeros(rows.size + 1, np.intp)
+    np.cumsum(size, out=begin[1:])
+    return np.arange(begin[-1]) + np.repeat(a - begin[:-1], size), begin
 
 
-def _child(f: PLMap, parent: _Block, walk: _Walk) -> _Block:
-    """f's image of the block parent.
+def _scaled(level: Blocks, h: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Histogram h[j] of the level's pool times scale[j], for each j, with
+    neighbours that round to equal merged, as arrays u, c cut at start:
+    the bits of ``u * scale`` and a merge of its runs on each histogram
+    alone, in one gather, multiply and merge over all of them."""
+    take, start = _segments(level.start, h)
+    u = level.u[take]
+    u *= np.repeat(scale, start[1:] - start[:-1])
+    c = level.c[take]
+    del take
+    new = np.empty(u.size, bool)
+    np.not_equal(u[1:], u[:-1], out=new[1:])
+    new[start[:-1]] = True
+    if not new.all():
+        first = np.flatnonzero(new)
+        u, c, start = u[first], np.add.reduceat(c, first), np.searchsorted(first, start)
+    return u, c, start
+
+
+def _pooled(
+    n: int, lo: np.ndarray, hi: np.ndarray, hists: tuple[np.ndarray, ...], which: np.ndarray
+) -> Blocks:
+    """The level whose block i has hull lo[i], hi[i] and histogram
+    which[i] of hists, arrays u, c cut at start; each distinct histogram,
+    by its bits, is held once.  Only histograms of one size and the same
+    least and largest length are compared whole."""
+    u, c, start = hists
+    cuts = start.tolist()
+    alike: dict[tuple[int, float, float], list[int]] = {}
+    kept, ids = [], []  # the first copy of each distinct histogram; an index into kept each
+    for x, y, least, largest in zip(cuts, cuts[1:], u[start[:-1]].tolist(),
+                                    u[start[1:] - 1].tolist()):
+        same = alike.setdefault((y - x, least, largest), [])
+        for h in same:
+            a, b = kept[h]
+            if u[a:b].tobytes() == u[x:y].tobytes() and c[a:b].tobytes() == c[x:y].tobytes():
+                break
+        else:
+            h = len(kept)
+            same.append(h)
+            kept.append((x, y))
+        ids.append(h)
+    if len(kept) < len(ids):
+        take, start = _segments(start, np.searchsorted(start, [x for x, _ in kept]))
+        u, c = u[take], c[take]
+    return Blocks(n, lo, hi, np.array(ids, np.intp)[which], u, c, start)
+
+
+class _Words:
+    """The word arrays (lo, hi, length) that the walk holds past its base
+    level b, keyed by (level, block): level b's, and those of the deepest
+    blocks made word by word, at most as many as the walk has levels past
+    b; and, for each level, the piece, among all maps' pieces in order,
+    whose slope made each block from its parent, or -1 where a break cuts
+    the block."""
+
+    def __init__(
+        self, maps: tuple[PLMap, ...], base: int, deepest: int, words: tuple[np.ndarray, ...]
+    ):
+        self.maps, self.base, self.room = maps, base, deepest - base
+        self.ratios = np.abs([s for f in maps for s in f.slopes])
+        self.scales, self.rank = np.unique(self.ratios, return_inverse=True)  # distinct |s|
+        self.held = {(base, 0): words}
+        self.pieces: dict[int, np.ndarray] = {}
+
+    def hold(self, n: int, i: int, words: np.ndarray) -> None:
+        """Hold the words of block i of level n, and drop the shallowest
+        others past ``room`` below the base level: `of` makes them again
+        if a block reads them."""
+        self.held[n, i] = words
+        if len(self.held) > self.room + 1:
+            del self.held[min(key for key in self.held if key[0] > self.base)]
+
+    def of(self, n: int, i: int) -> tuple[np.ndarray, ...]:
+        """The words of block i of level n: made from those of its nearest
+        ancestor that has them, one map after another, and held."""
+        words = self.held.get((n, i))
+        if words is None:
+            parents = len(self.maps) ** (n - 1 - self.base)
+            lo, hi, length = self.of(n - 1, i % parents)
+            f, piece = self.maps[i // parents], self.pieces[n][i]
+            words = np.empty((3, lo.size))
+            _image_into(f, lo, hi, words[0], words[1])
+            if piece < 0:
+                _carry_into(f, lo, hi, length, words[0], words[1], words[2])
+            else:
+                np.multiply(length, self.ratios[piece], out=words[2])
+            self.hold(n, i, words)
+        return words
+
+
+def _next_level(level: Blocks, words: _Words) -> Blocks:
+    """Level n + 1 of the walk: its block k B + i is f_k's image of block
+    i of level n, which has B blocks, so the blocks stay in word order.
 
     When no break of f lies in [lo, hi) of the parent's hull, every
-    interval of the block lies in one closed piece p and its length is
-    |s_p| times its parent's: the child is the histogram scaled, with
-    neighbours that round to equal merged, the bits that scaling each
-    word's length gives.  Its hull is piece p's formula at the parent
-    hull's ends, and f itself there (another piece at a break): each
+    interval of the block lies in one closed piece p, the one
+    ``bisect_left`` picks, and its length is |s_p| times its parent's: the
+    child's histogram is the parent's scaled (`_scaled`), once for each
+    distinct parent histogram and |s_p|.  Its hull is piece p's formula at
+    the parent hull's ends, and f itself there (another piece) where hi is
+    a break, the least and largest as Python's min and max pick them: each
     formula is monotone under rounding, so that encloses every word's
     image, and is it unless an end is a break.  Otherwise the child is
     made word by word from the parent's words, and its lengths sorted."""
-    lo, hi = parent.lo, parent.hi
-    p = bisect_left(f.breaks, lo)
-    if p == bisect_left(f.breaks, hi):
-        s, c = f.slopes[p], f._intercepts[p]
-        ends = [s * lo + c, s * hi + c]
-        if p < len(f.breaks) and f.breaks[p] == hi:
-            ends.append(f(hi))
-        u, counts = parent.u * abs(s), parent.c
-        if (u[1:] == u[:-1]).any():
-            first = _run_starts(u)
-            u, counts = u[first], np.add.reduceat(counts, first)
-        return _Block(parent.n + 1, min(ends), max(ends), (u, counts), parent=parent, f=f, p=p)
-    lo, hi, length = _words(parent, walk)
-    out_lo, out_hi, out = walk.buffer(parent.n + 1)
-    _image_into(f, lo, hi, out_lo, out_hi)
-    _carry_into(f, lo, hi, length, out_lo, out_hi, out)
-    return _Block(parent.n + 1, float(out_lo.min()), float(out_hi.max()),
-                  _histogram(np.sort(out)), words=(out_lo, out_hi, out))
-
-
-Block = tuple[int, Interval, Histogram]
+    n, blocks = level.n + 1, level.lo.size
+    lo, hi, pieces, cut = [], [], [], []
+    first = 0  # f's first piece among all maps' pieces
+    for k, f in enumerate(words.maps):
+        s, c = np.array(f.slopes), np.array(f._intercepts)
+        p = np.zeros(blocks, np.intp)
+        if f.breaks:
+            breaks = np.array(f.breaks)
+            p = np.searchsorted(breaks, level.lo)
+        ya, yb = s[p] * level.lo + c[p], s[p] * level.hi + c[p]
+        clo, chi = np.where(yb < ya, yb, ya), np.where(yb > ya, yb, ya)
+        if f.breaks:
+            at = np.flatnonzero(breaks[np.minimum(p, breaks.size - 1)] == level.hi)
+            fb = s[p[at] + 1] * level.hi[at] + c[p[at] + 1]
+            clo[at] = np.where(fb < clo[at], fb, clo[at])
+            chi[at] = np.where(fb > chi[at], fb, chi[at])
+            cut.append(k * blocks + np.flatnonzero(p != np.searchsorted(breaks, level.hi)))
+        lo.append(clo)
+        hi.append(chi)
+        pieces.append(p + first)
+        first += f.pieces
+    lo, hi, piece = np.concatenate(lo), np.concatenate(hi), np.concatenate(pieces)
+    cut = np.concatenate(cut) if cut else piece[:0]
+    keys = words.rank[piece].reshape(-1, blocks)
+    piece[cut] = -1
+    words.pieces[n] = piece
+    made = [None] * cut.size
+    for r in np.argsort(cut % blocks, kind="stable").tolist():  # each parent's in a row
+        j = int(cut[r])
+        out = words.of(n, j)
+        lo[j], hi[j] = out[0].min(), out[1].max()
+        made[r] = _histogram(np.sort(out[2]))
+    # a scaled child's histogram is keyed by its parent's and its |s_p|
+    scales = words.scales.size
+    keys = (keys + level.ids * scales).ravel()
+    seen = np.zeros((level.start.size - 1) * scales, bool)
+    seen[np.delete(keys, cut)] = True
+    distinct = np.flatnonzero(seen)
+    which = np.cumsum(seen)[keys] - 1
+    which[cut] = distinct.size + np.arange(cut.size)
+    u, c, start = _scaled(level, distinct // scales, words.scales[distinct % scales])
+    if made:
+        us, cs = zip(*made)
+        start = np.append(start, start[-1] + np.cumsum([x.size for x in us]))
+        u, c = np.concatenate([u, *us]), np.concatenate([c, *cs])
+    return _pooled(n, lo, hi, (u, c, start), which)
 
 
 def level_blocks(
     F: Cplifs, n_min: int, n_max: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[Block]:
-    """The cylinders of levels n_min..n_max as (n, hull, histogram)
-    blocks, each word of those levels in one block of its level: hull the
-    least lo and largest hi of the block's intervals (or an enclosure of
-    them), histogram the sorted distinct carried lengths u of its words
-    and their integer counts c; for consumers, such as the partition sums
-    and the bounds of separated systems, that need only the multiset of a
-    level's lengths.  The budget is checked once, for level n_max, before
-    any level is built.
+) -> Iterator[Blocks]:
+    """The cylinders of levels n_min..n_max as one `Blocks` per level:
+    each word of the level in one block, each block's hull the least lo
+    and largest hi of its intervals (or an enclosure of them), and its
+    histogram the sorted distinct carried lengths of its words with their
+    integer counts, bit for bit those of the carried lengths word by word;
+    for consumers, such as the partition sums and the bounds of separated
+    systems, that need only the multiset of a level's lengths.  The budget
+    is checked once, for level n_max, before any level is built.
 
     Levels up to the base level b, the deepest with m^b <= ``_CHUNK``
     words (or n_max), are `carried_levels`, one block each.  Past b the
-    walk is depth first: a block of level n + 1 is one map's image of a
-    block of level n, yielded before its own images are made, so a
-    level's blocks come in depth-first, not word, order.  A block that
-    lies in one closed piece of the map, as almost all do, is made from
-    its parent's histogram alone (`_child`); only one that a break cuts
-    is made word by word, from the word arrays of its nearest ancestor
-    that has them, imaged map after map as the sweep images them, so
-    every endpoint keeps the sweep's bits.  The histograms are those of
-    the carried lengths, word by word, bit for bit.  The walk holds
-    levels b - 1 and b, and 24 m^b bytes for each level past b where a
-    block is made word by word; the histograms are never written."""
+    walk is level-synchronous (`_next_level`): all of a level's blocks are
+    made at once, as arrays over its blocks, and block k B + i of level
+    n + 1 is f_k's image of block i of level n, so block i of a level
+    past b holds its words i m^b .. (i + 1) m^b - 1.  A block that lies in
+    one closed piece of its map, as almost all do, has its parent's
+    histogram scaled, and a level holds each histogram that is distinct
+    bit for bit once, in its pool: 28 for the paper example's 128 blocks
+    at n = 22, 34 for the family's 243 at n = 14.  Only a block that a
+    break cuts is made word by word, from the word arrays of its nearest
+    ancestor that has them, imaged map after map as the sweep images
+    them, so every endpoint keeps the sweep's bits.
+
+    The walk holds levels b - 1 and b while it sweeps them, then level b's
+    word arrays, a level's block arrays and pool and the next level's, and
+    24 m^b bytes for at most one block made word by word per level past b;
+    past that, the shallowest are dropped and made again when read.  The
+    pool holds each distinct histogram whole, so where no two blocks
+    share one, as on systems with generic slopes, it holds all of the
+    level's histograms.  The yielded arrays are never written."""
     if not 0 <= n_min <= n_max:
         raise ValueError("need 0 <= n_min <= n_max")
     _check_budget(F.m, n_max, budget)
@@ -571,33 +692,17 @@ def level_blocks(
         base += 1
     for n, (lo, hi, length) in enumerate(carried_levels(F, base, budget)):
         if n >= n_min or n == base:
-            hull, hist = (float(lo.min()), float(hi.max())), _histogram(np.sort(length))
+            u, c = _histogram(np.sort(length))
+            level = Blocks(n, lo.min(keepdims=True), hi.max(keepdims=True),
+                           np.zeros(1, np.intp), u, c, np.array([0, u.size]))
         if n >= n_min:
-            yield n, hull, hist
+            yield level
     if base < n_max:
-        root = _Block(base, *hull, hist, words=(lo, hi, length))
-        yield from _descend(F.maps, root, n_min, n_max, _Walk(base, lo.size, n_max - base))
-
-
-def _descend(
-    maps: tuple[PLMap, ...], root: _Block, n_min: int, n_max: int, walk: _Walk
-) -> Iterator[Block]:
-    """The blocks below the block root, depth first, down to level n_max:
-    a stack of (block, index of its next map) pairs, the blocks of the
-    current path.  A block refers only to its parent, so nothing forms a
-    reference cycle that would keep the buffers until the cyclic
-    collector ran."""
-    stack = [(root, 0)]
-    while stack:
-        parent, k = stack.pop()
-        if k == len(maps):
-            continue
-        stack.append((parent, k + 1))
-        child = _child(maps[k], parent, walk)
-        if child.n >= n_min:
-            yield child.n, (child.lo, child.hi), (child.u, child.c)
-        if child.n < n_max:
-            stack.append((child, 0))
+        words = _Words(F.maps, base, n_max, (lo, hi, length))
+        for _ in range(base, n_max):
+            level = _next_level(level, words)
+            if level.n >= n_min:
+                yield level
 
 
 def cylinders(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Level:
@@ -950,28 +1055,44 @@ class BreakStatus:
 
 def _containing_words(
     F: Cplifs, x: float, depth: int, budget: int, prefix: Word = ()
-) -> list[Word]:
+) -> Iterator[Word]:
     """Words extending ``prefix`` by `depth` symbols whose cylinder,
-    widened by ``F.geom_tol()``, contains x, found by descending only
-    through containing prefixes (I_{w k} lies inside I_w).  An empty result
-    certifies that x avoids the attractor piece of ``prefix``."""
+    widened by ``F.geom_tol()``, contains x, in lexicographic order: a
+    depth-first descent through containing prefixes only (I_{w k} lies
+    inside I_w), so a consumer that takes the first word stops there.  A
+    descent that yields nothing certifies that x avoids the attractor
+    piece of ``prefix``.
+
+    No frontier is held.  The budget bounds the cylinders that one depth
+    evaluates, m for each containing word found at the depth above:
+    BudgetExceeded as soon as the words found at one depth times m pass
+    it, which a full descent raises exactly where a breadth-first one,
+    holding each depth's words, does."""
     tol = F.geom_tol()
     a, b = cylinder_interval(F, prefix)
-    frontier = [prefix] if a - tol <= x <= b + tol else []
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            for k in range(1, F.m + 1):
-                ww = w + (k,)
-                a, b = cylinder_interval(F, ww)
-                if a - tol <= x <= b + tol:
-                    nxt.append(ww)
-        if len(nxt) * F.m > budget:
-            raise BudgetExceeded(len(nxt) * F.m, budget, "containment frontier")
-        frontier = nxt
-        if not frontier:
-            break
-    return frontier
+    if not a - tol <= x <= b + tol:
+        return
+    found = [0] * (depth + 1)  # containing words found at each depth
+    stack = [prefix]
+    while stack:
+        w = stack.pop()
+        d = len(w) - len(prefix) + 1
+        if d > depth:
+            yield w
+            continue
+        for k in range(F.m, 0, -1):  # pushed last to first: popped in order
+            a, b = cylinder_interval(F, w + (k,))
+            if a - tol <= x <= b + tol:
+                found[d] += 1
+                if found[d] * F.m > budget:
+                    raise BudgetExceeded(found[d] * F.m, budget, "containment frontier")
+                stack.append(w + (k,))
+
+
+def _contained(F: Cplifs, x: float, depth: int, budget: int, prefix: Word = ()) -> bool:
+    """Whether `_containing_words` has a word: the descent stops at the
+    first."""
+    return next(_containing_words(F, x, depth, budget, prefix), None) is not None
 
 
 def regularity_diagnostic(
@@ -984,11 +1105,10 @@ def regularity_diagnostic(
         raise ValueError("depth must be >= 0")
     out = []
     for k, b in F.breaking_points():
-        witnesses = _containing_words(F, b, depth, budget)
+        witnesses = tuple(_containing_words(F, b, depth, budget))
         status = UNDECIDED_AT_DEPTH if witnesses else CERTIFIED_OFF_ATTRACTOR
         out.append(
-            BreakStatus(map_index=k, point=b, status=status, depth=depth,
-                        witnesses=tuple(witnesses))
+            BreakStatus(map_index=k, point=b, status=status, depth=depth, witnesses=witnesses)
         )
     return tuple(out)
 
@@ -1065,7 +1185,7 @@ def verify_breaking_code(F: Cplifs, b: float, prefix: Word, period: Word) -> Cod
     y = periodic_point(F, code.period)
     res_period = abs(_apply_word(F, code.period, y) - y)
     res_prefix = abs(_apply_word(F, code.prefix, y) - b)
-    contained = all(_containing_words(F, b, 0, DEFAULT_BUDGET, code.prefix + code.period * j)
+    contained = all(_contained(F, b, 0, DEFAULT_BUDGET, code.prefix + code.period * j)
                     for j in (1, 2, 3))
     ok = res_period <= _CODE_TOL and res_prefix <= _CODE_TOL and contained
     return CodeCheck(

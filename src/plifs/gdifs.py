@@ -26,7 +26,7 @@ from .core import (
     Interval,
     PLMap,
     Word,
-    _containing_words,
+    _contained,
     _image_into,
     affine_restriction,
     check_iosc,
@@ -527,10 +527,13 @@ def build_fixed_point_family(
     return FixedPointFamily(system, associate_from_periodic(system, codes), det)
 
 
-def detect_fixed_point_family(F: Cplifs, budget: int = DEFAULT_BUDGET) -> DetRecursion | None:
+def detect_fixed_point_family(
+    F: Cplifs, budget: int = DEFAULT_BUDGET, graph: Gdifs | None = None
+) -> DetRecursion | None:
     """The determinant recursion of F when its association is the graph of
     the fixed-point-breaking family, else None.  In hull order, the nodes of
-    ``associate_from_periodic(F, auto_codes(F), budget)`` must have, each
+    ``associate_from_periodic(F, auto_codes(F), budget)``, or of ``graph``
+    where a caller has solved that association already, must have, each
     compared exactly:
     - disjoint hulls, but for the cut that two halves share;
     - one ratio on the edges from each node, its row ratio;
@@ -547,7 +550,7 @@ def detect_fixed_point_family(F: Cplifs, budget: int = DEFAULT_BUDGET) -> DetRec
     if slopes[0] <= 0:
         return None
     try:
-        g = associate_from_periodic(F, auto_codes(F), budget)
+        g = graph if graph is not None else associate_from_periodic(F, auto_codes(F), budget)
     except BudgetExceeded:
         raise
     except PlifsError:
@@ -647,7 +650,7 @@ def associate_from_periodic(
                 for c in bcodes
             ):
                 continue
-            if _containing_words(F, b, _REFINE_DEPTH, budget, w):
+            if _contained(F, b, _REFINE_DEPTH, budget, w):
                 if bcodes and all(not c.purely_periodic for c in bcodes):
                     raise NonPeriodicCode(
                         f"breaking point {b} sits inside cylinder {word_str(w)} and "
@@ -999,7 +1002,7 @@ def auto_codes(F: Cplifs) -> tuple[BreakCode, ...]:
         )
         for prefix, period in candidates:
             if (
-                _containing_words(F, b, 0, DEFAULT_BUDGET, prefix + period * 3)
+                _contained(F, b, 0, DEFAULT_BUDGET, prefix + period * 3)
                 and verify_breaking_code(F, b, prefix, period).ok
             ):
                 out.append(BreakCode(point=b, prefix=prefix, period=period))
@@ -1024,8 +1027,8 @@ def _punctured(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
     return pl.value, detail, pl
 
 
-def _determinant(F: Cplifs, c: DimConfig) -> tuple[float, str, object]:
-    det = detect_fixed_point_family(F, c.budget)
+def _determinant(F: Cplifs, c: DimConfig, graph: Gdifs | None = None) -> tuple[float, str, object]:
+    det = detect_fixed_point_family(F, c.budget, graph)
     if det is None:
         raise NotApplicable("not a fixed-point-breaking family", "determinant")
     return q_root(det), f"slopes {det.slopes}", det
@@ -1055,12 +1058,15 @@ METHODS = {
 
 def dim_report(F: Cplifs, config: DimConfig = DimConfig()) -> DimReport:
     """Run every method of METHODS; per-method failures are recorded
-    rather than raised."""
+    rather than raised.  The determinant route reads the graph that the
+    gdifs route associated, where it did, instead of associating again."""
     estimates: list[MethodEstimate] = []
     values: dict[str, float] = {}
+    solved: dict[str, object] = {}
     for method, run in METHODS.items():
+        shared = (solved["gdifs"][0],) if method == "determinant" and "gdifs" in solved else ()
         try:
-            value, detail, _ = run(F, config)
+            value, detail, solved[method] = run(F, config, *shared)
         except Exception as exc:
             error = exc.reason if isinstance(exc, NotApplicable) else f"{type(exc).__name__}: {exc}"
             estimates.append(MethodEstimate(method, None, error=error))

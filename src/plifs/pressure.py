@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _CHUNK, Cplifs, DEFAULT_BUDGET, _run_starts, level_blocks
+from .core import Cplifs, DEFAULT_BUDGET, _run_starts, level_blocks
 from .errors import ConvergenceFailure, DegenerateAttractor
 
 WINDOW = 3  # last roots s_n that the natural estimate takes the maximum of
@@ -48,66 +48,31 @@ class NaturalDimEstimate:
     spread: float
 
 
-def _merge_counts(us: list[np.ndarray], cs: list[np.ndarray]) -> None:
-    """Merge histograms, each sorted distinct values us[i] with counts
-    cs[i], into one in place: on return the lists hold only the sorted
-    distinct values and their summed counts, the counts following the
-    values' argsort.  Each input is dropped once it is joined."""
-    if len(us) == 1:
-        return
-    u = np.concatenate(us)
-    us.clear()
+def _merge(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of u, each with the sum of the integer
+    counts c of its copies: the values and counts of one sort of all of
+    them, whatever their order and repeats; no sort where u already
+    rises strictly, as one histogram does."""
+    if (u[1:] > u[:-1]).all():
+        return u, c
     order = np.argsort(u)
-    u = u[order]
-    c = np.concatenate(cs)
-    cs.clear()
-    c = c[order]
-    del order
+    u, c = u[order], c[order]
     first = _run_starts(u)
-    us.append(u[first])
-    cs.append(np.add.reduceat(c, first))
+    return u[first], np.add.reduceat(c, first)
 
 
-class _LengthCounts:
-    """The carried cylinder lengths of one level, fed as the histograms of
-    its blocks in any order, collapsed to (log length, log multiplicity)
-    plus the zero-length and the total word counts; piecewise systems
-    repeat few distinct length products, which makes the partition sum
-    cheap at deep levels.
-
-    Each block's zero lengths, which only underflow makes, are dropped as
-    its sorted prefix up to ``searchsorted(0.0, "right")`` and counted.
-    The blocks' histograms merge into the level's, sorted distinct
-    lengths with exact integer counts, once they hold at least 2
-    ``_CHUNK`` entries and as many as the level's: the values and counts
-    are those of one sort of the whole level, whatever the blocks and
-    their order, and only the level's histogram and a few blocks' are
-    held."""
-
-    def __init__(self):
-        self.us, self.cs = [np.empty(0)], [np.empty(0, np.intp)]  # the level's histogram first
-        self.held = self.zeros = 0  # entries of the blocks' histograms, zero lengths
-        self.room = 2 * _CHUNK  # held entries that start a merge
-
-    def add(self, u: np.ndarray, c: np.ndarray) -> None:
-        """Count a block's histogram: sorted distinct lengths u, each
-        occurring c times; neither is written or kept past a merge."""
-        zeros = int(np.searchsorted(u, 0.0, "right"))
-        if zeros:
-            self.zeros += int(c[:zeros].sum())
-        self.us.append(u[zeros:])
-        self.cs.append(c[zeros:])
-        self.held += u.size - zeros
-        if self.held >= self.room:
-            _merge_counts(self.us, self.cs)
-            self.held = 0
-            self.room = max(self.room, self.us[0].size)
-
-    def logs(self) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """(log length, log multiplicity, zero count, word count)."""
-        _merge_counts(self.us, self.cs)
-        (u,), (c,) = self.us, self.cs
-        return np.log(u), np.log(c.astype(float)), self.zeros, self.zeros + int(c.sum())
+def _level_counts(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(log length, log multiplicity, zero count, word count) of a level
+    whose carried lengths are u, each occurring c times: the `_merge` of
+    the positive ones; lengths <= 0, which only underflow makes, are
+    counted apart."""
+    zeros = 0
+    if u.min(initial=1.0) <= 0.0:
+        zero = u <= 0.0
+        zeros = int(c[zero].sum())
+        u, c = u[~zero], c[~zero]
+    u, c = _merge(u, c)
+    return np.log(u), np.log(c.astype(float)), zeros, zeros + int(c.sum())
 
 
 _LONG_CYLINDER = ("a cylinder has length >= 1; the partition-sum root is not unique "
@@ -117,23 +82,24 @@ _LONG_CYLINDER = ("a cylinder has length >= 1; the partition-sum root is not uni
 def _level_logs(
     F: Cplifs, n_min: int, n_max: int, budget: int, roots: bool = True
 ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
-    """`_LengthCounts.logs` of each level n_min..n_max, from one walk of
-    `level_blocks`; the one level guard of the partition sums.
+    """`_level_counts` of each level n_min..n_max, from one walk of
+    `level_blocks`: its pool of distinct histograms, each entry's count
+    times the number of blocks that share the histogram; the one level
+    guard of the partition sums.
 
-    For roots, a level-n_min block with a length >= 1 raises the
-    ConvergenceFailure that `_root_from_logs` would raise first, as soon
-    as the walk yields it: where n_min is at or below the walk's base
-    level, before any deeper level is imaged."""
+    For roots, a level-n_min length >= 1 raises the ConvergenceFailure
+    that `_root_from_logs` would raise first, as soon as the walk yields
+    the level, before any deeper level is imaged."""
     if n_min < 1:
         raise ValueError("level must be >= 1")
     if n_min > n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    counts = [_LengthCounts() for _ in range(n_min, n_max + 1)]
-    for n, _, (u, c) in level_blocks(F, n_min, n_max, budget):
-        if roots and n == n_min and u[-1] >= 1.0:
+    out = []
+    for level in level_blocks(F, n_min, n_max, budget):
+        if roots and level.n == n_min and level.u.max() >= 1.0:
             raise ConvergenceFailure(_LONG_CYLINDER)
-        counts[n - n_min].add(u, c)
-    return [c.logs() for c in counts]
+        out.append(_level_counts(level.u, level.c * level.weights()))
+    return out
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -144,7 +110,7 @@ def _logsumexp(a: np.ndarray) -> float:
 def pressure_at(F: Cplifs, s: float, n: int, budget: int = DEFAULT_BUDGET) -> float:
     """(1/n) log sum over level-n words of |I_w|^s, in the log domain,
     from the histogram of the level's lengths that one walk of
-    `level_blocks` fills."""
+    `level_blocks` gives."""
     if not 0.0 <= s < math.inf:
         raise ValueError(f"s = {s} is not finite and >= 0")
     ((logu, logc, _, _),) = _level_logs(F, n, n, budget, roots=False)
@@ -229,7 +195,7 @@ def solve_level_root(F: Cplifs, n: int, budget: int = DEFAULT_BUDGET) -> Pressur
     found by `bisect_decreasing` on a doubling bracket.
 
     The partition sum is read off the histogram of the level's lengths
-    that one walk of `level_blocks` fills.  A system whose cylinders all
+    that one walk of `level_blocks` gives.  A system whose cylinders all
     have zero length is a single point; its root is 0 by convention.
     """
     t0 = time.perf_counter()
@@ -246,8 +212,8 @@ def natural_dimension(
     budget: int = DEFAULT_BUDGET,
 ) -> NaturalDimEstimate:
     """Solve s_n for n_min..n_max and summarize the last `WINDOW` roots.
-    One depth-first walk of `level_blocks` fills every level's histogram
-    of lengths, never holding a level of more than ``_CHUNK`` words."""
+    One walk of `level_blocks` gives every level's histogram of lengths,
+    never holding a level of more than ``_CHUNK`` words."""
     logs = _level_logs(F, n_min, n_max, budget)
     roots = [_root_from_logs(logu, logc) for logu, logc, _, _ in logs]
     tail = roots[-WINDOW:]

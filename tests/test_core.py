@@ -84,7 +84,7 @@ def test_plmap_validation():
     (lambda: lebesgue_upper_bound(cantor_pair(), 0), ValueError, "n_max must be >= 1"),
     (lambda: pressure_at(cantor_pair(), 0.5, 0), ValueError, "level must be >= 1"),
     (lambda: next(level_blocks(cantor_pair(), 3, 2)), ValueError, "need 0 <= n_min <= n_max"),
-    (lambda: _containing_words(unit_cover(), 0.5, 6, 7), BudgetExceeded,
+    (lambda: list(_containing_words(unit_cover(), 0.5, 6, 7)), BudgetExceeded,
      "containment frontier: 8 needed, budget is 7"),
     (lambda: parse_spec("map tau0 slopes=0.5"), ParseError, "line 1: expected key=value"),
 ], ids=["no-map", "empty-interval", "empty-period", "three-slopes", "slope-one",
@@ -534,10 +534,10 @@ def test_word_index_round_trip_in_lexicographic_order(m):
 
 def test_containing_words_from_prefix():
     F = paper_example()
-    full = _containing_words(F, 0.5, 7, 10**6)
+    full = list(_containing_words(F, 0.5, 7, 10**6))
     assert full
     for prefix in [(1,), (1, 2), (2,)]:
-        sub = _containing_words(F, 0.5, 7 - len(prefix), 10**6, prefix)
+        sub = list(_containing_words(F, 0.5, 7 - len(prefix), 10**6, prefix))
         assert sub == [w for w in full if w[: len(prefix)] == prefix]
 
 

@@ -1055,6 +1055,24 @@ def test_auto_codes_pinned_on_a_batch_slice():
     )
 
 
+@pytest.mark.parametrize("index, point, cylinder", [
+    (29, -0.2944472334667464, 1),
+    (60, 0.18992328999722374, 2),
+    (71, 0.05849474253876569, 1),
+    (136, -0.22605128468028002, 2),
+])
+def test_interval_attractor_is_refused_at_the_first_containing_word(index, point, cylinder):
+    # these attractors are intervals, so an uncoded break lies in a level-12
+    # cylinder of its own level-P cylinder: the depth-first descent stops
+    # at the first such word and raises the UnverifiedCode that enumerating
+    # them all, breadth first, raised in 0.3 to 4.5 s
+    F = code_batch()[index]
+    with pytest.raises(UnverifiedCode) as raised:
+        associate_from_periodic(F, auto_codes(F))
+    assert str(raised.value) == (f"breaking point {point!r} appears to lie on the attractor "
+                                 f"(cylinder {cylinder}) but has no code")
+
+
 @pytest.mark.parametrize(
     "systems",
     [[F for F, _ in PINNED_CODES.values()], code_batch()[::14][:50]],
@@ -1313,6 +1331,25 @@ def test_dim_report_family_three_way():
     assert rep.value("determinant") == pytest.approx(a, abs=1e-9)
     assert abs(rep.value("natural") - a) < 1e-2
     assert rep.consistent
+
+
+def test_dim_report_associates_a_family_once(monkeypatch):
+    # the determinant route reads the gdifs route's graph within the call,
+    # and gives the root it gives on its own association; run on its own,
+    # the route associates
+    from plifs import gdifs
+
+    fam = build_fixed_point_family((0.25, 0.2, 0.3, 0.25), (0.5,))
+    calls = []
+    associate = gdifs.associate_from_periodic
+    monkeypatch.setattr(gdifs, "associate_from_periodic",
+                        lambda *args: calls.append(args) or associate(*args))
+    rep = dim_report(fam.system, DimConfig(punctured_k=5))
+    assert len(calls) == 1
+    assert rep.value("determinant") == q_root(detect_fixed_point_family(fam.system))
+    del calls[:]
+    METHODS["determinant"](fam.system, DimConfig())
+    assert len(calls) == 1
 
 
 def test_fixed_settings_are_constants_not_parameters():

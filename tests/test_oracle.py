@@ -685,7 +685,7 @@ def _base_level(F):
 
 
 def _lebesgue_route(F, n, monkeypatch):
-    """lebesgue_upper_bound(F, n), and whether it read the depth-first walk."""
+    """lebesgue_upper_bound(F, n), and whether it read the walk of `level_blocks`."""
     walks = []
     blocks = oracle.level_blocks
     monkeypatch.setattr(oracle, "level_blocks", lambda *args: walks.append(args) or blocks(*args))
@@ -697,7 +697,7 @@ def _lebesgue_route(F, n, monkeypatch):
 
 def test_lebesgue_walk_bounds_equal_the_swept_unions(monkeypatch):
     # systems whose first-level cylinders are pairwise disjoint and whose
-    # maps are injective read each level off the depth-first walk, as the
+    # maps are injective read each level off the walk of level_blocks, as the
     # fsum of its carried lengths: within 1e-14 relative of the sum of the
     # exact cylinders' lengths, which is the union's length, as the
     # cylinders are pairwise disjoint (the union of the float intervals
@@ -738,11 +738,12 @@ def test_lebesgue_rereads_a_level_whose_block_hulls_overlap(monkeypatch):
     assert swept == []
 
     def stretched(*args):
-        first = True
-        for k, (lo, hi), hist in blocks(*args):
-            if k == 16 and first:
-                first, hi = False, hi + 1.0
-            yield k, (lo, hi), hist
+        for level in blocks(*args):
+            if level.n == 16:
+                hi = level.hi.copy()
+                hi[0] += 1.0
+                level = level._replace(hi=hi)
+            yield level
 
     monkeypatch.setattr(oracle, "level_blocks", stretched)
     got = lebesgue_upper_bound(F, n)
@@ -783,6 +784,50 @@ def test_repeated_calls_take_no_fresh_pages():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         call()
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
+def _large_allocations(call, least=2**16):
+    """How many lines of plifs code, as a call runs them, allocate at
+    least ``least`` bytes: lines during which tracemalloc's traced memory
+    rises that far above its value when the line began, whether the line
+    keeps the memory or frees it again."""
+    import sys
+
+    package = str(Path(oracle.__file__).parent)
+    count = start = 0
+
+    def line(frame, event, arg):
+        nonlocal count, start
+        if event == "line":
+            now, peak = tracemalloc.get_traced_memory()
+            count += peak - start >= least
+            tracemalloc.reset_peak()
+            start = now
+        return line
+
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename.startswith(package) else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return count
+
+
+def test_repeated_calls_allocate_no_word_sized_array_per_block():
+    # the page-fault test cannot see an allocation per block once glibc's
+    # mmap threshold has risen.  Counted as lines that allocate 64 KiB or
+    # more (a quarter of one word array of the base level 15), each
+    # repeated call makes 16 such allocations on the paper example at
+    # n = 20: the base levels' arrays and the one block a break cuts.  The
+    # bound is one per level; one per block past the base level would be
+    # 62 more
+    F, n = paper_example(), 20
+    for call in (lambda: lebesgue_upper_bound(F, n), lambda: natural_dimension(F, 6, n)):
+        call()
+        assert _large_allocations(call) <= n
 
 
 # --- verdicts ----------------------------------------------------------------------

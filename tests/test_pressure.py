@@ -24,7 +24,9 @@ from plifs.core import (
 )
 from plifs.errors import BudgetExceeded, ConvergenceFailure, DegenerateAttractor, PlifsError
 from plifs.gdifs import build_fixed_point_family
-from plifs.pressure import _LengthCounts, _logsumexp, _root_from_logs, bisect_decreasing
+from plifs.pressure import (
+    _level_counts, _logsumexp, _merge, _root_from_logs, bisect_decreasing,
+)
 
 from helpers import (
     cantor_pair,
@@ -213,15 +215,16 @@ def test_affine_closed_form_all_levels_equal():
             assert solve_level_root(F, n).root == pytest.approx(closed, abs=1e-10)
 
 
-# --- _LengthCounts -------------------------------------------------------------
+# --- _level_counts --------------------------------------------------------------
 
 def _aggregate_lengths(level):
-    """`_LengthCounts.logs` of a level's chunks, fed in order, each as the
-    histogram of its lengths hi - lo."""
-    counts = _LengthCounts()
+    """`_level_counts` of a level's chunks, each as the histogram of its
+    lengths hi - lo, folded in order into one histogram by `_merge`."""
+    u, c = np.empty(0), np.empty(0, np.intp)
     for lo, hi in level:
-        counts.add(*np.unique(hi - lo, return_counts=True))
-    return counts.logs()
+        cu, cc = np.unique(hi - lo, return_counts=True)
+        u, c = _merge(np.concatenate([u, cu]), np.concatenate([c, cc]))
+    return _level_counts(u, c)
 
 
 def test_aggregate_lengths_equals_unique_reference():
@@ -275,9 +278,10 @@ def test_aggregate_lengths_peak_bytes_per_word():
     # lengths sorted and counted apart; 10 B with the level's positive
     # lengths copied and sorted whole, 18.8 B with np.unique's own copy.
     # A stream of chunks whose lengths are all distinct within each chunk
-    # (each a shuffle of one pool of _CHUNK lengths) takes 8.5 B: its
-    # histograms merge as they come.  (When the whole level's lengths are
-    # distinct, the result alone takes 16 B per word.)
+    # (each a shuffle of one pool of _CHUNK lengths) took 8.5 B with the
+    # histograms merged as they came, as `_merge` folds them here.  (When
+    # the whole level's lengths are distinct, the result alone takes 16 B
+    # per word.)
     def per_word(level):
         tracemalloc.start()
         try:
@@ -333,7 +337,7 @@ def test_natural_dimension_matches_individual_roots():
         assert r == pytest.approx(solve_level_root(F, n).root, abs=1e-12)
 
 
-# --- the depth-first walk ------------------------------------------------------
+# --- the level-synchronous walk --------------------------------------------------
 
 def _past_base(m):
     """Two levels past the base level of `level_blocks`: the deepest level
@@ -365,7 +369,8 @@ def _identity_systems():
 
 def test_partition_sums_are_bit_identical_to_the_word_ordered_reference():
     # the reference counts each level of the word-ordered sweep whole; the
-    # walk counts blocks in depth-first order, past the base level too, and
+    # walk counts a level past the base level as its pool of block
+    # histograms, each taken once per block that shares it, and
     # gives the same roots, counts and sums, or raises the same error
     raised = 0
     for F in _identity_systems():
@@ -391,25 +396,20 @@ def test_partition_sums_are_bit_identical_to_the_word_ordered_reference():
 
 def _blocks_by_prefix(F, n_max):
     """The blocks of `level_blocks(F, 0, n_max)` as (n, start, hull,
-    histogram): each block of level n past the base level b holds the
-    words of one prefix of n - b symbols, the words start.. start + m^b of
-    the level in word order.  Depth first, the first map applied is the
-    outermost loop, so the prefix is the reversed path of map indices."""
+    histogram), the histogram of block j its pool's histogram ids[j]:
+    block j of level n past the base level b is f_k's image of block i of
+    level n - 1, j = k B + i with B the blocks of level n - 1, so its
+    prefix is k followed by block i's, read down the parent chain, and it
+    holds the words start .. start + m^b of the level in word order."""
     b = _past_base(F.m) - 2
-    path = []
-    for n, hull, hist in level_blocks(F, 0, n_max):
-        if n <= b:
-            yield n, 0, hull, hist
-            continue
-        if len(path) >= n - b:
-            del path[n - b:]
-            path[-1] += 1
-        else:
-            path.append(0)
-        start = 0
-        for k in reversed(path):
-            start = start * F.m + k
-        yield n, start * F.m**b, hull, hist
+    for level in level_blocks(F, 0, n_max):
+        for j, h in enumerate(level.ids.tolist()):
+            start, i = 0, j
+            for n in range(level.n, b, -1):
+                k, i = divmod(i, F.m ** (n - 1 - b))
+                start = start * F.m + k
+            hist = level.u[level.start[h]:level.start[h + 1]], level.c[level.start[h]:level.start[h + 1]]
+            yield level.n, start * F.m**b, (level.lo[j], level.hi[j]), hist
 
 
 def test_level_blocks_hold_every_word_once():
@@ -445,18 +445,19 @@ def test_block_hull_encloses_its_words_where_it_ends_at_a_break():
     # right of it, as bisect_right picks: 0.3 * 0.7 + c_1 rounds above
     # 0.7 * 0.7, so the child's hull takes both values, and encloses the
     # images of the words
-    from plifs.core import _Block, _Walk, _child, _image_into
+    from plifs.core import Blocks, _image_into, _next_level, _Words
 
     f = PLMap((0.7,), (0.7, 0.3), 0.0)
     assert f(0.7) > 0.7 * 0.7
     lo, hi = np.array([0.1, 0.2]), np.array([0.15, 0.7])
-    parent = _Block(1, 0.1, 0.7, (np.array([0.05, 0.5]), np.array([1, 1])),
-                    words=(lo, hi, hi - lo))
-    child = _child(f, parent, _Walk(1, 2, 1))
-    assert child.words is None and child.p == 0
+    parent = Blocks(1, np.array([0.1]), np.array([0.7]), np.zeros(1, np.intp),
+                    np.array([0.05, 0.5]), np.array([1, 1]), np.array([0, 2]))
+    words = _Words((f,), 1, 2, (lo, hi, hi - lo))
+    child = _next_level(parent, words)
+    assert (2, 0) not in words.held and words.pieces[2][0] == 0
     out_lo, out_hi = np.empty(2), np.empty(2)
     _image_into(f, lo, hi, out_lo, out_hi)
-    assert child.lo == out_lo.min() and child.hi == out_hi.max() == f(0.7)
+    assert child.lo[0] == out_lo.min() and child.hi[0] == out_hi.max() == f(0.7)
 
 
 def test_carried_levels_are_bit_identical_to_the_word_ordered_reference():
